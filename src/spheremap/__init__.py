@@ -32,6 +32,7 @@ from .geometry import (
     coulomb_fix,
     connection_of,
     default_qprime,
+    flow_rhs,
     project_n,
     projection_frame,
     renormalize,
@@ -39,12 +40,12 @@ from .geometry import (
     sweep_frame,
 )
 from .gauge import (
-    GaugeData,
+    CoulombSlice,
     a0_from_psi,
     a_from_psi,
+    coulomb_slice,
     covariant_derivative,
     derive_psi,
-    gauge_from_frame,
     msm_nonlinearity,
     residual_compatibility,
     residual_curvature,
@@ -67,9 +68,7 @@ from .evolution import (
     TrajectoryRecord,
     default_dt,
     evolve_msm,
-    free_propagator,
     run,
-    sm_rhs,
     step_rk4_projected,
 )
 from .cli_io import (

@@ -4,8 +4,8 @@ Snapshot files are a small checksummed raw binary format (little-endian
 64-bit floats, 3 interleaved components for vector fields) so round-trips
 are bit exact and trivially parseable.  Diagnostics tables are CSV with
 locale-independent 17-significant-digit formatting; identical runs produce
-byte-identical files.  All writes go through a temp file and an atomic
-rename.
+byte-identical files.  All writes go through a uniquely named temp file in
+the target directory and an atomic rename.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import glob
 import os
 import struct
 import sys
+import tempfile
 import zlib
 from dataclasses import dataclass
 
@@ -28,14 +29,8 @@ from .diagnostics import (
     xk_norm,
 )
 from .evolution import SimConfig, run
-from .gauge import (
-    a_from_psi,
-    derive_psi,
-    residual_compatibility,
-    residual_curvature,
-    residual_psi0,
-)
-from .geometry import SphereField, coulomb_fix, divergence, projection_frame
+from .gauge import a_from_psi, coulomb_slice
+from .geometry import SphereField
 from .initial_data import InitialDataSpec, generate_initial
 from .spectral import Grid, l2_norm
 
@@ -75,13 +70,24 @@ class Snapshot:
     values: np.ndarray   # (n,...,n) real scalar or (3, n,...,n) vector
 
 
+# mkstemp creates its file private; outputs get the usual umask-derived mode
+_UMASK = os.umask(0o022)
+os.umask(_UMASK)
+
+
 def _atomic_write(path: str, data: bytes) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
+                               prefix=os.path.basename(path) + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~_UMASK)
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def save_snapshot(values: np.ndarray, grid: Grid, time: float, path: str) -> None:
@@ -324,17 +330,12 @@ def gauge_identity_suite(s: SphereField, qprime: np.ndarray | None = None) -> di
     recovered from psi alone and the frame connection.
     """
     grid = s.grid
-    frame, conn, _ = coulomb_fix(projection_frame(s, qprime))
-    psi = derive_psi(frame)
-    a_psi = a_from_psi(grid, psi).a
-    cross = np.sqrt(sum(l2_norm(grid, a_psi[m] - conn.a[m]) ** 2 for m in range(grid.d)))
-    return {
-        "res_compatibility": residual_compatibility(grid, psi, conn.a),
-        "res_curvature": residual_curvature(grid, psi, conn.a),
-        "res_psi0": residual_psi0(frame, psi, conn.a),
-        "res_cross": float(cross),
-        "div_a": l2_norm(grid, divergence(grid, conn.a)),
-    }
+    sl = coulomb_slice(s, qprime)
+    suite = sl.residuals()
+    div_a = suite.pop("div_a")
+    a_psi = a_from_psi(grid, sl.psi).a
+    cross = np.sqrt(sum(l2_norm(grid, a_psi[m] - sl.a[m]) ** 2 for m in range(grid.d)))
+    return {**suite, "res_cross": float(cross), "div_a": div_a}
 
 
 def _sphere_from_snapshot(snap: Snapshot, q: np.ndarray | None = None) -> SphereField:
@@ -397,8 +398,7 @@ def _cmd_norms(args) -> int:
             diff = s.values - s.q.reshape((3,) + (1,) * grid.d)
             fields.append(np.sqrt(np.sum(diff**2, axis=0)))
         else:  # psi1
-            frame, _, _ = coulomb_fix(projection_frame(s))
-            fields.append(derive_psi(frame)[0])
+            fields.append(coulomb_slice(s).psi[0])
     rec = SpaceTimeRecord(grid, times, np.stack(fields))
 
     results = []
@@ -413,6 +413,13 @@ def _cmd_norms(args) -> int:
     if args.out:
         emit_series_csv(["norm", "value"], results, args.out)
     return 0
+
+
+def _number_or_text(value: str):
+    try:
+        return float(value)
+    except ValueError:
+        return value  # e.g. initial.kind; written verbatim
 
 
 def _cmd_sweep(args) -> int:
@@ -432,7 +439,7 @@ def _cmd_sweep(args) -> int:
         suite = gauge_identity_suite(s0, config.resolved_qprime())
         ratio = frame_bound_ratio(s0, config.resolved_qprime())
         suites.append(suite)
-        rows.append((float(value), *suite.values(), ratio))
+        rows.append((_number_or_text(value), *suite.values(), ratio))
         printable = "  ".join(f"{k}={_fmt(v)}" for k, v in suite.items())
         print(f"{target} = {value}:  {printable}  frame_ratio={_fmt(ratio)}")
 

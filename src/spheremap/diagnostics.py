@@ -11,13 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gauge import (
-    derive_psi,
-    residual_compatibility,
-    residual_curvature,
-    residual_psi0,
-)
-from .geometry import SphereField, coulomb_fix, divergence, projection_frame
+from .gauge import CoulombSlice, derive_psi
+from .geometry import SphereField, projection_frame
 from .spectral import Grid, eta0, l2_norm, sobolev_norm
 
 __all__ = [
@@ -65,9 +60,9 @@ class DiagnosticsRow:
         return tuple(getattr(self, name) for name in self.FIELDS)
 
     def __post_init__(self) -> None:
-        vals = self.as_tuple()
-        if not all(np.isfinite(v) for v in vals):
-            raise ValueError(f"non-finite diagnostics row: {vals}")
+        bad = [name for name in self.FIELDS if not np.isfinite(getattr(self, name))]
+        if bad:
+            raise ValueError(f"non-finite diagnostics row: {', '.join(bad)}")
 
 
 def energy(s: SphereField) -> float:
@@ -111,27 +106,18 @@ def frame_bound_ratio(s: SphereField, qprime: np.ndarray | None = None) -> float
     return num / denom
 
 
-def diagnostics_row(
-    t: float, s: SphereField, unit_violation: float, qprime: np.ndarray | None = None
-) -> DiagnosticsRow:
-    """Assemble the full monitored row for one time slice.
-
-    Builds the Coulomb-fixed projection frame at this slice and evaluates the
-    structural-identity residuals alongside the conserved quantities.
+def diagnostics_row(t: float, sl: CoulombSlice, unit_violation: float) -> DiagnosticsRow:
+    """Assemble the full monitored row for one Coulomb time slice: the
+    conserved quantities of its map beside its structural-identity residuals.
     """
-    frame, conn, _ = coulomb_fix(projection_frame(s, qprime))
-    psi = derive_psi(frame)
-    div_a = l2_norm(s.grid, divergence(s.grid, conn.a))
+    s = sl.frame.s
     return DiagnosticsRow(
         t=t,
         energy=energy(s),
         l2_dist_q=l2_distance_q(s),
         critical_norm=critical_norm(s),
         unit_violation=unit_violation,
-        div_a=div_a,
-        res_compatibility=residual_compatibility(s.grid, psi, conn.a),
-        res_curvature=residual_curvature(s.grid, psi, conn.a),
-        res_psi0=residual_psi0(frame, psi, conn.a),
+        **sl.residuals(),
     )
 
 

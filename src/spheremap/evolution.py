@@ -9,12 +9,15 @@ Two integrators are provided:
 * ``evolve_msm``: one integrating-factor RK4 step of the derived-field
   system (i d_t + Laplacian) psi_m = N_m(Psi); the linear phase
   exp(-i dt |xi|^2) is applied exactly, RK4 handles the nonlinearity.
+  The config value ``strang-msm`` selects it; despite the name this is not
+  Strang splitting, and the spelling stays for config compatibility.
 
 ``run`` is the batch driver: it builds the initial data, steps the flow,
-records diagnostics rows at a fixed cadence, and optionally co-evolves the
-derived fields to track the mismatch between the two formulations (the
-constant per-slice phase freedom is aligned on the largest Fourier mode of
-psi_1 before differencing).
+analyses one Coulomb slice per cadence tick for the diagnostics row, and
+optionally co-evolves the derived fields to track the mismatch between the
+two formulations (the constant per-slice phase freedom is aligned on the
+largest Fourier mode of psi_1 before differencing).  A run that leaves the
+regime of validity ends as a recorded abort with its partial outputs.
 """
 
 from __future__ import annotations
@@ -24,26 +27,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagnostics import DiagnosticsRow, diagnostics_row
-from .gauge import derive_psi, msm_nonlinearity
-from .geometry import (
-    BlowupSuspectedError,
-    SphereField,
-    coulomb_fix,
-    projection_frame,
-    renormalize,
-    _cross,
-)
+from .diagnostics import diagnostics_row
+from .gauge import CoulombSlice, coulomb_slice, msm_nonlinearity
+from .geometry import BlowupSuspectedError, SphereField, flow_rhs, renormalize, _worst_point
 from .initial_data import InitialDataSpec, generate_initial, tilted_qprime
-from .spectral import Grid, l2_norm, laplacian, vector_apply
+from .spectral import Grid, l2_norm
 
 __all__ = [
     "RK4_IMAG_STABILITY",
     "default_dt",
-    "sm_rhs",
     "rk4_update",
     "step_rk4_projected",
-    "free_propagator",
     "evolve_msm",
     "align_phase",
     "SimConfig",
@@ -61,36 +55,20 @@ def default_dt(grid: Grid) -> float:
     return 2.0 / grid.k_max**2
 
 
-def sm_rhs(s: SphereField) -> np.ndarray:
-    """Flow velocity s x Laplacian(s); pointwise orthogonal to s."""
-    return _sm_rhs_raw(s.grid, s.values)
-
-
-def _sm_rhs_raw(grid: Grid, values: np.ndarray) -> np.ndarray:
-    lap = vector_apply(lambda c: laplacian(grid, c), values).real
-    return _cross(values, lap)
-
-
 def rk4_update(s: SphereField, dt: float) -> np.ndarray:
     """One classical RK4 step of the flow, before renormalization."""
     grid = s.grid
     y = s.values
-    k1 = _sm_rhs_raw(grid, y)
-    k2 = _sm_rhs_raw(grid, y + 0.5 * dt * k1)
-    k3 = _sm_rhs_raw(grid, y + 0.5 * dt * k2)
-    k4 = _sm_rhs_raw(grid, y + dt * k3)
+    k1 = flow_rhs(grid, y)
+    k2 = flow_rhs(grid, y + 0.5 * dt * k1)
+    k3 = flow_rhs(grid, y + 0.5 * dt * k2)
+    k4 = flow_rhs(grid, y + dt * k3)
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def step_rk4_projected(s: SphereField, dt: float) -> SphereField:
     """RK4 step followed by pointwise projection back to the sphere."""
     return renormalize(s.grid, rk4_update(s, dt), q=s.q)
-
-
-def free_propagator(grid: Grid, psi: np.ndarray, dt: float) -> np.ndarray:
-    """Exact linear phase: multiply each mode by exp(-i dt |xi|^2)."""
-    phase = np.exp(-1j * dt * grid.k_squared)
-    return grid.ifft(phase * grid.fft(psi))
 
 
 def evolve_msm(grid: Grid, psi: np.ndarray, dt: float, nonlinear: bool = True) -> np.ndarray:
@@ -195,50 +173,51 @@ def run(config: SimConfig) -> TrajectoryRecord:
     """Execute one run and persist outputs if an output directory is set.
 
     Deterministic: identical configs produce identical records and
-    byte-identical output files.  On a suspected blowup the partial record
-    is persisted and returned with ``aborted=True``.
+    byte-identical output files.  On a suspected blowup, an inadmissible
+    diagnostics frame or a non-finite diagnostics row the partial record is
+    persisted and returned with ``aborted=True``; the reason names the step,
+    the time, the failed check and the grid point.
     """
     grid = config.grid
     dt = config.resolved_dt()
     qp = config.resolved_qprime()
     s = generate_initial(config.initial, grid)
+    sl = coulomb_slice(s, qp)
 
     dual_track = config.integrator == "strang-msm"
-    psi = None
-    if dual_track:
-        frame0, _, _ = coulomb_fix(projection_frame(s, qp))
-        psi = derive_psi(frame0)
-
+    psi = sl.psi if dual_track else None
     record = TrajectoryRecord(
         times=[0.0],
         snapshots=[(0, s)],
-        rows=[diagnostics_row(0.0, s, 0.0, qp)],
+        rows=[diagnostics_row(0.0, sl, 0.0)],
         msm_mismatch=[0.0] if dual_track else None,
     )
 
     last_step = 0
     for k in range(1, config.steps + 1):
+        t = k * dt
+        tick = k % config.cadence == 0 or k == config.steps
+        sl = None
         try:
             raw = rk4_update(s, dt)
             violation = float(np.max(np.abs(np.sqrt(np.sum(raw * raw, axis=0)) - 1.0)))
             s = renormalize(grid, raw, q=s.q)
-        except BlowupSuspectedError as exc:
+            last_step = k
+            if tick:
+                sl = coulomb_slice(s, qp)
+                row = diagnostics_row(t, sl, violation)
+        # FrameDegenerateError and the non-finite row are ValueErrors
+        except (BlowupSuspectedError, ValueError) as exc:
             record.aborted = True
-            record.abort_reason = str(exc)
+            record.abort_reason = _abort_reason(k, t, exc, sl)
             break
-        last_step = k
         if dual_track:
             psi = evolve_msm(grid, psi, dt)
-
-        if k % config.cadence == 0 or k == config.steps:
-            t = k * dt
+        if tick:
             record.times.append(t)
-            record.rows.append(diagnostics_row(t, s, violation, qp))
+            record.rows.append(row)
             if dual_track:
-                frame_t, _, _ = coulomb_fix(projection_frame(s, qp))
-                record.msm_mismatch.append(
-                    _relative_psi_mismatch(grid, psi, derive_psi(frame_t))
-                )
+                record.msm_mismatch.append(_relative_psi_mismatch(grid, psi, sl.psi))
         if config.snapshot_every and k % config.snapshot_every == 0:
             record.snapshots.append((k, s))
 
@@ -248,6 +227,16 @@ def run(config: SimConfig) -> TrajectoryRecord:
     if config.out_dir is not None:
         _persist(config, record)
     return record
+
+
+def _abort_reason(k: int, t: float, exc: Exception, sl: CoulombSlice | None) -> str:
+    reason = f"step {k}, t = {t:.6g}: {type(exc).__name__}: {exc}"
+    if sl is not None:
+        # the row failed on a built slice: name its first non-finite or largest psi
+        mag = np.sum(np.abs(sl.psi) ** 2, axis=0)
+        point = _worst_point(np.where(np.isfinite(mag), mag, np.inf))
+        reason += f" (largest |psi| at grid point {point})"
+    return reason
 
 
 def _persist(config: SimConfig, record: TrajectoryRecord) -> None:

@@ -19,7 +19,8 @@ with the cubic/quintic nonlinearity assembled in ``msm_nonlinearity``.  The
 residual functions quantify, in L2, how well the structural identities
 (derivative compatibility, connection curvature, and the time-slice relation
 for psi_0) hold for discretely computed fields; for frame-derived data they
-decay spectrally under grid refinement.
+decay spectrally under grid refinement.  ``coulomb_slice`` is the one place a
+time slice is analysed: Coulomb-fixed projection frame, connection and psi.
 """
 
 from __future__ import annotations
@@ -28,48 +29,38 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Connection, Frame, _cross, connection_of
+from .geometry import (
+    Connection,
+    Frame,
+    SphereField,
+    coulomb_fix,
+    divergence,
+    flow_rhs,
+    projection_frame,
+)
 from .spectral import (
     Grid,
     dealias,
     dealiased_product,
     inv_gradient_riesz,
     l2_norm,
-    laplacian,
     partial_derivative,
     riesz,
     vector_apply,
 )
 
 __all__ = [
-    "GaugeData",
+    "CoulombSlice",
+    "coulomb_slice",
     "derive_psi",
     "a_from_psi",
     "a0_from_psi",
-    "gauge_from_frame",
     "covariant_derivative",
     "residual_compatibility",
     "residual_curvature",
     "residual_psi0",
     "msm_nonlinearity",
 ]
-
-
-@dataclass(frozen=True)
-class GaugeData:
-    """One time slice of derived fields: psi_1..psi_d, a_1..a_d, a0, psi_0."""
-
-    grid: Grid
-    psi: np.ndarray          # (d, n, ..., n) complex
-    a: np.ndarray            # (d, n, ..., n) real
-    a0: np.ndarray           # (n, ..., n) real
-    psi0: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        if self.psi.shape != (self.grid.d,) + self.grid.shape:
-            raise ValueError("psi has wrong shape")
-        if np.iscomplexobj(self.a) or np.iscomplexobj(self.a0):
-            raise ValueError("a and a0 must be real")
 
 
 def derive_psi(frame: Frame) -> np.ndarray:
@@ -146,12 +137,6 @@ def residual_curvature(grid: Grid, psi: np.ndarray, a: np.ndarray) -> float:
     return worst
 
 
-def _time_derivative(s_values: np.ndarray, grid: Grid) -> np.ndarray:
-    # d_t s = s x Laplacian(s) along the flow
-    lap = vector_apply(lambda c: laplacian(grid, c), s_values).real
-    return _cross(s_values, lap)
-
-
 def residual_psi0(frame: Frame, psi: np.ndarray, a: np.ndarray) -> float:
     """|| psi_0 - i sum_m D_m psi_m ||_L2 on one time slice.
 
@@ -159,7 +144,7 @@ def residual_psi0(frame: Frame, psi: np.ndarray, a: np.ndarray) -> float:
     expressed in frame coordinates; the identity holds for Coulomb frames.
     """
     grid = frame.grid
-    dts = _time_derivative(frame.s.values, grid)
+    dts = flow_rhs(grid, frame.s.values)
     psi0 = np.sum(dts * frame.v, axis=0) + 1j * np.sum(dts * frame.w, axis=0)
     rhs = np.zeros(grid.shape, dtype=complex)
     for m in range(1, grid.d + 1):
@@ -167,18 +152,32 @@ def residual_psi0(frame: Frame, psi: np.ndarray, a: np.ndarray) -> float:
     return l2_norm(grid, psi0 - 1j * rhs)
 
 
-def gauge_from_frame(frame: Frame, connection: Connection | None = None,
-                     with_psi0: bool = True) -> GaugeData:
-    """Assemble the derived fields of one time slice from a (Coulomb) frame."""
-    grid = frame.grid
-    psi = derive_psi(frame)
-    a = connection.a if connection is not None else connection_of(frame).a
-    a0 = a0_from_psi(grid, psi)
-    psi0 = None
-    if with_psi0:
-        dts = _time_derivative(frame.s.values, grid)
-        psi0 = np.sum(dts * frame.v, axis=0) + 1j * np.sum(dts * frame.w, axis=0)
-    return GaugeData(grid, psi, a, a0, psi0)
+@dataclass(frozen=True)
+class CoulombSlice:
+    """One time slice in the Coulomb gauge: fixed frame, connection a, psi."""
+
+    frame: Frame
+    a: np.ndarray            # (d, n, ..., n) real, divergence free
+    psi: np.ndarray          # (d, n, ..., n) complex
+
+    def residuals(self) -> dict:
+        """div a and the three structural-identity residuals of this slice."""
+        grid = self.frame.grid
+        return {
+            "div_a": l2_norm(grid, divergence(grid, self.a)),
+            "res_compatibility": residual_compatibility(grid, self.psi, self.a),
+            "res_curvature": residual_curvature(grid, self.psi, self.a),
+            "res_psi0": residual_psi0(self.frame, self.psi, self.a),
+        }
+
+
+def coulomb_slice(s: SphereField, qprime: np.ndarray | None = None) -> CoulombSlice:
+    """Coulomb-fixed projection frame of s, its connection and psi.
+
+    Raises FrameDegenerateError when s leaves the region |s . q'| < 2^-5.
+    """
+    frame, conn, _ = coulomb_fix(projection_frame(s, qprime))
+    return CoulombSlice(frame, conn.a, derive_psi(frame))
 
 
 def msm_nonlinearity(grid: Grid, psi: np.ndarray) -> np.ndarray:

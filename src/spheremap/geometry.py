@@ -5,7 +5,8 @@ w = s x v, so (v, w) spans the tangent plane of the sphere at s.  Frames are
 built either by projecting a fixed reference direction onto the tangent
 plane (``projection_frame``, always periodic) or by an axis-by-axis sweep
 (``sweep_frame``).  ``coulomb_fix`` rotates a frame so that the connection
-coefficients a_m = (d_m v) . w become divergence free.
+coefficients a_m = (d_m v) . w become divergence free.  ``flow_rhs`` is the
+flow velocity s x Laplacian(s) shared by the integrator and the identities.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import Grid, partial_derivative, vector_apply
+from .spectral import Grid, laplacian, partial_derivative, vector_apply
 
 __all__ = [
     "FrameDegenerateError",
@@ -32,6 +33,7 @@ __all__ = [
     "coulomb_fix",
     "rotate_frame",
     "renormalize",
+    "flow_rhs",
 ]
 
 # Admissibility thresholds for the tangent projection and the axis sweep.
@@ -354,3 +356,9 @@ def renormalize(grid: Grid, u: np.ndarray, q: np.ndarray | None = None) -> Spher
         )
     kwargs = {} if q is None else {"q": np.asarray(q, dtype=float)}
     return SphereField(grid, u / lengths, **kwargs)
+
+
+def flow_rhs(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Flow velocity s x Laplacian(s) of an R^3 field; pointwise orthogonal to s."""
+    lap = vector_apply(lambda c: laplacian(grid, c), values).real
+    return _cross(values, lap)

@@ -23,6 +23,8 @@ def coords(grid):
     return [np.broadcast_to(grid.coordinate(m), grid.shape) for m in range(1, grid.d + 1)]
 
 
+REFERENCE_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "run-d2.ini")
+
 CONFIG_TEXT = """\
 [grid]
 d = 2
@@ -190,6 +192,23 @@ class TestDiagnosticsCsv:
         assert float(value) == np.pi
 
 
+    def test_stale_tmp_directory_does_not_block(self, tmp_path):
+        (tmp_path / "diagnostics.csv.tmp").mkdir()
+        path = tmp_path / "diagnostics.csv"
+        emit_diagnostics_csv([], str(path))
+        assert path.read_text() == ",".join(DiagnosticsRow.FIELDS) + "\n"
+        assert sorted(os.listdir(tmp_path)) == ["diagnostics.csv", "diagnostics.csv.tmp"]
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        def failing_replace(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="replace failed"):
+            emit_diagnostics_csv([], str(tmp_path / "diagnostics.csv"))
+        assert os.listdir(tmp_path) == []
+
+
 class TestParseConfig:
     def test_full_parse(self, config_file, tmp_path):
         config = parse_config(config_file)
@@ -272,6 +291,22 @@ class TestCliRun:
         rc = cli_main(["run", "--config", config_file, "--override", "grid.n=7"])
         assert rc == 2
 
+    def test_inadmissible_frame_is_a_recorded_abort(self, tmp_path, capsys):
+        # the amplitude carries s out of |s . q'| < 2^-5 before step 400
+        out = tmp_path / "o"
+        rc = cli_main(
+            ["run", "--config", REFERENCE_CONFIG, "--out", str(out),
+             "--override", "initial.amplitude=0.1", "--override", "time.steps=400",
+             "--override", "grid.n=16"]
+        )
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "run aborted: step " in err
+        assert "FrameDegenerateError" in err and "grid point" in err
+        assert (out / "diagnostics.csv").exists()
+        last = int(err.split("run aborted: step ", 1)[1].split(",", 1)[0])
+        assert (out / f"snapshot_{last:08d}.bin").exists()
+
 
 class TestCliVerify:
     def test_constant_map_residuals_vanish(self, tmp_path, capsys):
@@ -334,3 +369,15 @@ class TestCliSweep:
         assert rc == 0
         out = capsys.readouterr().out
         assert out.count("frame_ratio=") == 3
+
+    def test_kind_sweep_writes_text_cells(self, config_file, tmp_path):
+        rc = cli_main(
+            ["sweep", "--config", config_file, "--vary",
+             "initial.kind=geodesic-bump,band-limited-random",
+             "--override", "initial.amplitude=0.02", "--out", str(tmp_path)]
+        )
+        assert rc == 0
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()
+        assert lines[0].startswith("initial.kind,res_compatibility,")
+        assert [line.split(",")[0] for line in lines[1:]] == [
+            "geodesic-bump", "band-limited-random"]

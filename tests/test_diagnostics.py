@@ -16,7 +16,7 @@ from spheremap.diagnostics import (
     xk_norm,
 )
 from spheremap.evolution import default_dt
-from spheremap.gauge import derive_psi
+from spheremap.gauge import coulomb_slice, derive_psi
 from spheremap.geometry import SphereField, projection_frame, renormalize
 from spheremap.initial_data import InitialDataSpec, generate_initial, tilted_qprime
 from spheremap.spectral import Grid, l2_norm
@@ -303,7 +303,7 @@ class TestDiagnosticsRow:
         g = Grid(d=2, n=16)
         spec = InitialDataSpec(amplitude=0.05)
         s = generate_initial(spec, g)
-        row = diagnostics_row(0.5, s, 1e-9, tilted_qprime(spec))
+        row = diagnostics_row(0.5, coulomb_slice(s, tilted_qprime(spec)), 1e-9)
         assert row.t == 0.5
         assert row.energy > 0
         assert row.div_a < 1e-10

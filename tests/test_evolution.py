@@ -8,14 +8,12 @@ from spheremap.evolution import (
     SimConfig,
     default_dt,
     evolve_msm,
-    free_propagator,
     rk4_update,
     run,
-    sm_rhs,
     step_rk4_projected,
 )
 from spheremap.gauge import derive_psi
-from spheremap.geometry import SphereField, coulomb_fix, projection_frame
+from spheremap.geometry import SphereField, coulomb_fix, flow_rhs, projection_frame
 from spheremap.initial_data import InitialDataSpec, generate_initial
 from spheremap.spectral import Grid, laplacian, vector_apply
 
@@ -43,12 +41,12 @@ def evolve(s, dt, nsteps):
 class TestSmRhs:
     def test_constant_map(self):
         g = Grid(d=2, n=8)
-        assert np.max(np.abs(sm_rhs(constant_field(g)))) < 1e-14
+        assert np.max(np.abs(flow_rhs(g, constant_field(g).values))) < 1e-14
 
     def test_pointwise_orthogonality(self):
         g = Grid(d=2, n=16)
         s = bump_field(g, eps=0.3)
-        rhs = sm_rhs(s)
+        rhs = flow_rhs(g, s.values)
         dots = np.sum(rhs * s.values, axis=0)
         assert np.max(np.abs(dots)) < 1e-12
 
@@ -60,7 +58,7 @@ class TestSmRhs:
 
         def deviation(eps):
             s = bump_field(g, eps=eps, kind="band-limited-random", seed=3)
-            rhs = sm_rhs(s)
+            rhs = flow_rhs(g, s.values)
             diff = s.values - Q.reshape(3, 1, 1)
             lin = np.cross(
                 np.broadcast_to(Q.reshape(3, 1, 1), diff.shape),
@@ -129,7 +127,6 @@ class TestEvolveMsm:
         out = evolve_msm(g, psi, dt, nonlinear=False)
         expected = np.exp(-1j * dt) * np.exp(1j * x1)
         assert np.max(np.abs(out[0] - expected)) < 1e-14
-        assert np.max(np.abs(free_propagator(g, psi, dt)[0] - expected)) < 1e-14
 
     def test_richardson_order(self):
         g = Grid(d=2, n=16)
@@ -263,3 +260,55 @@ class TestRun:
         assert "length" in record.abort_reason
         assert len(record.rows) == 4  # t = 0 plus three completed steps
         assert (tmp_path / "diagnostics.csv").exists()
+
+    def test_one_coulomb_fix_per_row(self, monkeypatch):
+        # the dual-track mismatch reads psi from the row's own slice
+        import spheremap.gauge as gauge
+
+        calls = {"n": 0}
+        real_fix = gauge.coulomb_fix
+
+        def counting_fix(frame):
+            calls["n"] += 1
+            return real_fix(frame)
+
+        monkeypatch.setattr(gauge, "coulomb_fix", counting_fix)
+        config = SimConfig(
+            grid=Grid(d=2, n=16),
+            initial=InitialDataSpec(amplitude=0.02),
+            steps=4,
+            cadence=2,
+            integrator="strang-msm",
+        )
+        record = run(config)
+        assert len(record.rows) == 3
+        assert calls["n"] == len(record.rows)
+
+    def test_nonfinite_row_aborts_with_partial_record(self, monkeypatch, tmp_path):
+        import spheremap.diagnostics as diag
+
+        calls = {"n": 0}
+        real_energy = diag.energy
+
+        def failing_energy(s):
+            calls["n"] += 1
+            return float("nan") if calls["n"] >= 3 else real_energy(s)
+
+        monkeypatch.setattr(diag, "energy", failing_energy)
+        config = SimConfig(
+            grid=Grid(d=2, n=16),
+            initial=InitialDataSpec(amplitude=0.05),
+            steps=5,
+            cadence=1,
+            out_dir=str(tmp_path),
+        )
+        record = run(config)
+        assert record.aborted
+        # the third energy call is the row of step 2
+        assert record.abort_reason.startswith("step 2, t = ")
+        assert "non-finite diagnostics row: energy" in record.abort_reason
+        assert "grid point (" in record.abort_reason
+        assert len(record.rows) == 2
+        assert record.snapshots[-1][0] == 2
+        assert (tmp_path / "diagnostics.csv").exists()
+        assert (tmp_path / "snapshot_00000002.bin").exists()

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from spheremap.gauge import (
+    CoulombSlice,
     a0_from_psi,
     a_from_psi,
+    coulomb_slice,
     covariant_derivative,
     derive_psi,
-    gauge_from_frame,
     msm_nonlinearity,
     residual_compatibility,
     residual_curvature,
@@ -371,10 +372,13 @@ class TestMsmNonlinearity:
         assert np.max(np.abs(fast - slow)) < 1e-12
 
 
-class TestGaugeData:
-    def test_from_frame_divergence_free(self):
-        grid, frame, conn, psi = small_data_gauge(n=16, eps=0.05)
-        data = gauge_from_frame(frame, conn)
-        assert l2_norm(grid, divergence(grid, data.a)) < 1e-10
-        assert data.psi0 is not None
-        assert not np.iscomplexobj(data.a0)
+class TestCoulombSlice:
+    def test_slice_of_small_data(self):
+        grid = Grid(d=2, n=16)
+        spec = InitialDataSpec(amplitude=0.05)
+        s = generate_initial(spec, grid)
+        sl = coulomb_slice(s, tilted_qprime(spec))
+        assert isinstance(sl, CoulombSlice)
+        assert l2_norm(grid, divergence(grid, sl.a)) < 1e-10
+        assert not np.iscomplexobj(sl.a)
+        assert np.array_equal(sl.psi, derive_psi(sl.frame))
