@@ -21,7 +21,6 @@ from .spectral import (
     partial_derivative,
     riesz,
     sobolev_norm,
-    vector_apply,
 )
 from .geometry import (
     BlowupSuspectedError,

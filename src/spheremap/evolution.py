@@ -142,10 +142,14 @@ class SimConfig:
             raise ValueError("cadence must be >= 1")
         if self.snapshot_every < 0:
             raise ValueError("snapshot_every must be >= 0")
-        if self.resolved_dt() * self.grid.k_max**2 > RK4_IMAG_STABILITY + 1e-12:
+        dt = self.resolved_dt()
+        if not np.isfinite(dt) or dt == 0:
+            raise ValueError(f"dt = {dt} must be finite and non-zero")
+        # negative dt is legal: the flow is time-reversible
+        if abs(dt) * self.grid.k_max**2 > RK4_IMAG_STABILITY + 1e-12:
             raise ValueError(
-                f"dt = {self.resolved_dt():.3e} violates the stability bound "
-                f"dt * |xi_max|^2 <= {RK4_IMAG_STABILITY}"
+                f"dt = {dt:.3e} violates the stability bound "
+                f"|dt| * |xi_max|^2 <= {RK4_IMAG_STABILITY}"
             )
 
     def resolved_dt(self) -> float:

@@ -46,7 +46,6 @@ from .spectral import (
     l2_norm,
     partial_derivative,
     riesz,
-    vector_apply,
 )
 
 __all__ = [
@@ -72,7 +71,7 @@ def derive_psi(frame: Frame) -> np.ndarray:
     grid = frame.grid
     psi = np.empty((grid.d,) + grid.shape, dtype=complex)
     for m in range(1, grid.d + 1):
-        ds = vector_apply(lambda c: partial_derivative(grid, c, m), frame.s.values).real
+        ds = partial_derivative(grid, frame.s.values, m)
         psi[m - 1] = np.sum(ds * frame.v, axis=0) + 1j * np.sum(ds * frame.w, axis=0)
     return psi
 
@@ -90,7 +89,7 @@ def a_from_psi(grid: Grid, psi: np.ndarray) -> Connection:
             if l == m:
                 continue  # Im(psi_m conj(psi_m)) = 0
             src = dealiased_product(grid, psi[m], np.conj(psi[l])).imag
-            a[m] += inv_gradient_riesz(grid, src, l + 1).real
+            a[m] += inv_gradient_riesz(grid, src, l + 1)
     return Connection(grid, a)
 
 
@@ -103,7 +102,7 @@ def a0_from_psi(grid: Grid, psi: np.ndarray) -> np.ndarray:
     for l in range(grid.d):
         for lp in range(grid.d):
             src = dealiased_product(grid, np.conj(psi[l]), psi[lp]).real
-            a0 += riesz(grid, riesz(grid, src, l + 1), lp + 1).real
+            a0 += riesz(grid, riesz(grid, src, l + 1), lp + 1)
         a0 += 0.5 * dealiased_product(grid, psi[l], np.conj(psi[l])).real
     return a0
 
@@ -133,7 +132,7 @@ def residual_curvature(grid: Grid, psi: np.ndarray, a: np.ndarray) -> float:
         for l in range(m + 1, grid.d + 1):
             curl = partial_derivative(grid, a[m - 1], l) - partial_derivative(grid, a[l - 1], m)
             src = dealias(grid, (psi[l - 1] * np.conj(psi[m - 1])).imag)
-            worst = max(worst, l2_norm(grid, curl.real - src))
+            worst = max(worst, l2_norm(grid, curl - src))
     return worst
 
 

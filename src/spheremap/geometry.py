@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import Grid, laplacian, partial_derivative, vector_apply
+from .spectral import Grid, _apply_symbol, _safe_inverse, laplacian, partial_derivative
 
 __all__ = [
     "FrameDegenerateError",
@@ -62,7 +62,16 @@ def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return np.cross(u, v, axisa=0, axisb=0, axis=0)
+    """Pointwise u x v over the leading axis; the same bits as ``np.cross``."""
+    out = np.empty(np.broadcast_shapes(u.shape, v.shape), dtype=np.result_type(u, v))
+    tmp = np.empty(out.shape[1:], dtype=out.dtype)
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        row = out[i, ...]  # a view also for single vectors
+        np.multiply(u[j], v[k], out=row)
+        np.multiply(u[k], v[j], out=tmp)
+        np.subtract(row, tmp, out=row)
+    return out
 
 
 def _worst_point(values: np.ndarray) -> tuple:
@@ -208,8 +217,7 @@ def projection_frame(s: SphereField, qprime: np.ndarray | None = None) -> Frame:
     qprime = np.asarray(qprime, dtype=float)
     qp_field = np.broadcast_to(qprime.reshape((3,) + (1,) * s.grid.d), s.values.shape)
     v = project_n(qp_field, s.values)
-    w = _cross(s.values, v)
-    return Frame(s, v, np.ascontiguousarray(w))
+    return Frame(s, v, _cross(s.values, v))
 
 
 @dataclass(frozen=True)
@@ -270,30 +278,25 @@ def sweep_frame(s: SphereField, seed_direction: np.ndarray | None = None) -> Swe
         wrapped = project_n(v[last], svals[first])
         seam = max(seam, float(np.max(_norms(wrapped - v[first]))))
 
-    w = _cross(svals, v)
-    frame = Frame(s, v, np.ascontiguousarray(w))
+    frame = Frame(s, v, _cross(svals, v))
     return SweepFrameResult(frame, seam, seam > SEAM_WARN_THRESHOLD)
 
 
 def connection_of(frame: Frame) -> Connection:
     """Connection coefficients a_m = (d_m v) . w, computed spectrally.
 
-    The result is real; the O(1e-16) imaginary FFT residue is discarded.
+    Each axis differentiates the whole (3, n, ..., n) field v in one call.
     """
     grid = frame.grid
     a = np.empty((grid.d,) + grid.shape)
     for m in range(1, grid.d + 1):
-        dv = vector_apply(lambda c: partial_derivative(grid, c, m), frame.v)
-        a[m - 1] = np.sum(dv * frame.w, axis=0).real
+        a[m - 1] = np.sum(partial_derivative(grid, frame.v, m) * frame.w, axis=0)
     return Connection(grid, a)
 
 
 def divergence(grid: Grid, a: np.ndarray) -> np.ndarray:
     """sum_m d_m a_m of a d-component field, computed spectrally."""
-    out = np.zeros(grid.shape, dtype=complex)
-    for m in range(1, grid.d + 1):
-        out += partial_derivative(grid, a[m - 1], m)
-    return out.real if np.isrealobj(a) else out
+    return sum(partial_derivative(grid, a[m - 1], m) for m in range(1, grid.d + 1))
 
 
 def _poisson_zero_mean(grid: Grid, rhs: np.ndarray) -> np.ndarray:
@@ -302,11 +305,9 @@ def _poisson_zero_mean(grid: Grid, rhs: np.ndarray) -> np.ndarray:
     Uses the derivative-frequency Laplacian so that div(grad u) computed by
     composed spectral derivatives reproduces rhs exactly.
     """
-    rhat = grid.fft(rhs)
-    denom = -grid.k_squared_d
-    uhat = np.zeros_like(rhat)
-    np.divide(rhat, denom, out=uhat, where=denom != 0)
-    return grid.ifft(uhat).real
+    return _apply_symbol(
+        grid, rhs, ("poisson_zero_mean",), lambda: _safe_inverse(-grid.k_squared_d)
+    )
 
 
 def rotate_frame(frame: Frame, chi: np.ndarray) -> Frame:
@@ -335,7 +336,7 @@ def coulomb_fix(frame: Frame) -> tuple:
     chi = _poisson_zero_mean(grid, -divergence(grid, a.a))
     fixed = rotate_frame(frame, chi)
     aprime = np.stack(
-        [a.a[m - 1] + partial_derivative(grid, chi, m).real for m in range(1, grid.d + 1)]
+        [a.a[m - 1] + partial_derivative(grid, chi, m) for m in range(1, grid.d + 1)]
     )
     return fixed, Connection(grid, aprime), chi
 
@@ -359,6 +360,8 @@ def renormalize(grid: Grid, u: np.ndarray, q: np.ndarray | None = None) -> Spher
 
 
 def flow_rhs(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Flow velocity s x Laplacian(s) of an R^3 field; pointwise orthogonal to s."""
-    lap = vector_apply(lambda c: laplacian(grid, c), values).real
-    return _cross(values, lap)
+    """Flow velocity s x Laplacian(s) of an R^3 field; pointwise orthogonal to s.
+
+    The Laplacian of the whole (3, n, ..., n) stack is one rfft/irfft pair.
+    """
+    return _cross(values, laplacian(grid, values))

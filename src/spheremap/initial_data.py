@@ -51,8 +51,10 @@ class InitialDataSpec:
             raise ValueError(f"unknown initial data kind {self.kind!r}; choose from {KINDS}")
         if self.profile not in PROFILES:
             raise ValueError(f"unknown profile {self.profile!r}; choose from {PROFILES}")
-        if self.amplitude < 0:
-            raise ValueError("amplitude must be >= 0")
+        if not (np.isfinite(self.amplitude) and self.amplitude >= 0):
+            raise ValueError(f"amplitude = {self.amplitude} must be finite and >= 0")
+        if self.width is not None and not (np.isfinite(self.width) and self.width > 0):
+            raise ValueError(f"width = {self.width} must be finite and positive")
         q = np.asarray(self.q, dtype=float)
         if abs(np.linalg.norm(q) - 1.0) > 1e-12:
             raise ValueError("base point q must be a unit vector")
@@ -127,8 +129,6 @@ def generate_initial(spec: InitialDataSpec, grid: Grid) -> SphereField:
     q, u, v = _unit_tangent_pair(spec)
     eps = spec.amplitude
     width = spec.width if spec.width is not None else grid.length / 12.0
-    if width <= 0:
-        raise ValueError("bump width must be positive")
     rng = np.random.default_rng(spec.seed)
 
     bshape = (3,) + (1,) * grid.d

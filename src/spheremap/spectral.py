@@ -4,6 +4,15 @@ All operators act on uniformly sampled fields via the FFT, so derivatives,
 Riesz-type multipliers and Littlewood-Paley projections are exact on the
 resolved frequency lattice.  Conventions:
 
+* Every operator acts on the last d axes and is batched over any leading
+  axes, so a (3, n, ..., n) stack is transformed in one call.
+* Real in, real out; complex in, complex out.  The Hermitian multipliers
+  (derivatives, Laplacian, Riesz-type, fractional Laplacian, Littlewood-Paley
+  and dealiasing) map real fields to real fields and act on real input
+  through the half spectrum (``Grid.rfft`` / ``Grid.irfft``); complex input
+  goes through the full ``Grid.fft`` / ``Grid.ifft``.  ``fourier_multiplier``
+  takes an arbitrary symbol and always returns the complex full-spectrum
+  result.
 * The dual lattice is xi in (2*pi/L) * {-n/2, ..., n/2 - 1}^d.
 * Fourier coefficients are normalized so that Plancherel holds against the
   continuum L2 integral over the torus:
@@ -39,7 +48,6 @@ __all__ = [
     "sobolev_norm",
     "l2_norm",
     "mean_value",
-    "vector_apply",
     "dealias",
     "dealiased_product",
 ]
@@ -158,11 +166,42 @@ class Grid:
             mask &= keep_1d.reshape(shape)
         return mask
 
+    @property
+    def _axes(self) -> tuple:
+        return tuple(range(-self.d, 0))
+
     def fft(self, f: np.ndarray) -> np.ndarray:
-        return np.fft.fftn(f, axes=tuple(range(-self.d, 0)))
+        return np.fft.fftn(f, axes=self._axes)
 
     def ifft(self, fhat: np.ndarray) -> np.ndarray:
-        return np.fft.ifftn(fhat, axes=tuple(range(-self.d, 0)))
+        return np.fft.ifftn(fhat, axes=self._axes)
+
+    def rfft(self, f: np.ndarray) -> np.ndarray:
+        """Half spectrum of real data: the last axis keeps modes 0..n/2."""
+        return np.fft.rfftn(f, axes=self._axes)
+
+    def irfft(self, fhat: np.ndarray) -> np.ndarray:
+        """Real field from a half spectrum produced by ``rfft``."""
+        return np.fft.irfftn(fhat, s=self.shape, axes=self._axes)
+
+    @cached_property
+    def _multipliers(self) -> dict:
+        return {}
+
+    def _multiplier(self, key: tuple, build: Callable[[], np.ndarray], half: bool) -> np.ndarray:
+        """Symbol ``build()`` cached under ``key``, on the full or the rfft lattice.
+
+        ``build`` returns the symbol in FFT ordering, broadcastable to
+        ``shape``; the half-lattice form keeps indices 0..n/2 of the last
+        axis.  There index n/2 stands for frequency -n/2 where rfft has
+        +n/2; every symbol applied this way is even in that frequency or,
+        for odd derivative factors, zero at it.
+        """
+        cache = self._multipliers
+        if (key, half) not in cache:
+            m = build()
+            cache[(key, half)] = np.ascontiguousarray(m[..., : self.n // 2 + 1]) if half else m
+        return cache[(key, half)]
 
     def _check_axis(self, axis: int) -> None:
         if not 1 <= axis <= self.d:
@@ -191,15 +230,27 @@ def fourier_multiplier(grid: Grid, f: np.ndarray, symbol: Callable) -> np.ndarra
     return grid.ifft(m * grid.fft(f))
 
 
+def _apply_symbol(grid: Grid, f: np.ndarray, key: tuple, build: Callable) -> np.ndarray:
+    """Apply the Hermitian symbol cached under ``key`` (see ``Grid._multiplier``).
+
+    Real input goes through the half spectrum and returns a real array;
+    complex input goes through the full spectrum and stays complex.
+    """
+    f = grid._check_field(f)
+    if np.iscomplexobj(f):
+        return grid.ifft(grid._multiplier(key, build, half=False) * grid.fft(f))
+    return grid.irfft(grid._multiplier(key, build, half=True) * grid.rfft(f))
+
+
 def partial_derivative(grid: Grid, f: np.ndarray, axis: int) -> np.ndarray:
     """Spectral derivative along ``axis`` (1-based): multiplier i*xi_axis."""
     grid._check_axis(axis)
-    return grid.ifft(1j * grid.freq_d(axis) * grid.fft(f))
+    return _apply_symbol(grid, f, ("partial_derivative", axis), lambda: 1j * grid.freq_d(axis))
 
 
 def laplacian(grid: Grid, f: np.ndarray) -> np.ndarray:
     """Spectral Laplacian: multiplier -|xi|^2."""
-    return grid.ifft(-grid.k_squared * grid.fft(f))
+    return _apply_symbol(grid, f, ("laplacian",), lambda: -grid.k_squared)
 
 
 def _safe_inverse(weight: np.ndarray) -> np.ndarray:
@@ -209,18 +260,28 @@ def _safe_inverse(weight: np.ndarray) -> np.ndarray:
     return out
 
 
+def _safe_power(k: np.ndarray, order: float) -> np.ndarray:
+    """k**order with the zero-frequency entry replaced by 0."""
+    out = np.zeros_like(k)
+    np.power(k, order, out=out, where=k != 0)
+    return out
+
+
 def riesz(grid: Grid, f: np.ndarray, axis: int) -> np.ndarray:
     """Riesz transform R_axis: multiplier i*xi_axis/|xi|, 0 at xi = 0."""
     grid._check_axis(axis)
-    m = 1j * grid.freq_d(axis) * _safe_inverse(grid.k_abs)
-    return grid.ifft(m * grid.fft(f))
+    return _apply_symbol(
+        grid, f, ("riesz", axis), lambda: 1j * grid.freq_d(axis) * _safe_inverse(grid.k_abs)
+    )
 
 
 def inv_gradient_riesz(grid: Grid, f: np.ndarray, axis: int) -> np.ndarray:
     """Combined |nabla|^-1 R_axis multiplier i*xi_axis/|xi|^2, 0 at xi = 0."""
     grid._check_axis(axis)
-    m = 1j * grid.freq_d(axis) * _safe_inverse(grid.k_squared)
-    return grid.ifft(m * grid.fft(f))
+    return _apply_symbol(
+        grid, f, ("inv_gradient_riesz", axis),
+        lambda: 1j * grid.freq_d(axis) * _safe_inverse(grid.k_squared),
+    )
 
 
 def fractional_laplacian(grid: Grid, f: np.ndarray, order: float) -> np.ndarray:
@@ -229,10 +290,9 @@ def fractional_laplacian(grid: Grid, f: np.ndarray, order: float) -> np.ndarray:
     The xi = 0 mode is zeroed for every order (it is already zero when
     order > 0; for order <= 0 this is the mean-free inverse).
     """
-    k = grid.k_abs
-    m = np.zeros(grid.shape)
-    np.power(k, order, out=m, where=k != 0)
-    return grid.ifft(m * grid.fft(f))
+    return _apply_symbol(
+        grid, f, ("fractional_laplacian", order), lambda: _safe_power(grid.k_abs, order)
+    )
 
 
 def eta0(mu) -> np.ndarray:
@@ -258,7 +318,7 @@ def lp_weight(k: int, radius) -> np.ndarray:
 
 def lp_projector(grid: Grid, f: np.ndarray, k: int) -> np.ndarray:
     """Littlewood-Paley projection P_k onto frequencies |xi| ~ 2^k."""
-    return grid.ifft(lp_weight(k, grid.k_abs) * grid.fft(f))
+    return _apply_symbol(grid, f, ("lp", k), lambda: lp_weight(k, grid.k_abs))
 
 
 def lp_k_range(grid: Grid) -> range:
@@ -286,8 +346,7 @@ def sobolev_norm(grid: Grid, f: np.ndarray, sigma: float, homogeneous: bool = Fa
     fhat = grid.fft(f)
     power = np.abs(fhat) ** 2
     if homogeneous:
-        weight = np.zeros(grid.shape)
-        np.power(grid.k_abs, 2.0 * sigma, out=weight, where=grid.k_abs != 0)
+        weight = _safe_power(grid.k_abs, 2.0 * sigma)
     else:
         weight = (1.0 + grid.k_squared) ** sigma
     total = np.sum(power * weight)
@@ -306,18 +365,9 @@ def mean_value(grid: Grid, f: np.ndarray):
     return f.mean(axis=tuple(range(-grid.d, 0)))
 
 
-def vector_apply(op: Callable, field: np.ndarray, *args, **kwargs) -> np.ndarray:
-    """Lift a scalar-field operation to each leading component of ``field``."""
-    return np.stack([op(component, *args, **kwargs) for component in field])
-
-
 def dealias(grid: Grid, f: np.ndarray) -> np.ndarray:
     """Truncate the top third of frequencies (2/3 rule) on every axis."""
-    f = grid._check_field(f)
-    out = grid.ifft(grid.dealias_mask * grid.fft(f))
-    if np.isrealobj(f):
-        out = out.real
-    return out
+    return _apply_symbol(grid, f, ("dealias",), lambda: grid.dealias_mask)
 
 
 def dealiased_product(grid: Grid, *factors: np.ndarray) -> np.ndarray:

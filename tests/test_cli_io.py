@@ -291,6 +291,34 @@ class TestCliRun:
         rc = cli_main(["run", "--config", config_file, "--override", "grid.n=7"])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "override, cause",
+        [
+            ("time.dt=nan", "dt = nan must be finite"),
+            ("time.dt=0", "dt = 0.0 must be finite and non-zero"),
+            ("time.dt=-1", "violates the stability bound"),
+            ("initial.amplitude=nan", "amplitude = nan"),
+            ("initial.width=inf", "width = inf"),
+        ],
+    )
+    def test_bad_value_rejected_before_any_output(
+        self, config_file, tmp_path, capsys, override, cause
+    ):
+        out = tmp_path / "bad"
+        rc = cli_main(["run", "--config", config_file, "--out", str(out), "--override", override])
+        assert rc == 2
+        assert not out.exists()
+        assert cause in capsys.readouterr().err
+
+    def test_negative_dt_steps_backwards(self, config_file, tmp_path):
+        # the flow is time-reversible, so a stable negative step is legal
+        out = tmp_path / "back"
+        rc = cli_main(["run", "--config", config_file, "--out", str(out),
+                       "--override", "time.dt=-0.001"])
+        assert rc == 0
+        lines = (out / "diagnostics.csv").read_text().splitlines()
+        assert float(lines[-1].split(",")[0]) == pytest.approx(-0.004)
+
     def test_inadmissible_frame_is_a_recorded_abort(self, tmp_path, capsys):
         # the amplitude carries s out of |s . q'| < 2^-5 before step 400
         out = tmp_path / "o"

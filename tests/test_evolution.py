@@ -15,7 +15,7 @@ from spheremap.evolution import (
 from spheremap.gauge import derive_psi
 from spheremap.geometry import SphereField, coulomb_fix, flow_rhs, projection_frame
 from spheremap.initial_data import InitialDataSpec, generate_initial
-from spheremap.spectral import Grid, laplacian, vector_apply
+from spheremap.spectral import Grid, laplacian
 
 Q = np.array([0.0, 0.0, 1.0])
 
@@ -62,7 +62,7 @@ class TestSmRhs:
             diff = s.values - Q.reshape(3, 1, 1)
             lin = np.cross(
                 np.broadcast_to(Q.reshape(3, 1, 1), diff.shape),
-                vector_apply(lambda c: laplacian(g, c), diff).real,
+                laplacian(g, diff),
                 axisa=0,
                 axisb=0,
                 axis=0,
@@ -109,6 +109,22 @@ class TestStepRk4Projected:
         tau = np.max(np.abs(step_rk4_projected(s0, dt).values - fine.values))
         back = step_rk4_projected(step_rk4_projected(s0, dt), -dt)
         assert np.max(np.abs(back.values - s0.values)) <= 10 * tau
+
+
+class TestTransformCount:
+    @pytest.mark.parametrize("d, n", [(2, 16), (3, 8), (4, 8)])
+    def test_rk4_update_issues_eight_transforms(self, monkeypatch, d, n):
+        # one rfft/irfft pair of the whole (3, n, ..., n) stack per stage
+        s = bump_field(Grid(d=d, n=n))
+        calls = []
+        for name in ("fft", "ifft", "rfft", "irfft"):
+            def counted(self, f, _method=getattr(Grid, name), _name=name):
+                calls.append(_name)
+                return _method(self, f)
+
+            monkeypatch.setattr(Grid, name, counted)
+        rk4_update(s, default_dt(s.grid))
+        assert calls == ["rfft", "irfft"] * 4
 
 
 class TestEvolveMsm:

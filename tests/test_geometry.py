@@ -5,6 +5,7 @@ import pytest
 
 from spheremap.geometry import (
     BlowupSuspectedError,
+    _cross,
     Frame,
     FrameDegenerateError,
     SphereField,
@@ -19,7 +20,7 @@ from spheremap.geometry import (
     sweep_frame,
 )
 from spheremap.initial_data import InitialDataSpec, generate_initial, tilted_qprime
-from spheremap.spectral import Grid, l2_norm, partial_derivative, vector_apply
+from spheremap.spectral import Grid, l2_norm, partial_derivative
 
 Q = np.array([0.0, 0.0, 1.0])
 U = np.array([1.0, 0.0, 0.0])
@@ -100,6 +101,19 @@ class TestDefaultQprime:
         qp = default_qprime(q)
         assert abs(qp @ q) < 1e-14
         assert np.linalg.norm(qp) == pytest.approx(1.0)
+
+
+class TestCross:
+    @pytest.mark.parametrize("shape", [(3, 8, 8), (3, 6, 6, 6, 6), (3,)])
+    def test_matches_numpy_cross_bitwise(self, shape):
+        rng = np.random.default_rng(4)
+        u, v = rng.normal(size=shape), rng.normal(size=shape)
+        assert np.array_equal(_cross(u, v), np.cross(u, v, axisa=0, axisb=0, axis=0))
+
+    def test_broadcasts_a_constant_vector(self):
+        u = np.array([0.0, 0.0, 1.0]).reshape(3, 1, 1)
+        v = np.random.default_rng(5).normal(size=(3, 4, 4))
+        assert np.array_equal(_cross(u, v), np.cross(u, v, axisa=0, axisb=0, axis=0))
 
 
 class TestProjectionFrame:
@@ -212,11 +226,11 @@ class TestConnection:
         frame = projection_frame(s, tilted_qprime(spec))
         for m in (1, 2):
             dv_w = np.sum(
-                vector_apply(lambda c: partial_derivative(g, c, m), frame.v).real * frame.w,
+                partial_derivative(g, frame.v, m) * frame.w,
                 axis=0,
             )
             dw_v = np.sum(
-                vector_apply(lambda c: partial_derivative(g, c, m), frame.w).real * frame.v,
+                partial_derivative(g, frame.w, m) * frame.v,
                 axis=0,
             )
             assert np.max(np.abs(dv_w + dw_v)) < 1e-10

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spheremap.geometry import _poisson_zero_mean
 from spheremap.spectral import (
     Grid,
     dealias,
@@ -22,7 +23,6 @@ from spheremap.spectral import (
     partial_derivative,
     riesz,
     sobolev_norm,
-    vector_apply,
 )
 
 
@@ -303,20 +303,90 @@ class TestSobolevNorm:
         assert combined == pytest.approx(np.sqrt(sum(p**2 for p in parts)), rel=1e-12)
 
 
-class TestVectorApply:
+class TestBatchedStacks:
     def test_componentwise_matches_scalar(self):
+        # a batched operator call equals the per-component call bit for bit
         g = Grid(d=2, n=8)
         field = np.stack([band_limited(g, seed=i) for i in range(3)])
-        lifted = vector_apply(lambda c: partial_derivative(g, c, 1), field)
-        for i in range(3):
-            direct = partial_derivative(g, field[i], 1)
-            assert np.max(np.abs(lifted[i] - direct)) == 0.0
+        for stack in (field, field.real):
+            batched = partial_derivative(g, stack, 1)
+            for i in range(3):
+                direct = partial_derivative(g, stack[i], 1)
+                assert np.max(np.abs(batched[i] - direct)) == 0.0
 
     def test_constant_vector_laplacian_zero(self):
         g = Grid(d=2, n=8)
         field = np.broadcast_to(np.array([0.0, 0.0, 1.0]).reshape(3, 1, 1), (3,) + g.shape)
-        out = vector_apply(lambda c: laplacian(g, c), field)
+        out = laplacian(g, field)
         assert np.max(np.abs(out)) < 1e-14
+
+
+def _safe_power(k, order):
+    out = np.zeros(np.shape(k))
+    np.power(k, order, out=out, where=k != 0)
+    return out
+
+
+# Each operator beside its symbol, built on the full lattice from Grid's
+# frequency arrays: (operator(grid, f, axis, order, k), symbol(grid, axis, order, k)).
+REAL_PATH_OPERATORS = {
+    "partial_derivative": (
+        lambda g, f, ax, o, k: partial_derivative(g, f, ax),
+        lambda g, ax, o, k: 1j * g.freq_d(ax),
+    ),
+    "laplacian": (lambda g, f, ax, o, k: laplacian(g, f), lambda g, ax, o, k: -g.k_squared),
+    "riesz": (
+        lambda g, f, ax, o, k: riesz(g, f, ax),
+        lambda g, ax, o, k: 1j * g.freq_d(ax) * _safe_power(g.k_abs, -1.0),
+    ),
+    "inv_gradient_riesz": (
+        lambda g, f, ax, o, k: inv_gradient_riesz(g, f, ax),
+        lambda g, ax, o, k: 1j * g.freq_d(ax) * _safe_power(g.k_abs, -2.0),
+    ),
+    "fractional_laplacian": (
+        lambda g, f, ax, o, k: fractional_laplacian(g, f, o),
+        lambda g, ax, o, k: _safe_power(g.k_abs, o),
+    ),
+    "lp_projector": (
+        lambda g, f, ax, o, k: lp_projector(g, f, k),
+        lambda g, ax, o, k: lp_weight(k, g.k_abs),
+    ),
+    "dealias": (lambda g, f, ax, o, k: dealias(g, f), lambda g, ax, o, k: g.dealias_mask),
+    "poisson_zero_mean": (
+        lambda g, f, ax, o, k: _poisson_zero_mean(g, f),
+        lambda g, ax, o, k: -_safe_power(g.k_squared_d, -1.0),
+    ),
+}
+
+
+class TestRealPath:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        d=st.sampled_from([2, 3, 4]),
+        n=st.sampled_from([8, 10, 12, 14]),
+        name=st.sampled_from(sorted(REAL_PATH_OPERATORS)),
+        batched=st.booleans(),
+        axis_draw=st.integers(0, 3),
+        order=st.sampled_from([-1.0, 0.5, 1.0, 3.0]),
+        k_draw=st.integers(0, 20),
+        seed=st.integers(0, 2**16),
+    )
+    def test_real_input_matches_full_spectrum(
+        self, d, n, name, batched, axis_draw, order, k_draw, seed
+    ):
+        # n/2 odd (10, 14) and even (8, 12) cover both Nyquist parities
+        g = Grid(d=d, n=n)
+        axis = 1 + axis_draw % d
+        ks = lp_k_range(g)
+        k = ks[k_draw % len(ks)]
+        f = np.random.default_rng(seed).normal(size=((3,) if batched else ()) + g.shape)
+        op, symbol = REAL_PATH_OPERATORS[name]
+        out = op(g, f, axis, order, k)
+        axes = tuple(range(-d, 0))
+        ref = np.fft.ifftn(symbol(g, axis, order, k) * np.fft.fftn(f, axes=axes), axes=axes).real
+        assert type(out) is np.ndarray and out.dtype == np.float64
+        assert out.shape == f.shape
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestDealiasing:
