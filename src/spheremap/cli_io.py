@@ -149,7 +149,10 @@ def load_snapshot(path: str, expect_grid: Grid | None = None) -> Snapshot:
         raise SnapshotFormatError(f"{path}: payload length {count} != expected {expected_count}")
     payload_bytes = blob[off:]
     if len(payload_bytes) != 8 * count:
-        raise SnapshotFormatError(f"{path}: truncated payload")
+        problem = "truncated" if len(payload_bytes) < 8 * count else "trailing bytes after"
+        raise SnapshotFormatError(
+            f"{path}: {problem} payload: {len(payload_bytes)} bytes, expected {8 * count}"
+        )
     if zlib.crc32(payload_bytes) != payload_crc:
         raise SnapshotFormatError(f"{path}: payload checksum mismatch")
 

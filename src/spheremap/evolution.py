@@ -9,6 +9,9 @@ Two integrators are provided:
 * ``evolve_msm``: one integrating-factor RK4 step of the derived-field
   system (i d_t + Laplacian) psi_m = N_m(Psi); the linear phase
   exp(-i dt |xi|^2) is applied exactly, RK4 handles the nonlinearity.
+  Between stages the step stays in Fourier space: ``msm_nonlinearity`` takes
+  and returns spectra, so a step is one fft, four six-transform stages and
+  one ifft (26 transforms at every d).
   The config value ``strang-msm`` selects it; despite the name this is not
   Strang splitting, and the spelling stays for config compatibility.
 
@@ -84,8 +87,8 @@ def evolve_msm(grid: Grid, psi: np.ndarray, dt: float, nonlinear: bool = True) -
         return grid.ifft(full * psi_hat)
 
     def nhat(ph):
-        # Fourier transform of -i N(Psi) evaluated from Fourier data
-        return grid.fft(-1j * msm_nonlinearity(grid, grid.ifft(ph)))
+        # spectrum of -i N(Psi); the stages never leave Fourier space
+        return -1j * msm_nonlinearity(grid, ph)
 
     a = nhat(psi_hat)
     b = nhat(half * (psi_hat + 0.5 * dt * a))

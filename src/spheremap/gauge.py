@@ -15,11 +15,17 @@ and psi satisfies a system of coupled nonlinear Schrodinger equations
 
     (i d_t + Laplacian) psi_m = N_m(Psi)
 
-with the cubic/quintic nonlinearity assembled in ``msm_nonlinearity``.  The
-residual functions quantify, in L2, how well the structural identities
-(derivative compatibility, connection curvature, and the time-slice relation
-for psi_0) hold for discretely computed fields; for frame-derived data they
-decay spectrally under grid refinement.  ``coulomb_slice`` is the one place a
+with the cubic/quintic nonlinearity assembled in ``msm_nonlinearity``.  That
+kernel works spectrum in, 2/3-truncated spectrum out: each product is formed
+once in physical space from the truncated fields, each multiplier (including
+R_l R_l' fused into the one symbol -xi_l xi_l' / |xi|^2) acts in Fourier
+space, and the cross term's operands are the untruncated psi.  It issues six
+batched transforms at every d; ``a_from_psi`` and ``a0_from_psi`` are
+physical-space wrappers over the same product spectra.  The residual
+functions quantify, in L2, how well the structural identities (derivative
+compatibility, connection curvature, and the time-slice relation for psi_0)
+hold for discretely computed fields; for frame-derived data they decay
+spectrally under grid refinement.  ``coulomb_slice`` is the one place a
 time slice is analysed: Coulomb-fixed projection frame, connection and psi.
 """
 
@@ -42,10 +48,9 @@ from .spectral import (
     Grid,
     dealias,
     dealiased_product,
-    inv_gradient_riesz,
+    gradient_hat,
     l2_norm,
     partial_derivative,
-    riesz,
 )
 
 __all__ = [
@@ -66,14 +71,52 @@ def derive_psi(frame: Frame) -> np.ndarray:
     """Frame coordinates psi_m = (d_m s).v + i (d_m s).w of the map's gradient.
 
     Pointwise |psi_m| = |d_m s| since (v, w) is an orthonormal basis of the
-    tangent plane.
+    tangent plane.  One rfft of s and one irfft of all d_m s.
     """
     grid = frame.grid
-    psi = np.empty((grid.d,) + grid.shape, dtype=complex)
-    for m in range(1, grid.d + 1):
-        ds = partial_derivative(grid, frame.s.values, m)
-        psi[m - 1] = np.sum(ds * frame.v, axis=0) + 1j * np.sum(ds * frame.w, axis=0)
-    return psi
+    ds = grid.irfft(gradient_hat(grid, grid.rfft(frame.s.values), half=True))
+    return np.sum(ds * frame.v, axis=1) + 1j * np.sum(ds * frame.w, axis=1)
+
+
+def _gauge_spectra(grid: Grid, p: np.ndarray, psi: np.ndarray | None = None) -> tuple:
+    """Truncated half spectra (a_hat, a0_hat, cross_hat) from p = T psi.
+
+    One rfft of the real products Re(p_l conj p_l') (l <= l'), Im(p_m conj
+    p_l) (m < l) and, when ``psi`` is given, Im(psi_m conj psi_l) (m < l)
+    formed from the untruncated psi; then the 2/3 mask T and the symbols:
+
+        a_m = sum_{l != m} (i xi_l / |xi|^2) Im(p_m conj p_l)
+        a0  = sum_l (R_l R_l + 1/2) Re(p_l conj p_l)
+              + 2 sum_{l < l'} R_l R_l' Re(p_l conj p_l')
+
+    with R_l R_l' the fused symbol -xi_l xi_l' / |xi|^2.  ``cross_hat`` is
+    empty without ``psi``.
+    """
+    d = grid.d
+    sym = [(l, lp) for l in range(d) for lp in range(l, d)]
+    asym = [(m, l) for m in range(d) for l in range(m + 1, d)]
+    # filled in place: a list of products plus np.stack would hold them twice
+    rows = np.empty((len(sym) + len(asym) * (1 if psi is None else 2),) + grid.shape)
+    for k, (l, lp) in enumerate(sym):
+        rows[k] = (p[l] * np.conj(p[lp])).real
+    for k, (m, l) in enumerate(asym, start=len(sym)):
+        rows[k] = (p[m] * np.conj(p[l])).imag
+        if psi is not None:
+            rows[k + len(asym)] = (psi[m] * np.conj(psi[l])).imag
+    spec = grid.rfft(rows)
+    spec *= grid.symbol("dealias", half=True)
+    re_hat, im_hat = spec[: len(sym)], spec[len(sym): len(sym) + len(asym)]
+
+    a_hat = np.zeros((d,) + spec.shape[1:], dtype=complex)
+    for (m, l), im in zip(asym, im_hat):
+        # Im(p_l conj p_m) = -Im(p_m conj p_l)
+        a_hat[m] += grid.symbol("inv_gradient_riesz", l + 1, half=True) * im
+        a_hat[l] -= grid.symbol("inv_gradient_riesz", m + 1, half=True) * im
+    a0_hat = np.zeros(spec.shape[1:], dtype=complex)
+    for (l, lp), re in zip(sym, re_hat):
+        rr = grid.symbol("riesz_pair", l + 1, lp + 1, half=True)
+        a0_hat += (rr + 0.5) * re if l == lp else 2.0 * rr * re
+    return a_hat, a0_hat, spec[len(sym) + len(asym):]
 
 
 def a_from_psi(grid: Grid, psi: np.ndarray) -> Connection:
@@ -83,14 +126,8 @@ def a_from_psi(grid: Grid, psi: np.ndarray) -> Connection:
     single multiplier i xi_l / |xi|^2 on the dealiased products.  The result
     is divergence free by the antisymmetry of Im(psi_m conj(psi_l)).
     """
-    a = np.zeros((grid.d,) + grid.shape)
-    for m in range(grid.d):
-        for l in range(grid.d):
-            if l == m:
-                continue  # Im(psi_m conj(psi_m)) = 0
-            src = dealiased_product(grid, psi[m], np.conj(psi[l])).imag
-            a[m] += inv_gradient_riesz(grid, src, l + 1)
-    return Connection(grid, a)
+    a_hat, _, _ = _gauge_spectra(grid, dealias(grid, psi))
+    return Connection(grid, grid.irfft(a_hat))
 
 
 def a0_from_psi(grid: Grid, psi: np.ndarray) -> np.ndarray:
@@ -98,13 +135,8 @@ def a0_from_psi(grid: Grid, psi: np.ndarray) -> np.ndarray:
 
     The double Riesz sum runs over spatial indices only.
     """
-    a0 = np.zeros(grid.shape)
-    for l in range(grid.d):
-        for lp in range(grid.d):
-            src = dealiased_product(grid, np.conj(psi[l]), psi[lp]).real
-            a0 += riesz(grid, riesz(grid, src, l + 1), lp + 1)
-        a0 += 0.5 * dealiased_product(grid, psi[l], np.conj(psi[l])).real
-    return a0
+    _, a0_hat, _ = _gauge_spectra(grid, dealias(grid, psi))
+    return grid.irfft(a0_hat)
 
 
 def covariant_derivative(grid: Grid, f: np.ndarray, a: np.ndarray, m: int) -> np.ndarray:
@@ -179,26 +211,40 @@ def coulomb_slice(s: SphereField, qprime: np.ndarray | None = None) -> CoulombSl
     return CoulombSlice(frame, conn.a, derive_psi(frame))
 
 
-def msm_nonlinearity(grid: Grid, psi: np.ndarray) -> np.ndarray:
-    """Right-hand side N_m(Psi) of (i d_t + Laplacian) psi_m = N_m(Psi).
+def msm_nonlinearity(grid: Grid, psi_hat: np.ndarray) -> np.ndarray:
+    """Truncated spectrum of N_m(Psi) in (i d_t + Laplacian) psi_m = N_m(Psi).
 
     N_m = -2i sum_l a_l d_l psi_m + (a0 + sum_l a_l^2) psi_m
           + i sum_l Im(psi_l conj(psi_m)) psi_l,
 
-    with a and a0 recomputed from psi and every pointwise product dealiased.
+    with a and a0 recomputed from psi.  Spectrum in, truncated spectrum out:
+    ``psi_hat`` is the full ``fft`` of psi and the result is the 2/3-masked
+    ``fft`` of N.  Every product is formed once in physical space from the
+    truncated p = T psi and every multiplier acts in Fourier space, with
+    R_l R_l' fused into one symbol; the operands of the cross term
+    Im(psi_l conj psi_m) are the untruncated psi.  Six batched transforms at
+    every d: ifft of (p, d_l p_m, psi), rfft of the products, irfft of
+    (a, cross), rfft of sum_l a_l^2, irfft of the potential, fft of N.
     """
-    a = a_from_psi(grid, psi).a
-    a0 = a0_from_psi(grid, psi)
-    potential = a0.astype(complex)
-    for l in range(grid.d):
-        potential += dealiased_product(grid, a[l], a[l])
-    out = np.empty_like(psi)
-    for m in range(grid.d):
-        term = dealiased_product(grid, potential, psi[m])
-        for l in range(grid.d):
-            dpsi = partial_derivative(grid, psi[m], l + 1)
-            term += -2j * dealiased_product(grid, a[l], dpsi)
-            cross = dealias(grid, (psi[l] * np.conj(psi[m])).imag)
-            term += 1j * dealiased_product(grid, cross, psi[l])
-        out[m] = term
-    return out
+    d = grid.d
+    mask = grid.symbol("dealias", half=False)
+    p_hat = mask * psi_hat
+    fields = grid.ifft(np.concatenate(
+        [p_hat, gradient_hat(grid, p_hat, half=False).reshape((d * d,) + grid.shape), psi_hat]
+    ))
+    p, dp, psi = fields[:d], fields[d: d + d * d].reshape((d, d) + grid.shape), fields[d + d * d:]
+
+    a_hat, a0_hat, cross_hat = _gauge_spectra(grid, p, psi)
+    a_cross = grid.irfft(np.concatenate([a_hat, cross_hat]))
+    a, cross = a_cross[:d], a_cross[d:]
+    potential = grid.irfft(
+        a0_hat + grid.symbol("dealias", half=True) * grid.rfft(np.sum(a * a, axis=0))
+    )
+
+    out = potential * p - 2j * np.sum(a[:, None] * dp, axis=0)
+    pairs = ((m, l) for m in range(d) for l in range(m + 1, d))
+    for c, (m, l) in zip(cross, pairs):
+        # c = Im(psi_m conj psi_l): adds to N_l, and with the opposite sign to N_m
+        out[l] += 1j * c * p[m]
+        out[m] -= 1j * c * p[l]
+    return mask * grid.fft(out)

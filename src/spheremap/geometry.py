@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import Grid, _apply_symbol, _safe_inverse, laplacian, partial_derivative
+from .spectral import Grid, _apply_symbol, gradient_hat, laplacian, partial_derivative
 
 __all__ = [
     "FrameDegenerateError",
@@ -285,13 +285,11 @@ def sweep_frame(s: SphereField, seed_direction: np.ndarray | None = None) -> Swe
 def connection_of(frame: Frame) -> Connection:
     """Connection coefficients a_m = (d_m v) . w, computed spectrally.
 
-    Each axis differentiates the whole (3, n, ..., n) field v in one call.
+    One rfft of the (3, n, ..., n) field v and one irfft of all d_m v.
     """
     grid = frame.grid
-    a = np.empty((grid.d,) + grid.shape)
-    for m in range(1, grid.d + 1):
-        a[m - 1] = np.sum(partial_derivative(grid, frame.v, m) * frame.w, axis=0)
-    return Connection(grid, a)
+    dv = grid.irfft(gradient_hat(grid, grid.rfft(frame.v), half=True))
+    return Connection(grid, np.sum(dv * frame.w, axis=1))
 
 
 def divergence(grid: Grid, a: np.ndarray) -> np.ndarray:
@@ -305,9 +303,7 @@ def _poisson_zero_mean(grid: Grid, rhs: np.ndarray) -> np.ndarray:
     Uses the derivative-frequency Laplacian so that div(grad u) computed by
     composed spectral derivatives reproduces rhs exactly.
     """
-    return _apply_symbol(
-        grid, rhs, ("poisson_zero_mean",), lambda: _safe_inverse(-grid.k_squared_d)
-    )
+    return _apply_symbol(grid, rhs, "poisson_zero_mean")
 
 
 def rotate_frame(frame: Frame, chi: np.ndarray) -> Frame:
@@ -329,16 +325,18 @@ def coulomb_fix(frame: Frame) -> tuple:
     divergence free to multiplier exactness; recomputing it from the rotated
     frame with ``connection_of`` agrees up to spectral truncation.  The
     zero-mean normalization fixes the otherwise free constant rotation per
-    time slice.
+    time slice.  The divergence, the Poisson solve and d_m chi are taken in
+    Fourier space: one rfft of a and one irfft of (chi, d_1 chi, ..., d_d chi).
     """
     grid = frame.grid
-    a = connection_of(frame)
-    chi = _poisson_zero_mean(grid, -divergence(grid, a.a))
-    fixed = rotate_frame(frame, chi)
-    aprime = np.stack(
-        [a.a[m - 1] + partial_derivative(grid, chi, m) for m in range(1, grid.d + 1)]
-    )
-    return fixed, Connection(grid, aprime), chi
+    a = connection_of(frame).a
+    a_hat = grid.rfft(a)
+    div_hat = sum(grid.symbol("partial_derivative", m, half=True) * a_hat[m - 1]
+                  for m in range(1, grid.d + 1))
+    chi_hat = -grid.symbol("poisson_zero_mean", half=True) * div_hat
+    chi_grad = grid.irfft(np.concatenate([chi_hat[None], gradient_hat(grid, chi_hat, half=True)]))
+    chi = chi_grad[0]
+    return rotate_frame(frame, chi), Connection(grid, a + chi_grad[1:]), chi
 
 
 def renormalize(grid: Grid, u: np.ndarray, q: np.ndarray | None = None) -> SphereField:

@@ -13,6 +13,11 @@ resolved frequency lattice.  Conventions:
   goes through the full ``Grid.fft`` / ``Grid.ifft``.  ``fourier_multiplier``
   takes an arbitrary symbol and always returns the complex full-spectrum
   result.
+* Every Hermitian symbol is built once per grid by name (``_SYMBOLS``,
+  cached by ``Grid.symbol``); Fourier-space kernels such as the gauge
+  nonlinearity and the Coulomb solve multiply the same cached symbols, with
+  ``gradient_hat`` stacking all d first-derivative spectra for one inverse
+  transform.
 * The dual lattice is xi in (2*pi/L) * {-n/2, ..., n/2 - 1}^d.
 * Fourier coefficients are normalized so that Plancherel holds against the
   continuum L2 integral over the torus:
@@ -50,6 +55,7 @@ __all__ = [
     "mean_value",
     "dealias",
     "dealiased_product",
+    "gradient_hat",
 ]
 
 # Plateau and support radii of the smooth radial cutoff eta0.
@@ -185,23 +191,24 @@ class Grid:
         return np.fft.irfftn(fhat, s=self.shape, axes=self._axes)
 
     @cached_property
-    def _multipliers(self) -> dict:
+    def _symbols(self) -> dict:
         return {}
 
-    def _multiplier(self, key: tuple, build: Callable[[], np.ndarray], half: bool) -> np.ndarray:
-        """Symbol ``build()`` cached under ``key``, on the full or the rfft lattice.
+    def symbol(self, name: str, *args, half: bool) -> np.ndarray:
+        """Hermitian Fourier symbol ``name`` of ``_SYMBOLS`` at ``args``, cached.
 
-        ``build`` returns the symbol in FFT ordering, broadcastable to
-        ``shape``; the half-lattice form keeps indices 0..n/2 of the last
-        axis.  There index n/2 stands for frequency -n/2 where rfft has
-        +n/2; every symbol applied this way is even in that frequency or,
-        for odd derivative factors, zero at it.
+        The full form is in FFT ordering, broadcastable to ``shape``; the
+        half form keeps indices 0..n/2 of the last axis and multiplies
+        ``rfft`` spectra.  There index n/2 stands for frequency -n/2 where
+        rfft has +n/2; every symbol is even in that frequency or, for odd
+        derivative factors, zero at it.
         """
-        cache = self._multipliers
-        if (key, half) not in cache:
-            m = build()
-            cache[(key, half)] = np.ascontiguousarray(m[..., : self.n // 2 + 1]) if half else m
-        return cache[(key, half)]
+        key = (name, args, half)
+        cache = self._symbols
+        if key not in cache:
+            m = _SYMBOLS[name](self, *args)
+            cache[key] = np.ascontiguousarray(m[..., : self.n // 2 + 1]) if half else m
+        return cache[key]
 
     def _check_axis(self, axis: int) -> None:
         if not 1 <= axis <= self.d:
@@ -230,27 +237,38 @@ def fourier_multiplier(grid: Grid, f: np.ndarray, symbol: Callable) -> np.ndarra
     return grid.ifft(m * grid.fft(f))
 
 
-def _apply_symbol(grid: Grid, f: np.ndarray, key: tuple, build: Callable) -> np.ndarray:
-    """Apply the Hermitian symbol cached under ``key`` (see ``Grid._multiplier``).
+def _apply_symbol(grid: Grid, f: np.ndarray, name: str, *args) -> np.ndarray:
+    """Apply the symbol ``grid.symbol(name, *args)`` to a field.
 
     Real input goes through the half spectrum and returns a real array;
     complex input goes through the full spectrum and stays complex.
     """
     f = grid._check_field(f)
     if np.iscomplexobj(f):
-        return grid.ifft(grid._multiplier(key, build, half=False) * grid.fft(f))
-    return grid.irfft(grid._multiplier(key, build, half=True) * grid.rfft(f))
+        return grid.ifft(grid.symbol(name, *args, half=False) * grid.fft(f))
+    return grid.irfft(grid.symbol(name, *args, half=True) * grid.rfft(f))
+
+
+def gradient_hat(grid: Grid, fhat: np.ndarray, half: bool) -> np.ndarray:
+    """Spectra i xi_m fhat of the d first derivatives, stacked on a new axis 0.
+
+    ``fhat`` is a half (``rfft``) or full (``fft``) spectrum, batched over
+    leading axes; one inverse transform of the result gives every d_m f.
+    """
+    return np.stack(
+        [grid.symbol("partial_derivative", m, half=half) * fhat for m in range(1, grid.d + 1)]
+    )
 
 
 def partial_derivative(grid: Grid, f: np.ndarray, axis: int) -> np.ndarray:
     """Spectral derivative along ``axis`` (1-based): multiplier i*xi_axis."""
     grid._check_axis(axis)
-    return _apply_symbol(grid, f, ("partial_derivative", axis), lambda: 1j * grid.freq_d(axis))
+    return _apply_symbol(grid, f, "partial_derivative", axis)
 
 
 def laplacian(grid: Grid, f: np.ndarray) -> np.ndarray:
     """Spectral Laplacian: multiplier -|xi|^2."""
-    return _apply_symbol(grid, f, ("laplacian",), lambda: -grid.k_squared)
+    return _apply_symbol(grid, f, "laplacian")
 
 
 def _safe_inverse(weight: np.ndarray) -> np.ndarray:
@@ -267,21 +285,33 @@ def _safe_power(k: np.ndarray, order: float) -> np.ndarray:
     return out
 
 
+# Hermitian Fourier symbols by name: builder(grid, *args) returns the symbol
+# in FFT ordering, broadcastable to grid.shape; ``Grid.symbol`` caches it.
+_SYMBOLS = {
+    "partial_derivative": lambda g, axis: 1j * g.freq_d(axis),
+    "laplacian": lambda g: -g.k_squared,
+    "riesz": lambda g, axis: 1j * g.freq_d(axis) * _safe_inverse(g.k_abs),
+    "inv_gradient_riesz": lambda g, axis: 1j * g.freq_d(axis) * _safe_inverse(g.k_squared),
+    # R_l R_l' fused: (i xi_l / |xi|) (i xi_l' / |xi|)
+    "riesz_pair": lambda g, l, lp: -g.freq_d(l) * g.freq_d(lp) * _safe_inverse(g.k_squared),
+    "fractional_laplacian": lambda g, order: _safe_power(g.k_abs, order),
+    "lp": lambda g, k: lp_weight(k, g.k_abs),
+    "dealias": lambda g: g.dealias_mask,
+    # zero-mean inverse of the derivative-frequency Laplacian
+    "poisson_zero_mean": lambda g: _safe_inverse(-g.k_squared_d),
+}
+
+
 def riesz(grid: Grid, f: np.ndarray, axis: int) -> np.ndarray:
     """Riesz transform R_axis: multiplier i*xi_axis/|xi|, 0 at xi = 0."""
     grid._check_axis(axis)
-    return _apply_symbol(
-        grid, f, ("riesz", axis), lambda: 1j * grid.freq_d(axis) * _safe_inverse(grid.k_abs)
-    )
+    return _apply_symbol(grid, f, "riesz", axis)
 
 
 def inv_gradient_riesz(grid: Grid, f: np.ndarray, axis: int) -> np.ndarray:
     """Combined |nabla|^-1 R_axis multiplier i*xi_axis/|xi|^2, 0 at xi = 0."""
     grid._check_axis(axis)
-    return _apply_symbol(
-        grid, f, ("inv_gradient_riesz", axis),
-        lambda: 1j * grid.freq_d(axis) * _safe_inverse(grid.k_squared),
-    )
+    return _apply_symbol(grid, f, "inv_gradient_riesz", axis)
 
 
 def fractional_laplacian(grid: Grid, f: np.ndarray, order: float) -> np.ndarray:
@@ -290,9 +320,7 @@ def fractional_laplacian(grid: Grid, f: np.ndarray, order: float) -> np.ndarray:
     The xi = 0 mode is zeroed for every order (it is already zero when
     order > 0; for order <= 0 this is the mean-free inverse).
     """
-    return _apply_symbol(
-        grid, f, ("fractional_laplacian", order), lambda: _safe_power(grid.k_abs, order)
-    )
+    return _apply_symbol(grid, f, "fractional_laplacian", order)
 
 
 def eta0(mu) -> np.ndarray:
@@ -318,7 +346,7 @@ def lp_weight(k: int, radius) -> np.ndarray:
 
 def lp_projector(grid: Grid, f: np.ndarray, k: int) -> np.ndarray:
     """Littlewood-Paley projection P_k onto frequencies |xi| ~ 2^k."""
-    return _apply_symbol(grid, f, ("lp", k), lambda: lp_weight(k, grid.k_abs))
+    return _apply_symbol(grid, f, "lp", k)
 
 
 def lp_k_range(grid: Grid) -> range:
@@ -367,7 +395,7 @@ def mean_value(grid: Grid, f: np.ndarray):
 
 def dealias(grid: Grid, f: np.ndarray) -> np.ndarray:
     """Truncate the top third of frequencies (2/3 rule) on every axis."""
-    return _apply_symbol(grid, f, ("dealias",), lambda: grid.dealias_mask)
+    return _apply_symbol(grid, f, "dealias")
 
 
 def dealiased_product(grid: Grid, *factors: np.ndarray) -> np.ndarray:

@@ -162,6 +162,42 @@ class TestSnapshotRoundtrip:
         with pytest.raises(SnapshotFormatError, match="truncated"):
             load_snapshot(path)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda b: b + b"\0", "trailing bytes after payload: 513 bytes, expected 512"),
+            (lambda b: b[:-16], "truncated payload: 496 bytes, expected 512"),
+        ],
+        ids=["trailing", "truncated"],
+    )
+    def test_payload_size_mismatch_names_sizes(self, tmp_path, edit, message):
+        g = Grid(d=2, n=8)
+        path = tmp_path / "field.bin"
+        save_snapshot(np.ones(g.shape), g, 0.0, str(path))
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(SnapshotFormatError) as exc:
+            load_snapshot(str(path))
+        assert str(exc.value).endswith(message)
+
+    @pytest.mark.parametrize("vector", [True, False])
+    def test_every_truncation_and_bit_flip_rejected(self, tmp_path, vector):
+        g = Grid(d=2, n=8)
+        values = generate_initial(InitialDataSpec(amplitude=0.1), g).values
+        path = tmp_path / "field.bin"
+        save_snapshot(values if vector else values[0], g, 0.5, str(path))
+        blob = path.read_bytes()
+        assert len(blob) == 60 + 8 * (3 if vector else 1) * g.n**2
+        for end in range(len(blob)):
+            path.write_bytes(blob[:end])
+            with pytest.raises(SnapshotFormatError):
+                load_snapshot(str(path))
+        for offset in range(len(blob)):
+            bad = bytearray(blob)
+            bad[offset] ^= 1 << (offset % 8)
+            path.write_bytes(bytes(bad))
+            with pytest.raises(SnapshotFormatError):
+                load_snapshot(str(path))
+
     def test_grid_mismatch_rejected(self, tmp_path):
         g = Grid(d=2, n=8)
         path = str(tmp_path / "field.bin")

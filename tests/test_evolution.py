@@ -12,7 +12,7 @@ from spheremap.evolution import (
     run,
     step_rk4_projected,
 )
-from spheremap.gauge import derive_psi
+from spheremap.gauge import derive_psi, msm_nonlinearity
 from spheremap.geometry import SphereField, coulomb_fix, flow_rhs, projection_frame
 from spheremap.initial_data import InitialDataSpec, generate_initial
 from spheremap.spectral import Grid, laplacian
@@ -111,20 +111,41 @@ class TestStepRk4Projected:
         assert np.max(np.abs(back.values - s0.values)) <= 10 * tau
 
 
+# ifft of (p, d_l p_m, psi), rfft of the products, irfft of (a, cross),
+# rfft of sum a_l^2, irfft of the potential, fft of N
+MSM_KERNEL_TRANSFORMS = ["ifft", "rfft", "irfft", "rfft", "irfft", "fft"]
+
+
+def bump_psi(grid):
+    return derive_psi(coulomb_fix(projection_frame(bump_field(grid), (0.0, 1.0, 0.0)))[0])
+
+
 class TestTransformCount:
     @pytest.mark.parametrize("d, n", [(2, 16), (3, 8), (4, 8)])
-    def test_rk4_update_issues_eight_transforms(self, monkeypatch, d, n):
+    def test_rk4_update_issues_eight_transforms(self, transform_calls, d, n):
         # one rfft/irfft pair of the whole (3, n, ..., n) stack per stage
         s = bump_field(Grid(d=d, n=n))
-        calls = []
-        for name in ("fft", "ifft", "rfft", "irfft"):
-            def counted(self, f, _method=getattr(Grid, name), _name=name):
-                calls.append(_name)
-                return _method(self, f)
-
-            monkeypatch.setattr(Grid, name, counted)
+        transform_calls.clear()
         rk4_update(s, default_dt(s.grid))
-        assert calls == ["rfft", "irfft"] * 4
+        assert transform_calls == ["rfft", "irfft"] * 4
+
+    @pytest.mark.parametrize("d, n", [(2, 16), (3, 8), (4, 8)])
+    def test_msm_nonlinearity_issues_six_transforms(self, transform_calls, d, n):
+        g = Grid(d=d, n=n)
+        psi_hat = g.fft(bump_psi(g))
+        transform_calls.clear()
+        msm_nonlinearity(g, psi_hat)
+        assert transform_calls == MSM_KERNEL_TRANSFORMS
+
+    @pytest.mark.parametrize("d, n", [(2, 16), (3, 8), (4, 8)])
+    def test_evolve_msm_step_issues_26_transforms(self, transform_calls, d, n):
+        # the four stages stay in Fourier space: one fft in, one ifft out
+        g = Grid(d=d, n=n)
+        psi = bump_psi(g)
+        transform_calls.clear()
+        evolve_msm(g, psi, default_dt(g))
+        assert transform_calls == ["fft"] + MSM_KERNEL_TRANSFORMS * 4 + ["ifft"]
+        assert len(transform_calls) == 26
 
 
 class TestEvolveMsm:

@@ -24,7 +24,16 @@ from spheremap.geometry import (
     rotate_frame,
 )
 from spheremap.initial_data import InitialDataSpec, generate_initial, tilted_qprime
-from spheremap.spectral import Grid, l2_norm, partial_derivative
+from spheremap.evolution import default_dt, evolve_msm
+from spheremap.spectral import (
+    Grid,
+    dealias,
+    dealiased_product,
+    inv_gradient_riesz,
+    l2_norm,
+    partial_derivative,
+    riesz,
+)
 
 Q = np.array([0.0, 0.0, 1.0])
 U = np.array([1.0, 0.0, 0.0])
@@ -72,6 +81,12 @@ class TestDerivePsi:
             ds = partial_derivative(grid, frame.s.values, m)
             grad_mag = np.sqrt(np.sum(ds**2, axis=0))
             assert np.max(np.abs(np.abs(psi[m - 1]) - grad_mag)) < 1e-8
+
+    def test_one_transform_pair(self, transform_calls):
+        grid, frame, _, _ = small_data_gauge(n=8, d=4)
+        transform_calls.clear()
+        derive_psi(frame)
+        assert transform_calls == ["rfft", "irfft"]
 
     def test_geodesic_closed_form(self):
         # s = cos(eps cos x1) q + sin(eps cos x1) u: |psi_1| = eps |sin x1|
@@ -316,14 +331,14 @@ class TestMsmNonlinearity:
     def test_zero(self):
         g = Grid(d=2, n=8)
         psi = np.zeros((2,) + g.shape, dtype=complex)
-        assert np.max(np.abs(msm_nonlinearity(g, psi))) == 0.0
+        assert np.max(np.abs(g.ifft(msm_nonlinearity(g, g.fft(psi))))) == 0.0
 
     def test_real_constants(self):
         g = Grid(d=2, n=8)
         psi = np.zeros((2,) + g.shape, dtype=complex)
         psi[0] = 0.4
         psi[1] = 1.1
-        out = msm_nonlinearity(g, psi)
+        out = g.ifft(msm_nonlinearity(g, g.fft(psi)))
         pot = 0.5 * (0.4**2 + 1.1**2)
         assert np.max(np.abs(out[0] - pot * 0.4)) < 1e-13
         assert np.max(np.abs(out[1] - pot * 1.1)) < 1e-13
@@ -335,7 +350,7 @@ class TestMsmNonlinearity:
         psi = np.zeros((2,) + g.shape, dtype=complex)
         psi[0] = 1.0
         psi[1] = np.exp(1j * x2)
-        out = msm_nonlinearity(g, psi)
+        out = g.ifft(msm_nonlinearity(g, g.fft(psi)))
         n1 = 1.0 + 0.5 * np.cos(2 * x2) + 0.5 * np.exp(2j * x2)
         n2 = (
             1.5 * np.exp(1j * x2)
@@ -354,7 +369,7 @@ class TestMsmNonlinearity:
         psi = np.zeros((2,) + g.shape, dtype=complex)
         psi[0] = 1.0
         psi[1] = np.exp(1j * x2)
-        out = msm_nonlinearity(g, psi)
+        out = g.ifft(msm_nonlinearity(g, g.fft(psi)))
         n1 = 1.0 + 0.5 * np.cos(2 * x2) + 0.5 * np.exp(2j * x2)
         n2 = 1.5 * np.exp(1j * x2) + 0.25 * np.exp(-1j * x2) - 1j * np.sin(x2)
         assert np.max(np.abs(out[0] - n1)) < 1e-12
@@ -363,9 +378,103 @@ class TestMsmNonlinearity:
     def test_against_direct_summation_oracle(self):
         g = Grid(d=2, n=16)
         psi = random_band_limited_psi(g, seed=33, max_mode=1)
-        fast = msm_nonlinearity(g, psi)
+        fast = g.ifft(msm_nonlinearity(g, g.fft(psi)))
         slow = naive_nonlinearity(g, psi)
         assert np.max(np.abs(fast - slow)) < 1e-12
+
+
+def composed_a(grid, psi):
+    """a_m as a composition of physical-space operators, one product per pair."""
+    a = np.zeros((grid.d,) + grid.shape)
+    for m in range(grid.d):
+        for l in range(grid.d):
+            if l != m:
+                src = dealiased_product(grid, psi[m], np.conj(psi[l])).imag
+                a[m] += inv_gradient_riesz(grid, src, l + 1)
+    return a
+
+
+def composed_a0(grid, psi):
+    a0 = np.zeros(grid.shape)
+    for l in range(grid.d):
+        for lp in range(grid.d):
+            src = dealiased_product(grid, np.conj(psi[l]), psi[lp]).real
+            a0 += riesz(grid, riesz(grid, src, l + 1), lp + 1)
+        a0 += 0.5 * dealiased_product(grid, psi[l], np.conj(psi[l])).real
+    return a0
+
+
+def composed_nonlinearity(grid, psi):
+    """N(Psi) in physical space with every product dealiased separately; the
+    cross term's operands are the untruncated psi."""
+    a = composed_a(grid, psi)
+    potential = composed_a0(grid, psi).astype(complex)
+    for l in range(grid.d):
+        potential += dealiased_product(grid, a[l], a[l])
+    out = np.empty_like(psi)
+    for m in range(grid.d):
+        term = dealiased_product(grid, potential, psi[m])
+        for l in range(grid.d):
+            dpsi = partial_derivative(grid, psi[m], l + 1)
+            term += -2j * dealiased_product(grid, a[l], dpsi)
+            cross = dealias(grid, (psi[l] * np.conj(psi[m])).imag)
+            term += 1j * dealiased_product(grid, cross, psi[l])
+        out[m] = term
+    return out
+
+
+def composed_evolve(grid, psi, dt):
+    """Integrating-factor RK4 step converting to physical space every stage."""
+    psi_hat = grid.fft(psi)
+    half = np.exp(-1j * (dt / 2.0) * grid.k_squared)
+    full = half * half
+
+    def nhat(ph):
+        return grid.fft(-1j * composed_nonlinearity(grid, grid.ifft(ph)))
+
+    a = nhat(psi_hat)
+    b = nhat(half * (psi_hat + 0.5 * dt * a))
+    c = nhat(half * psi_hat + 0.5 * dt * b)
+    d = nhat(full * psi_hat + dt * half * c)
+    return grid.ifft(full * psi_hat + (dt / 6.0) * (full * a + 2.0 * half * (b + c) + d))
+
+
+def random_full_spectrum_psi(grid, seed, amplitude=0.1):
+    """psi with every lattice mode populated, so the 2/3 rule is active."""
+    rng = np.random.default_rng(seed)
+    size = (grid.d,) + grid.shape
+    return amplitude * (rng.normal(size=size) + 1j * rng.normal(size=size))
+
+
+def max_rel(x, ref):
+    return np.max(np.abs(x - ref)) / np.max(np.abs(ref))
+
+
+class TestFourierKernelMatchesComposition:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    def test_one_call(self, d, n):
+        g = Grid(d=d, n=n)
+        psi = random_full_spectrum_psi(g, seed=10 * d + n)
+        out_hat = msm_nonlinearity(g, g.fft(psi))
+        ref = composed_nonlinearity(g, psi)
+        assert max_rel(g.ifft(out_hat), ref) < 1e-12
+        assert max_rel(out_hat, g.fft(ref)) < 1e-12
+        assert np.all(out_hat[..., ~g.dealias_mask] == 0.0)
+        assert max_rel(a_from_psi(g, psi).a, composed_a(g, psi)) < 1e-12
+        assert max_rel(a0_from_psi(g, psi), composed_a0(g, psi)) < 1e-12
+
+    # d = 4 is left to test_one_call: twenty composed steps there cost more
+    # than the rest of this class together
+    @pytest.mark.parametrize("d, n", [(2, 8), (2, 16), (3, 8)])
+    def test_twenty_steps(self, d, n):
+        g = Grid(d=d, n=n)
+        psi = fast = random_full_spectrum_psi(g, seed=d + n)
+        dt = default_dt(g)
+        for _ in range(20):
+            fast = evolve_msm(g, fast, dt)
+            psi = composed_evolve(g, psi, dt)
+        assert max_rel(fast, psi) < 1e-12
 
 
 class TestCoulombSlice:

@@ -8,6 +8,7 @@ from spheremap.geometry import (
     _cross,
     Frame,
     FrameDegenerateError,
+    _poisson_zero_mean,
     SphereField,
     connection_of,
     coulomb_fix,
@@ -282,6 +283,22 @@ class TestCoulombFix:
         div_after = l2_norm(g, divergence(g, conn.a))
         assert div_before > 0
         assert div_after / div_before < 1e-8
+
+    @pytest.mark.parametrize("d, n", [(2, 16), (3, 8), (4, 8)])
+    def test_four_transforms_match_per_axis_solve(self, transform_calls, d, n):
+        g = Grid(d=d, n=n)
+        spec = InitialDataSpec(amplitude=0.05)
+        frame = projection_frame(generate_initial(spec, g), tilted_qprime(spec))
+        transform_calls.clear()
+        _, conn, chi = coulomb_fix(frame)
+        assert transform_calls == ["rfft", "irfft"] * 2
+        # reference: a_m = (d_m v).w, Laplacian chi = -div a, a' = a + d_m chi, axis by axis
+        axes = range(1, d + 1)
+        a = np.stack([np.sum(partial_derivative(g, frame.v, m) * frame.w, axis=0) for m in axes])
+        chi_ref = _poisson_zero_mean(g, -divergence(g, a))
+        a_ref = a + np.stack([partial_derivative(g, chi_ref, m) for m in axes])
+        assert np.max(np.abs(chi - chi_ref)) < 1e-12
+        assert np.max(np.abs(conn.a - a_ref)) < 1e-12
 
     def test_chi_zero_mean(self):
         g = Grid(d=2, n=16)
