@@ -46,9 +46,6 @@ from .gauge import (
     covariant_derivative,
     derive_psi,
     msm_nonlinearity,
-    residual_compatibility,
-    residual_curvature,
-    residual_psi0,
 )
 from .initial_data import InitialDataSpec, generate_initial, tilted_qprime
 from .diagnostics import (

@@ -24,6 +24,7 @@ import numpy as np
 
 from .diagnostics import (
     SpaceTimeRecord,
+    direction_axis,
     directional_norm,
     frame_bound_ratio,
     xk_norm,
@@ -394,6 +395,7 @@ def _load_record_dir(directory: str):
 
 def _cmd_norms(args) -> int:
     grid, times, snaps = _load_record_dir(args.dir)
+    direction_axis(grid, args.direction)  # reject a bad direction before any slice
     fields = []
     for sn in snaps:
         s = _sphere_from_snapshot(sn, _parse_triple(args.q) if args.q else None)
@@ -453,8 +455,7 @@ def _cmd_sweep(args) -> int:
 
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        header = [target, "res_compatibility", "res_curvature", "res_psi0",
-                  "res_cross", "div_a", "frame_ratio"]
+        header = [target, *suites[0], "frame_ratio"]
         emit_series_csv(header, rows, os.path.join(args.out, "sweep.csv"))
         print(f"summary written to {os.path.join(args.out, 'sweep.csv')}")
     return 0

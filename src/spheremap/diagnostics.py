@@ -25,6 +25,7 @@ __all__ = [
     "GronwallResult",
     "gronwall_probe",
     "SpaceTimeRecord",
+    "direction_axis",
     "directional_norm",
     "xk_norm",
 ]
@@ -199,6 +200,14 @@ class SpaceTimeRecord:
         return float(self.times[1] - self.times[0])
 
 
+def direction_axis(grid: Grid, e: int) -> int:
+    """1-based axis of the signed coordinate direction e in +-1 ... +-d."""
+    axis = abs(int(e))
+    if not 1 <= axis <= grid.d:
+        raise ValueError(f"direction {e} is not a signed coordinate axis of a {grid.d}-d grid")
+    return axis
+
+
 def directional_norm(rec: SpaceTimeRecord, e: int, p, q) -> float:
     """Mixed norm ||u||: outer p-norm along the signed coordinate axis e,
     inner q-norm over the transverse hyperplane and recorded time.
@@ -208,9 +217,7 @@ def directional_norm(rec: SpaceTimeRecord, e: int, p, q) -> float:
     positive numbers or the string/float infinity.
     """
     grid = rec.grid
-    axis = abs(int(e))
-    if not 1 <= axis <= grid.d or e == 0:
-        raise ValueError(f"direction {e} is not a signed coordinate axis of a {grid.d}-d grid")
+    axis = direction_axis(grid, e)
     p_inf = p in ("inf", np.inf)
     q_inf = q in ("inf", np.inf)
 

@@ -21,12 +21,17 @@ once in physical space from the truncated fields, each multiplier (including
 R_l R_l' fused into the one symbol -xi_l xi_l' / |xi|^2) acts in Fourier
 space, and the cross term's operands are the untruncated psi.  It issues six
 batched transforms at every d; ``a_from_psi`` and ``a0_from_psi`` are
-physical-space wrappers over the same product spectra.  The residual
-functions quantify, in L2, how well the structural identities (derivative
-compatibility, connection curvature, and the time-slice relation for psi_0)
-hold for discretely computed fields; for frame-derived data they decay
-spectrally under grid refinement.  ``coulomb_slice`` is the one place a
-time slice is analysed: Coulomb-fixed projection frame, connection and psi.
+physical-space wrappers over the same product spectra.
+
+``coulomb_slice`` is the one place a time slice is analysed: Coulomb-fixed
+projection frame, connection and psi.  ``CoulombSlice.residuals`` quantifies,
+in L2, how well the structural identities (derivative compatibility,
+connection curvature, and the time-slice relation for psi_0) hold for the
+discretely computed fields; for frame-derived data they decay spectrally
+under grid refinement.  The residuals are computed in Fourier space, every
+(m, l) pair from one batched product stack, in 11 transforms per slice at
+every d; ``covariant_derivative`` is the physical-space operator they
+discretize.
 """
 
 from __future__ import annotations
@@ -40,7 +45,6 @@ from .geometry import (
     Frame,
     SphereField,
     coulomb_fix,
-    divergence,
     flow_rhs,
     projection_frame,
 )
@@ -60,9 +64,6 @@ __all__ = [
     "a_from_psi",
     "a0_from_psi",
     "covariant_derivative",
-    "residual_compatibility",
-    "residual_curvature",
-    "residual_psi0",
     "msm_nonlinearity",
 ]
 
@@ -145,42 +146,53 @@ def covariant_derivative(grid: Grid, f: np.ndarray, a: np.ndarray, m: int) -> np
     return partial_derivative(grid, f, m) + 1j * dealiased_product(grid, a[m - 1], f)
 
 
-def residual_compatibility(grid: Grid, psi: np.ndarray, a: np.ndarray) -> float:
-    """max_{m,l} || D_l psi_m - D_m psi_l ||_L2."""
-    worst = 0.0
-    for m in range(1, grid.d + 1):
-        for l in range(m + 1, grid.d + 1):
-            r = covariant_derivative(grid, psi[m - 1], a, l) - covariant_derivative(
-                grid, psi[l - 1], a, m
-            )
-            worst = max(worst, l2_norm(grid, r))
-    return worst
-
-
-def residual_curvature(grid: Grid, psi: np.ndarray, a: np.ndarray) -> float:
-    """max_{m,l} || d_l a_m - d_m a_l - Im(psi_l conj(psi_m)) ||_L2."""
-    worst = 0.0
-    for m in range(1, grid.d + 1):
-        for l in range(m + 1, grid.d + 1):
-            curl = partial_derivative(grid, a[m - 1], l) - partial_derivative(grid, a[l - 1], m)
-            src = dealias(grid, (psi[l - 1] * np.conj(psi[m - 1])).imag)
-            worst = max(worst, l2_norm(grid, curl - src))
-    return worst
-
-
-def residual_psi0(frame: Frame, psi: np.ndarray, a: np.ndarray) -> float:
-    """|| psi_0 - i sum_m D_m psi_m ||_L2 on one time slice.
-
-    psi_0 is computed from the flow's time derivative d_t s = s x Laplacian s
-    expressed in frame coordinates; the identity holds for Coulomb frames.
+def _covariant_spectra(
+    grid: Grid, psi_hat: np.ndarray, a_hat: np.ndarray, pairs: list
+) -> np.ndarray:
+    """Full spectra of D_l psi_m - D_m psi_l for each (m, l) in ``pairs``,
+    then of sum_m D_m psi_m, from the full spectrum of psi and the half
+    spectrum of a.  D_m f = d_m f + i T(T a_m T f), so each row is the
+    derivative part plus i T of one product row.
     """
-    grid = frame.grid
-    dts = flow_rhs(grid, frame.s.values)
-    psi0 = np.sum(dts * frame.v, axis=0) + 1j * np.sum(dts * frame.w, axis=0)
-    rhs = np.zeros(grid.shape, dtype=complex)
-    for m in range(1, grid.d + 1):
-        rhs += covariant_derivative(grid, psi[m - 1], a, m)
-    return l2_norm(grid, psi0 - 1j * rhs)
+    d = grid.d
+    mask = grid.symbol("dealias", half=False)
+    tpsi = grid.ifft(mask * psi_hat)
+    ta = grid.irfft(grid.symbol("dealias", half=True) * a_hat)
+    # filled in place: a list of products plus np.stack would hold them twice
+    prod = np.empty((len(pairs) + 1,) + grid.shape, dtype=complex)
+    for k, (m, l) in enumerate(pairs):
+        np.multiply(ta[l], tpsi[m], out=prod[k])
+        prod[k] -= ta[m] * tpsi[l]
+    np.multiply(ta[0], tpsi[0], out=prod[-1])
+    for m in range(1, d):
+        prod[-1] += ta[m] * tpsi[m]
+    out = grid.fft(prod)
+    out *= 1j * mask
+    dx = [grid.symbol("partial_derivative", m + 1, half=False) for m in range(d)]
+    for k, (m, l) in enumerate(pairs):
+        out[k] += dx[l] * psi_hat[m] - dx[m] * psi_hat[l]
+    for m in range(d):
+        out[-1] += dx[m] * psi_hat[m]
+    return out
+
+
+def _curvature_spectra(
+    grid: Grid, psi: np.ndarray, a_hat: np.ndarray, pairs: list
+) -> np.ndarray:
+    """Half spectra of d_l a_m - d_m a_l - T Im(psi_l conj psi_m) for each
+    (m, l) in ``pairs``, then of div a = sum_m d_m a_m.
+    """
+    src = np.empty((len(pairs),) + grid.shape)
+    for k, (m, l) in enumerate(pairs):
+        src[k] = (psi[l] * np.conj(psi[m])).imag
+    src_hat = grid.rfft(src)
+    src_hat *= grid.symbol("dealias", half=True)
+    dx = [grid.symbol("partial_derivative", m + 1, half=True) for m in range(grid.d)]
+    out = np.empty((len(pairs) + 1,) + src_hat.shape[1:], dtype=complex)
+    for k, (m, l) in enumerate(pairs):
+        out[k] = dx[l] * a_hat[m] - dx[m] * a_hat[l] - src_hat[k]
+    out[-1] = sum(dx[m] * a_hat[m] for m in range(grid.d))
+    return out
 
 
 @dataclass(frozen=True)
@@ -192,13 +204,31 @@ class CoulombSlice:
     psi: np.ndarray          # (d, n, ..., n) complex
 
     def residuals(self) -> dict:
-        """div a and the three structural-identity residuals of this slice."""
+        """div a and the L2 residuals of the three structural identities:
+
+            res_compatibility = max_{m<l} || D_l psi_m - D_m psi_l ||
+            res_curvature     = max_{m<l} || d_l a_m - d_m a_l - T Im(psi_l conj psi_m) ||
+            res_psi0          = || psi_0 - i sum_m D_m psi_m ||
+
+        with D_m f = d_m f + i T(T a_m T f) as in ``covariant_derivative``,
+        T the 2/3 mask and psi_0 = (d_t s).v + i (d_t s).w for the flow's
+        d_t s = s x Laplacian s.  Every multiplier acts in Fourier space and
+        every (m, l) pair shares one batched transform per stage: 11
+        transforms at every d, 2 of them for d_t s.
+        """
         grid = self.frame.grid
+        pairs = [(m, l) for m in range(grid.d) for l in range(m + 1, grid.d)]
+        psi_hat = grid.fft(self.psi)
+        a_hat = grid.rfft(self.a)
+        cov_hat = _covariant_spectra(grid, psi_hat, a_hat, pairs)
+        curl_div = grid.irfft(_curvature_spectra(grid, self.psi, a_hat, pairs))
+        dts = flow_rhs(grid, self.frame.s.values)
+        psi0 = np.sum(dts * self.frame.v, axis=0) + 1j * np.sum(dts * self.frame.w, axis=0)
         return {
-            "div_a": l2_norm(grid, divergence(grid, self.a)),
-            "res_compatibility": residual_compatibility(grid, self.psi, self.a),
-            "res_curvature": residual_curvature(grid, self.psi, self.a),
-            "res_psi0": residual_psi0(self.frame, self.psi, self.a),
+            "div_a": l2_norm(grid, curl_div[-1]),
+            "res_compatibility": max(l2_norm(grid, r) for r in grid.ifft(cov_hat[:-1])),
+            "res_curvature": max(l2_norm(grid, r) for r in curl_div[:-1]),
+            "res_psi0": l2_norm(grid, psi0 - 1j * grid.ifft(cov_hat[-1])),
         }
 
 

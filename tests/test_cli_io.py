@@ -408,6 +408,23 @@ class TestCliNorms:
         assert rc == 2
         assert "too short" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("direction", ["0", "3", "-3"])
+    def test_bad_direction_rejected_before_any_slice(
+        self, config_file, tmp_path, capsys, monkeypatch, direction
+    ):
+        assert cli_main(["run", "--config", config_file]) == 0
+        capsys.readouterr()
+
+        def no_slice(*args, **kwargs):
+            raise AssertionError("coulomb_slice called before the direction was checked")
+
+        monkeypatch.setattr("spheremap.cli_io.coulomb_slice", no_slice)
+        rc = cli_main(["norms", "--dir", str(tmp_path / "out"), "--observable", "psi1",
+                       "--direction", direction])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"direction {direction} is not a signed coordinate axis of a 2-d grid" in err
+
 
 class TestCliSweep:
     def test_resolution_sweep_reports_ratios(self, config_file, tmp_path, capsys):
@@ -442,6 +459,7 @@ class TestCliSweep:
         )
         assert rc == 0
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
-        assert lines[0].startswith("initial.kind,res_compatibility,")
+        assert lines[0] == ("initial.kind,res_compatibility,res_curvature,res_psi0,"
+                            "res_cross,div_a,frame_ratio")
         assert [line.split(",")[0] for line in lines[1:]] == [
             "geodesic-bump", "band-limited-random"]

@@ -12,7 +12,8 @@ from spheremap.evolution import (
     run,
     step_rk4_projected,
 )
-from spheremap.gauge import derive_psi, msm_nonlinearity
+from spheremap.diagnostics import diagnostics_row
+from spheremap.gauge import coulomb_slice, derive_psi, msm_nonlinearity
 from spheremap.geometry import SphereField, coulomb_fix, flow_rhs, projection_frame
 from spheremap.initial_data import InitialDataSpec, generate_initial
 from spheremap.spectral import Grid, laplacian
@@ -115,6 +116,12 @@ class TestStepRk4Projected:
 # rfft of sum a_l^2, irfft of the potential, fft of N
 MSM_KERNEL_TRANSFORMS = ["ifft", "rfft", "irfft", "rfft", "irfft", "fft"]
 
+# fft of psi, rfft of a, ifft of T psi, irfft of T a, fft of the products,
+# rfft of the curvature sources, irfft of (curvature, div a), rfft/irfft of
+# d_t s, ifft of the compatibility residuals, ifft of sum_m D_m psi_m
+RESIDUAL_TRANSFORMS = ["fft", "rfft", "ifft", "irfft", "fft", "rfft", "irfft",
+                       "rfft", "irfft", "ifft", "ifft"]
+
 
 def bump_psi(grid):
     return derive_psi(coulomb_fix(projection_frame(bump_field(grid), (0.0, 1.0, 0.0)))[0])
@@ -146,6 +153,17 @@ class TestTransformCount:
         evolve_msm(g, psi, default_dt(g))
         assert transform_calls == ["fft"] + MSM_KERNEL_TRANSFORMS * 4 + ["ifft"]
         assert len(transform_calls) == 26
+
+    @pytest.mark.parametrize("d, n", [(2, 16), (3, 8), (4, 8)])
+    def test_slice_residuals_issue_eleven_transforms(self, transform_calls, d, n):
+        # a diagnostics row adds one fft each for the energy and the critical norm
+        sl = coulomb_slice(bump_field(Grid(d=d, n=n)), (0.0, 1.0, 0.0))
+        transform_calls.clear()
+        sl.residuals()
+        assert transform_calls == RESIDUAL_TRANSFORMS
+        transform_calls.clear()
+        diagnostics_row(0.0, sl, 0.0)
+        assert len(transform_calls) == 13
 
 
 class TestEvolveMsm:

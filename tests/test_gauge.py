@@ -11,15 +11,13 @@ from spheremap.gauge import (
     covariant_derivative,
     derive_psi,
     msm_nonlinearity,
-    residual_compatibility,
-    residual_curvature,
-    residual_psi0,
 )
 from spheremap.geometry import (
     SphereField,
     connection_of,
     coulomb_fix,
     divergence,
+    flow_rhs,
     projection_frame,
     rotate_frame,
 )
@@ -44,7 +42,14 @@ def coords(grid):
 
 
 def constant_field(grid, q=Q):
-    return SphereField(grid, np.broadcast_to(q.reshape(3, 1, 1), (3,) + grid.shape).copy(), q=q)
+    values = np.broadcast_to(q.reshape((3,) + (1,) * grid.d), (3,) + grid.shape)
+    return SphereField(grid, values.copy(), q=q)
+
+
+def residuals_without_frame(grid, psi, a):
+    """Slice residuals of fields that come without a frame: the compatibility
+    and curvature residuals never read it, so the constant map's frame serves."""
+    return CoulombSlice(projection_frame(constant_field(grid), U), a, psi).residuals()
 
 
 def small_data_gauge(n=32, eps=0.05, d=2):
@@ -192,15 +197,16 @@ class TestResiduals:
         g = Grid(d=2, n=8)
         psi = np.zeros((2,) + g.shape, dtype=complex)
         a = np.zeros((2,) + g.shape)
-        assert residual_compatibility(g, psi, a) == 0.0
-        assert residual_curvature(g, psi, a) == 0.0
+        res = residuals_without_frame(g, psi, a)
+        assert res["res_compatibility"] == 0.0
+        assert res["res_curvature"] == 0.0
 
     def test_psi0_constant_map(self):
         g = Grid(d=2, n=8)
         frame = projection_frame(constant_field(g), U)
         psi = derive_psi(frame)
         a = np.zeros((2,) + g.shape)
-        assert residual_psi0(frame, psi, a) < 1e-14
+        assert CoulombSlice(frame, a, psi).residuals()["res_psi0"] < 1e-14
 
     def test_random_unrelated_fields_fail(self):
         g = Grid(d=2, n=16)
@@ -208,20 +214,16 @@ class TestResiduals:
         rng = np.random.default_rng(14)
         xs = coords(g)
         a = np.stack([np.cos(xs[0]) * rng.normal(), np.sin(xs[1]) * rng.normal()])
-        assert residual_compatibility(g, psi, a) > 1e-2
-        assert residual_curvature(g, psi, a) > 1e-2
+        res = residuals_without_frame(g, psi, a)
+        assert res["res_compatibility"] > 1e-2
+        assert res["res_curvature"] > 1e-2
 
     @pytest.mark.parametrize("resfun", ["compatibility", "curvature", "psi0"])
     def test_refinement_ratio(self, resfun):
         values = {}
         for n in (16, 32):
             grid, frame, conn, psi = small_data_gauge(n=n, eps=0.05)
-            if resfun == "compatibility":
-                values[n] = residual_compatibility(grid, psi, conn.a)
-            elif resfun == "curvature":
-                values[n] = residual_curvature(grid, psi, conn.a)
-            else:
-                values[n] = residual_psi0(frame, psi, conn.a)
+            values[n] = CoulombSlice(frame, conn.a, psi).residuals()[f"res_{resfun}"]
         assert values[16] / values[32] >= 10.0
 
     def test_psi0_identity_is_gauge_independent(self):
@@ -229,11 +231,11 @@ class TestResiduals:
         # equation alone; a non-Coulomb frame changes the residual only
         # through discretization, not by O(|div a|).
         grid, frame, conn, psi = small_data_gauge(n=32, eps=0.05)
-        res_coulomb = residual_psi0(frame, psi, conn.a)
+        res_coulomb = CoulombSlice(frame, conn.a, psi).residuals()["res_psi0"]
         x1, x2 = coords(grid)
         rotated = rotate_frame(frame, 0.2 * np.cos(x1) * np.sin(x2))
         a_rot = connection_of(rotated)
-        res_rot = residual_psi0(rotated, derive_psi(rotated), a_rot.a)
+        res_rot = CoulombSlice(rotated, a_rot.a, derive_psi(rotated)).residuals()["res_psi0"]
         assert l2_norm(grid, divergence(grid, a_rot.a)) > 0.1  # strongly non-Coulomb
         assert res_rot < 1e-5
         assert res_coulomb < 1e-7
@@ -245,12 +247,80 @@ class TestResiduals:
         rotated = np.exp(1j * 0.73) * psi
         assert np.max(np.abs(a_from_psi(g, rotated).a - a)) < 1e-12
         assert np.max(np.abs(a0_from_psi(g, rotated) - a0_from_psi(g, psi))) < 1e-12
-        assert residual_compatibility(g, rotated, a) == pytest.approx(
-            residual_compatibility(g, psi, a), abs=1e-12
-        )
-        assert residual_curvature(g, rotated, a) == pytest.approx(
-            residual_curvature(g, psi, a), abs=1e-12
-        )
+        res_rot = residuals_without_frame(g, rotated, a)
+        res = residuals_without_frame(g, psi, a)
+        assert res_rot["res_compatibility"] == pytest.approx(res["res_compatibility"], abs=1e-12)
+        assert res_rot["res_curvature"] == pytest.approx(res["res_curvature"], abs=1e-12)
+
+
+def reference_compatibility(grid, psi, a):
+    """max_{m,l} || D_l psi_m - D_m psi_l ||_L2, pair by pair in physical space."""
+    worst = 0.0
+    for m in range(1, grid.d + 1):
+        for l in range(m + 1, grid.d + 1):
+            r = covariant_derivative(grid, psi[m - 1], a, l) - covariant_derivative(
+                grid, psi[l - 1], a, m
+            )
+            worst = max(worst, l2_norm(grid, r))
+    return worst
+
+
+def reference_curvature(grid, psi, a):
+    """max_{m,l} || d_l a_m - d_m a_l - Im(psi_l conj(psi_m)) ||_L2."""
+    worst = 0.0
+    for m in range(1, grid.d + 1):
+        for l in range(m + 1, grid.d + 1):
+            curl = partial_derivative(grid, a[m - 1], l) - partial_derivative(grid, a[l - 1], m)
+            src = dealias(grid, (psi[l - 1] * np.conj(psi[m - 1])).imag)
+            worst = max(worst, l2_norm(grid, curl - src))
+    return worst
+
+
+def reference_psi0(frame, psi, a):
+    """|| psi_0 - i sum_m D_m psi_m ||_L2 with psi_0 from d_t s = s x Laplacian s."""
+    grid = frame.grid
+    dts = flow_rhs(grid, frame.s.values)
+    psi0 = np.sum(dts * frame.v, axis=0) + 1j * np.sum(dts * frame.w, axis=0)
+    rhs = np.zeros(grid.shape, dtype=complex)
+    for m in range(1, grid.d + 1):
+        rhs += covariant_derivative(grid, psi[m - 1], a, m)
+    return l2_norm(grid, psi0 - 1j * rhs)
+
+
+def reference_residuals(frame, a, psi):
+    """The slice residuals composed from per-pair physical-space operators."""
+    grid = frame.grid
+    return {
+        "div_a": l2_norm(grid, divergence(grid, a)),
+        "res_compatibility": reference_compatibility(grid, psi, a),
+        "res_curvature": reference_curvature(grid, psi, a),
+        "res_psi0": reference_psi0(frame, psi, a),
+    }
+
+
+class TestResidualKernelMatchesReference:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    def test_random_band_limited_fields(self, d, n):
+        g = Grid(d=d, n=n)
+        spec = InitialDataSpec(amplitude=0.05)
+        frame = projection_frame(generate_initial(spec, g), tilted_qprime(spec))
+        psi = random_band_limited_psi(g, seed=10 * d + n, max_mode=2)
+        a = random_band_limited_psi(g, seed=10 * d + n + 1, max_mode=2).real
+        res = CoulombSlice(frame, a, psi).residuals()
+        ref = reference_residuals(frame, a, psi)
+        assert list(res) == list(ref)
+        for key, value in ref.items():
+            assert res[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_zero_fields_give_exact_zero(self, d):
+        g = Grid(d=d, n=8)
+        psi = np.zeros((d,) + g.shape, dtype=complex)
+        a = np.zeros((d,) + g.shape)
+        res = residuals_without_frame(g, psi, a)
+        assert res == {"div_a": 0.0, "res_compatibility": 0.0, "res_curvature": 0.0,
+                       "res_psi0": 0.0}
 
 
 def naive_modes(grid, f):

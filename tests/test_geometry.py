@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spheremap.geometry import (
+    PROJECTION_DOT_MAX,
     BlowupSuspectedError,
     _cross,
     Frame,
@@ -20,7 +23,7 @@ from spheremap.geometry import (
     rotate_frame,
     sweep_frame,
 )
-from spheremap.initial_data import InitialDataSpec, generate_initial, tilted_qprime
+from spheremap.initial_data import KINDS, InitialDataSpec, generate_initial, tilted_qprime
 from spheremap.spectral import Grid, l2_norm, partial_derivative
 
 Q = np.array([0.0, 0.0, 1.0])
@@ -153,6 +156,30 @@ class TestProjectionFrame:
         frame_rolled = projection_frame(rolled, qp)
         assert np.array_equal(frame_rolled.v, np.roll(frame.v, shift, axis=(1, 2)))
         assert np.array_equal(frame_rolled.w, np.roll(frame.w, shift, axis=(1, 2)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.sampled_from([2, 3, 4]),
+        n=st.sampled_from([8, 10, 12]),
+        kind=st.sampled_from(KINDS),
+        amplitude=st.floats(0.0, 0.4),
+        seed=st.integers(0, 2**16),
+        phi=st.floats(0.0, 2.0 * np.pi),
+    )
+    def test_random_data_frame_or_named_rejection(self, d, n, kind, amplitude, seed, phi):
+        # q' = cos(phi) u + sin(phi) q x u runs over the unit circle transverse to q
+        g = Grid(d=d, n=n)
+        spec = InitialDataSpec(kind=kind, amplitude=amplitude, seed=seed)
+        s = generate_initial(spec, g)
+        u = spec.resolved_u()
+        qp = np.cos(phi) * u + np.sin(phi) * np.cross(s.q, u)
+        dot = np.abs(np.sum(s.values * qp.reshape((3,) + (1,) * d), axis=0))
+        if np.max(dot) < PROJECTION_DOT_MAX:
+            assert projection_frame(s, qp).max_defect() <= 1e-12
+        else:
+            point = r"grid point \(" + ", ".join([r"\d+"] * d) + r"\)"
+            with pytest.raises(FrameDegenerateError, match=point):
+                projection_frame(s, qp)
 
 
 class TestSweepFrame:
