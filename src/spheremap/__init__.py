@@ -10,14 +10,9 @@ conservation law and quantitative bound numerically at desk scale.
 from .spectral import (
     Grid,
     dealias,
-    dealiased_product,
-    fourier_multiplier,
-    fractional_laplacian,
     inv_gradient_riesz,
     l2_norm,
     laplacian,
-    lp_k_range,
-    lp_projector,
     partial_derivative,
     riesz,
     sobolev_norm,
@@ -36,14 +31,12 @@ from .geometry import (
     projection_frame,
     renormalize,
     rotate_frame,
-    sweep_frame,
 )
 from .gauge import (
     CoulombSlice,
     a0_from_psi,
     a_from_psi,
     coulomb_slice,
-    covariant_derivative,
     derive_psi,
     msm_nonlinearity,
 )
@@ -55,7 +48,6 @@ from .diagnostics import (
     directional_norm,
     energy,
     frame_bound_ratio,
-    gronwall_probe,
     l2_distance_q,
     xk_norm,
 )

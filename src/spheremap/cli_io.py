@@ -46,8 +46,6 @@ __all__ = [
     "parse_config",
     "gauge_identity_suite",
     "cli_main",
-    "InitialDataSpec",
-    "generate_initial",
 ]
 
 _MAGIC = b"SPHMAP\x00\x01"
@@ -229,7 +227,20 @@ def _parse_triple(text: str):
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 3:
         raise ConfigError(f"expected three comma-separated numbers, got {text!r}")
-    return tuple(float(p) for p in parts)
+    values = tuple(float(p) for p in parts)
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"expected three finite numbers, got {text!r}")
+    return values
+
+
+def _flag_triple(flag: str, text: str | None):
+    """The x,y,z value of an optional command-line flag; errors name the flag."""
+    if not text:
+        return None
+    try:
+        return _parse_triple(text)
+    except ValueError as exc:
+        raise ConfigError(f"{flag} {text!r}: {exc}") from exc
 
 
 def _convert(section: str, key: str, text: str):
@@ -370,10 +381,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    snap = load_snapshot(args.snapshot)
-    q = _parse_triple(args.q) if args.q else None
-    qp = _parse_triple(args.qprime) if args.qprime else None
-    s = _sphere_from_snapshot(snap, q)
+    q = _flag_triple("--q", args.q)
+    qp = _flag_triple("--qprime", args.qprime)
+    s = _sphere_from_snapshot(load_snapshot(args.snapshot), q)
     suite = gauge_identity_suite(s, qp)
     for name, value in suite.items():
         print(f"{name} = {_fmt(value)}")
@@ -394,11 +404,12 @@ def _load_record_dir(directory: str):
 
 
 def _cmd_norms(args) -> int:
+    q = _flag_triple("--q", args.q)  # reject a bad base point before loading any snapshot
     grid, times, snaps = _load_record_dir(args.dir)
     direction_axis(grid, args.direction)  # reject a bad direction before any slice
     fields = []
     for sn in snaps:
-        s = _sphere_from_snapshot(sn, _parse_triple(args.q) if args.q else None)
+        s = _sphere_from_snapshot(sn, q)
         if args.observable == "sminusq":
             diff = s.values - s.q.reshape((3,) + (1,) * grid.d)
             fields.append(np.sqrt(np.sum(diff**2, axis=0)))

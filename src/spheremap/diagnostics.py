@@ -1,4 +1,4 @@
-"""Conservation monitors, stability probes, and space-time norms on records.
+"""Conservation monitors, the diagnostics row, and space-time norms on records.
 
 All physical-space norms use the uniform-grid quadrature rule, which is
 spectrally accurate for smooth periodic data; frequency-space norms share the
@@ -22,8 +22,6 @@ __all__ = [
     "critical_norm",
     "frame_bound_ratio",
     "diagnostics_row",
-    "GronwallResult",
-    "gronwall_probe",
     "SpaceTimeRecord",
     "direction_axis",
     "directional_norm",
@@ -120,57 +118,6 @@ def diagnostics_row(t: float, sl: CoulombSlice, unit_violation: float) -> Diagno
         unit_violation=unit_violation,
         **sl.residuals(),
     )
-
-
-def _h1_norm(grid: Grid, f: np.ndarray) -> float:
-    return sobolev_norm(grid, f, 1.0, homogeneous=False)
-
-
-@dataclass(frozen=True)
-class GronwallResult:
-    rate: float                 # fitted slope of log ||q(t)||_H1
-    times: np.ndarray
-    q_norms: np.ndarray
-    identical: bool             # trajectories matched bitwise throughout
-
-
-def gronwall_probe(
-    s0a: SphereField, s0b: SphereField, T: float, dt: float | None = None
-) -> GronwallResult:
-    """Two-trajectory stability test: evolve both data and fit the growth rate.
-
-    Runs both initial conditions with the projected RK4 step up to time |T|
-    (backwards for negative T) and least-squares fits the slope of
-    log ||s_b(t) - s_a(t)||_H1.  For identical inputs the trajectories stay
-    bitwise identical and the rate is reported as 0.
-    """
-    from .evolution import default_dt, step_rk4_projected
-
-    grid = s0a.grid
-    if dt is None:
-        dt = default_dt(grid)
-    step = dt if T >= 0 else -dt
-    nsteps = max(1, int(round(abs(T) / dt)))
-
-    identical = np.array_equal(s0a.values, s0b.values)
-    sa, sb = s0a, s0b
-    times = [0.0]
-    norms = [_h1_norm(grid, s0b.values - s0a.values)]
-    for k in range(1, nsteps + 1):
-        sa = step_rk4_projected(sa, step)
-        sb = step_rk4_projected(sb, step)
-        if identical and not np.array_equal(sa.values, sb.values):
-            identical = False
-        times.append(abs(k * step))
-        norms.append(_h1_norm(grid, sb.values - sa.values))
-
-    times_arr = np.asarray(times)
-    norms_arr = np.asarray(norms)
-    if identical or norms_arr[0] == 0.0:
-        rate = 0.0
-    else:
-        rate = float(np.polyfit(times_arr, np.log(norms_arr), 1)[0])
-    return GronwallResult(rate, times_arr, norms_arr, identical)
 
 
 @dataclass(frozen=True)

@@ -30,8 +30,8 @@ connection curvature, and the time-slice relation for psi_0) hold for the
 discretely computed fields; for frame-derived data they decay spectrally
 under grid refinement.  The residuals are computed in Fourier space, every
 (m, l) pair from one batched product stack, in 11 transforms per slice at
-every d; ``covariant_derivative`` is the physical-space operator they
-discretize.
+every d, with the covariant derivative D_m f = d_m f + i T(T a_m T f) and T
+the 2/3 mask.
 """
 
 from __future__ import annotations
@@ -51,10 +51,8 @@ from .geometry import (
 from .spectral import (
     Grid,
     dealias,
-    dealiased_product,
     gradient_hat,
     l2_norm,
-    partial_derivative,
 )
 
 __all__ = [
@@ -63,7 +61,6 @@ __all__ = [
     "derive_psi",
     "a_from_psi",
     "a0_from_psi",
-    "covariant_derivative",
     "msm_nonlinearity",
 ]
 
@@ -140,12 +137,6 @@ def a0_from_psi(grid: Grid, psi: np.ndarray) -> np.ndarray:
     return grid.irfft(a0_hat)
 
 
-def covariant_derivative(grid: Grid, f: np.ndarray, a: np.ndarray, m: int) -> np.ndarray:
-    """D_m f = d_m f + i a_m f with the product dealiased."""
-    grid._check_axis(m)
-    return partial_derivative(grid, f, m) + 1j * dealiased_product(grid, a[m - 1], f)
-
-
 def _covariant_spectra(
     grid: Grid, psi_hat: np.ndarray, a_hat: np.ndarray, pairs: list
 ) -> np.ndarray:
@@ -210,11 +201,11 @@ class CoulombSlice:
             res_curvature     = max_{m<l} || d_l a_m - d_m a_l - T Im(psi_l conj psi_m) ||
             res_psi0          = || psi_0 - i sum_m D_m psi_m ||
 
-        with D_m f = d_m f + i T(T a_m T f) as in ``covariant_derivative``,
-        T the 2/3 mask and psi_0 = (d_t s).v + i (d_t s).w for the flow's
-        d_t s = s x Laplacian s.  Every multiplier acts in Fourier space and
-        every (m, l) pair shares one batched transform per stage: 11
-        transforms at every d, 2 of them for d_t s.
+        with D_m f = d_m f + i T(T a_m T f), T the 2/3 mask and
+        psi_0 = (d_t s).v + i (d_t s).w for the flow's d_t s = s x Laplacian s.
+        Every multiplier acts in Fourier space and every (m, l) pair shares
+        one batched transform per stage: 11 transforms at every d, 2 of them
+        for d_t s.
         """
         grid = self.frame.grid
         pairs = [(m, l) for m in range(grid.d) for l in range(m + 1, grid.d)]

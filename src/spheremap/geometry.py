@@ -2,11 +2,11 @@
 
 A frame is a triple (s, v, w) of mutually orthonormal R^3 fields with
 w = s x v, so (v, w) spans the tangent plane of the sphere at s.  Frames are
-built either by projecting a fixed reference direction onto the tangent
-plane (``projection_frame``, always periodic) or by an axis-by-axis sweep
-(``sweep_frame``).  ``coulomb_fix`` rotates a frame so that the connection
-coefficients a_m = (d_m v) . w become divergence free.  ``flow_rhs`` is the
-flow velocity s x Laplacian(s) shared by the integrator and the identities.
+built by projecting a fixed reference direction onto the tangent plane
+(``projection_frame``, always periodic).  ``coulomb_fix`` rotates a frame
+so that the connection coefficients a_m = (d_m v) . w become divergence
+free.  ``flow_rhs`` is the flow velocity s x Laplacian(s) shared by the
+integrator and the identities.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import Grid, _apply_symbol, gradient_hat, laplacian, partial_derivative
+from .spectral import Grid, gradient_hat, laplacian
 
 __all__ = [
     "FrameDegenerateError",
@@ -23,23 +23,18 @@ __all__ = [
     "SphereField",
     "Frame",
     "Connection",
-    "SweepFrameResult",
     "project_n",
     "default_qprime",
     "projection_frame",
-    "sweep_frame",
     "connection_of",
-    "divergence",
     "coulomb_fix",
     "rotate_frame",
     "renormalize",
     "flow_rhs",
 ]
 
-# Admissibility thresholds for the tangent projection and the axis sweep.
+# Admissibility threshold for the tangent projection.
 PROJECTION_DOT_MAX = 2.0**-5
-SWEEP_OSCILLATION_MAX = 2.0**-10
-SEAM_WARN_THRESHOLD = 1e-6
 
 _UNIT_TOL = 1e-10
 _FRAME_TOL = 1e-8
@@ -104,7 +99,7 @@ class SphereField:
         err = float(np.max(np.abs(_norms(values) - 1.0)))
         if err > _UNIT_TOL:
             raise ValueError(f"unit-length violation {err:.3e} exceeds {_UNIT_TOL:.0e}")
-        if abs(np.linalg.norm(q) - 1.0) > _UNIT_TOL:
+        if not abs(np.linalg.norm(q) - 1.0) <= _UNIT_TOL:  # NaN fails too
             raise ValueError("base point q is not a unit vector")
 
     def unit_violation(self) -> float:
@@ -220,68 +215,6 @@ def projection_frame(s: SphereField, qprime: np.ndarray | None = None) -> Frame:
     return Frame(s, v, _cross(s.values, v))
 
 
-@dataclass(frozen=True)
-class SweepFrameResult:
-    frame: Frame
-    seam_mismatch: float
-    seam_warning: bool
-
-
-def sweep_frame(s: SphereField, seed_direction: np.ndarray | None = None) -> SweepFrameResult:
-    """Build a tangent frame by inductive axis-by-axis extension.
-
-    Starting from one tangent vector at the origin, v is transported along
-    axis 1, then across each further axis hyperplane by hyperplane, each step
-    projecting the previous tangent vector onto the new tangent plane.
-    Requires the per-cell oscillation max |s(x) - s(y)| <= 2^-10 for adjacent
-    grid points.  The torus wrap-around seam is not used in the construction;
-    the maximal mismatch across all seams is reported, with a warning flag
-    when it exceeds 1e-6.
-    """
-    grid = s.grid
-    svals = s.values
-    for axis in range(1, grid.d + 1):
-        osc = float(np.max(_norms(svals - np.roll(svals, -1, axis=axis))))
-        if osc > SWEEP_OSCILLATION_MAX:
-            raise ValueError(
-                f"oscillation {osc:.3e} per cell along axis {axis} exceeds 2^-10; "
-                "refine the grid"
-            )
-
-    if seed_direction is None:
-        origin = tuple([0] * grid.d)
-        seed_direction = default_qprime(svals[(slice(None),) + origin])
-    v = np.zeros_like(svals)
-    origin = (slice(None),) + tuple([0] * grid.d)
-    v[origin] = project_n(np.asarray(seed_direction, dtype=float), svals[origin])
-
-    # Transport along axis 1 on the line x_2 = ... = x_d = 0, then sweep each
-    # further axis, extending whole (filled) slabs one layer at a time.
-    for axis in range(1, grid.d + 1):
-        filled = (slice(None),) + tuple([slice(None)] * (axis - 1) + [0] * (grid.d - axis + 1))
-        prev = v[filled]
-        for i in range(1, grid.n):
-            here = (slice(None),) + tuple(
-                [slice(None)] * (axis - 1) + [i] + [0] * (grid.d - axis)
-            )
-            prev = project_n(prev, svals[here])
-            v[here] = prev
-
-    seam = 0.0
-    for axis in range(1, grid.d + 1):
-        last = (slice(None),) + tuple(
-            [slice(None)] * (axis - 1) + [grid.n - 1] + [slice(None)] * (grid.d - axis)
-        )
-        first = (slice(None),) + tuple(
-            [slice(None)] * (axis - 1) + [0] + [slice(None)] * (grid.d - axis)
-        )
-        wrapped = project_n(v[last], svals[first])
-        seam = max(seam, float(np.max(_norms(wrapped - v[first]))))
-
-    frame = Frame(s, v, _cross(svals, v))
-    return SweepFrameResult(frame, seam, seam > SEAM_WARN_THRESHOLD)
-
-
 def connection_of(frame: Frame) -> Connection:
     """Connection coefficients a_m = (d_m v) . w, computed spectrally.
 
@@ -290,20 +223,6 @@ def connection_of(frame: Frame) -> Connection:
     grid = frame.grid
     dv = grid.irfft(gradient_hat(grid, grid.rfft(frame.v), half=True))
     return Connection(grid, np.sum(dv * frame.w, axis=1))
-
-
-def divergence(grid: Grid, a: np.ndarray) -> np.ndarray:
-    """sum_m d_m a_m of a d-component field, computed spectrally."""
-    return sum(partial_derivative(grid, a[m - 1], m) for m in range(1, grid.d + 1))
-
-
-def _poisson_zero_mean(grid: Grid, rhs: np.ndarray) -> np.ndarray:
-    """Solve Laplacian(u) = rhs with zero-mean u (zero mode dropped).
-
-    Uses the derivative-frequency Laplacian so that div(grad u) computed by
-    composed spectral derivatives reproduces rhs exactly.
-    """
-    return _apply_symbol(grid, rhs, "poisson_zero_mean")
 
 
 def rotate_frame(frame: Frame, chi: np.ndarray) -> Frame:

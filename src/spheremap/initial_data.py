@@ -56,11 +56,12 @@ class InitialDataSpec:
         if self.width is not None and not (np.isfinite(self.width) and self.width > 0):
             raise ValueError(f"width = {self.width} must be finite and positive")
         q = np.asarray(self.q, dtype=float)
-        if abs(np.linalg.norm(q) - 1.0) > 1e-12:
+        # written as "not ... <=" so that NaN components fail the checks
+        if not abs(np.linalg.norm(q) - 1.0) <= 1e-12:
             raise ValueError("base point q must be a unit vector")
         if self.u is not None:
             u = np.asarray(self.u, dtype=float)
-            if abs(np.linalg.norm(u) - 1.0) > 1e-12 or abs(float(u @ q)) > 1e-12:
+            if not (abs(np.linalg.norm(u) - 1.0) <= 1e-12 and abs(float(u @ q)) <= 1e-12):
                 raise ValueError("transverse direction u must be unit and orthogonal to q")
 
     def resolved_u(self) -> np.ndarray:

@@ -1,18 +1,16 @@
 """Discrete Fourier analysis on the periodic torus [0, L)^d.
 
-All operators act on uniformly sampled fields via the FFT, so derivatives,
-Riesz-type multipliers and Littlewood-Paley projections are exact on the
-resolved frequency lattice.  Conventions:
+All operators act on uniformly sampled fields via the FFT, so derivatives
+and Riesz-type multipliers are exact on the resolved frequency lattice.
+Conventions:
 
 * Every operator acts on the last d axes and is batched over any leading
   axes, so a (3, n, ..., n) stack is transformed in one call.
 * Real in, real out; complex in, complex out.  The Hermitian multipliers
-  (derivatives, Laplacian, Riesz-type, fractional Laplacian, Littlewood-Paley
-  and dealiasing) map real fields to real fields and act on real input
-  through the half spectrum (``Grid.rfft`` / ``Grid.irfft``); complex input
-  goes through the full ``Grid.fft`` / ``Grid.ifft``.  ``fourier_multiplier``
-  takes an arbitrary symbol and always returns the complex full-spectrum
-  result.
+  (derivatives, Laplacian, Riesz-type and dealiasing) map real fields to
+  real fields and act on real input through the half spectrum
+  (``Grid.rfft`` / ``Grid.irfft``); complex input goes through the full
+  ``Grid.fft`` / ``Grid.ifft``.
 * Every Hermitian symbol is built once per grid by name (``_SYMBOLS``,
   cached by ``Grid.symbol``); Fourier-space kernels such as the gauge
   nonlinearity and the Coulomb solve multiply the same cached symbols, with
@@ -22,19 +20,18 @@ resolved frequency lattice.  Conventions:
 * Fourier coefficients are normalized so that Plancherel holds against the
   continuum L2 integral over the torus:
   integral |f|^2 dx = (L^d / n^(2d)) * sum_xi |F(f)(xi)|^2.
-* Homogeneous multipliers (i*xi_l/|xi|, |xi|^sigma with sigma<0,
-  i*xi_l/|xi|^2) are set to 0 on the xi = 0 mode.  Downstream formulas only
-  apply them behind a Riesz factor that kills the mean, so the choice is
-  consistent with the whole-space operators they discretize.
+* Homogeneous multipliers (i*xi_l/|xi|, i*xi_l/|xi|^2) are set to 0 on the
+  xi = 0 mode.  Downstream formulas only apply them behind a Riesz factor
+  that kills the mean, so the choice is consistent with the whole-space
+  operators they discretize.
 * Quadratic and cubic products of fields are stabilized by the 2/3-rule
-  (``dealias`` / ``dealiased_product``).
+  (``dealias``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -42,19 +39,12 @@ __all__ = [
     "Grid",
     "partial_derivative",
     "laplacian",
-    "fourier_multiplier",
     "riesz",
     "inv_gradient_riesz",
-    "fractional_laplacian",
     "eta0",
-    "lp_weight",
-    "lp_projector",
-    "lp_k_range",
     "sobolev_norm",
     "l2_norm",
-    "mean_value",
     "dealias",
-    "dealiased_product",
     "gradient_hat",
 ]
 
@@ -158,9 +148,6 @@ class Grid:
         x = self.spacing * np.arange(self.n)
         return x.reshape(shape)
 
-    def meshgrid(self) -> list:
-        return [np.broadcast_to(self.coordinate(m), self.shape) for m in range(1, self.d + 1)]
-
     @cached_property
     def dealias_mask(self) -> np.ndarray:
         """2/3-rule mask: keep integer modes with |m| < n/3 on every axis."""
@@ -221,22 +208,6 @@ class Grid:
         return f
 
 
-def fourier_multiplier(grid: Grid, f: np.ndarray, symbol: Callable) -> np.ndarray:
-    """Apply a Fourier multiplier F(out)(xi) = m(xi) * F(f)(xi).
-
-    ``symbol`` receives the tuple of broadcastable frequency arrays
-    (xi_1, ..., xi_d) and must return a finite array on the dual lattice;
-    the value it assigns at xi = 0 is kept verbatim.
-    """
-    f = grid._check_field(f)
-    xi = tuple(grid.freq(m) for m in range(1, grid.d + 1))
-    m = np.asarray(symbol(xi))
-    m = np.broadcast_to(m, grid.shape)
-    if not np.all(np.isfinite(m)):
-        raise ValueError("multiplier symbol returned non-finite values on the lattice")
-    return grid.ifft(m * grid.fft(f))
-
-
 def _apply_symbol(grid: Grid, f: np.ndarray, name: str, *args) -> np.ndarray:
     """Apply the symbol ``grid.symbol(name, *args)`` to a field.
 
@@ -294,8 +265,6 @@ _SYMBOLS = {
     "inv_gradient_riesz": lambda g, axis: 1j * g.freq_d(axis) * _safe_inverse(g.k_squared),
     # R_l R_l' fused: (i xi_l / |xi|) (i xi_l' / |xi|)
     "riesz_pair": lambda g, l, lp: -g.freq_d(l) * g.freq_d(lp) * _safe_inverse(g.k_squared),
-    "fractional_laplacian": lambda g, order: _safe_power(g.k_abs, order),
-    "lp": lambda g, k: lp_weight(k, g.k_abs),
     "dealias": lambda g: g.dealias_mask,
     # zero-mean inverse of the derivative-frequency Laplacian
     "poisson_zero_mean": lambda g: _safe_inverse(-g.k_squared_d),
@@ -314,15 +283,6 @@ def inv_gradient_riesz(grid: Grid, f: np.ndarray, axis: int) -> np.ndarray:
     return _apply_symbol(grid, f, "inv_gradient_riesz", axis)
 
 
-def fractional_laplacian(grid: Grid, f: np.ndarray, order: float) -> np.ndarray:
-    """Apply (-Laplacian)^(order/2), i.e. the multiplier |xi|^order.
-
-    The xi = 0 mode is zeroed for every order (it is already zero when
-    order > 0; for order <= 0 this is the mean-free inverse).
-    """
-    return _apply_symbol(grid, f, "fractional_laplacian", order)
-
-
 def eta0(mu) -> np.ndarray:
     """Smooth even radial cutoff: 1 on |mu| <= 5/4, 0 on |mu| >= 8/5.
 
@@ -336,28 +296,6 @@ def eta0(mu) -> np.ndarray:
     t = (mu[ramp] - _ETA0_PLATEAU) / (_ETA0_SUPPORT - _ETA0_PLATEAU)
     out[ramp] = np.exp(1.0 - 1.0 / (1.0 - t**2))
     return out
-
-
-def lp_weight(k: int, radius) -> np.ndarray:
-    """Dyadic annulus weight eta_k(|xi|) = eta0(|xi|/2^k) - eta0(|xi|/2^(k-1))."""
-    radius = np.asarray(radius, dtype=float)
-    return eta0(radius / 2.0**k) - eta0(radius / 2.0 ** (k - 1))
-
-
-def lp_projector(grid: Grid, f: np.ndarray, k: int) -> np.ndarray:
-    """Littlewood-Paley projection P_k onto frequencies |xi| ~ 2^k."""
-    return _apply_symbol(grid, f, "lp", k)
-
-
-def lp_k_range(grid: Grid) -> range:
-    """Range of dyadic indices k whose annuli touch the nonzero lattice.
-
-    Summing P_k over this range reproduces f minus its mean on any field.
-    """
-    k_min_abs = 2.0 * np.pi / grid.length
-    lo = int(np.floor(np.log2(k_min_abs / _ETA0_SUPPORT)))
-    hi = int(np.ceil(np.log2(grid.k_max / _ETA0_PLATEAU))) + 1
-    return range(lo, hi + 1)
 
 
 def sobolev_norm(grid: Grid, f: np.ndarray, sigma: float, homogeneous: bool = False) -> float:
@@ -387,27 +325,6 @@ def l2_norm(grid: Grid, f: np.ndarray) -> float:
     return float(np.sqrt(np.sum(np.abs(f) ** 2) * grid.cell_volume))
 
 
-def mean_value(grid: Grid, f: np.ndarray):
-    """Spatial mean over the torus (per leading component)."""
-    f = grid._check_field(f)
-    return f.mean(axis=tuple(range(-grid.d, 0)))
-
-
 def dealias(grid: Grid, f: np.ndarray) -> np.ndarray:
     """Truncate the top third of frequencies (2/3 rule) on every axis."""
     return _apply_symbol(grid, f, "dealias")
-
-
-def dealiased_product(grid: Grid, *factors: np.ndarray) -> np.ndarray:
-    """Pointwise product of fields with 2/3-rule truncation.
-
-    Every factor is truncated before multiplying and each intermediate
-    product is truncated again, so quadratic and cubic products are free of
-    aliasing on the retained modes.
-    """
-    if len(factors) < 2:
-        raise ValueError("need at least two factors")
-    out = dealias(grid, factors[0])
-    for g in factors[1:]:
-        out = dealias(grid, out * dealias(grid, g))
-    return out

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import spheremap as sm
-from spheremap.diagnostics import critical_norm, energy, frame_bound_ratio, gronwall_probe
+from spheremap.diagnostics import critical_norm, energy, frame_bound_ratio
 from spheremap.evolution import (
     SimConfig,
     default_dt,
@@ -20,6 +20,8 @@ from spheremap.gauge import a_from_psi, derive_psi
 from spheremap.geometry import SphereField, coulomb_fix, projection_frame, renormalize
 from spheremap.initial_data import InitialDataSpec, generate_initial, tilted_qprime
 from spheremap.spectral import Grid, inv_gradient_riesz, riesz
+
+from reference import gronwall_probe
 
 
 def report(name: str, ok: bool, detail: str) -> None:

@@ -98,6 +98,18 @@ class TestGenerateInitial:
         with pytest.raises(ValueError, match="kind"):
             InitialDataSpec(kind="vortex")
 
+    @pytest.mark.parametrize(
+        "kwargs, cause",
+        [
+            ({"q": (np.nan, 0.0, 1.0)}, "base point q"),
+            ({"u": (np.nan, 0.0, 0.0)}, "transverse direction u"),
+            ({"u": (1.0, np.nan, 0.0)}, "transverse direction u"),
+        ],
+    )
+    def test_nan_direction_rejected(self, kwargs, cause):
+        with pytest.raises(ValueError, match=cause):
+            InitialDataSpec(**kwargs)
+
 
 class TestSnapshotRoundtrip:
     def test_vector_bitwise(self, tmp_path):
@@ -335,6 +347,10 @@ class TestCliRun:
             ("time.dt=-1", "violates the stability bound"),
             ("initial.amplitude=nan", "amplitude = nan"),
             ("initial.width=inf", "width = inf"),
+            ("initial.q=nan,0,1", "[initial] q = 'nan,0,1': expected three finite numbers"),
+            ("initial.u=nan,0,0", "[initial] u = 'nan,0,0': expected three finite numbers"),
+            ("run.qprime=nan,0,0", "[run] qprime = 'nan,0,0': expected three finite numbers"),
+            ("run.qprime=0,inf,0", "[run] qprime = '0,inf,0': expected three finite numbers"),
         ],
     )
     def test_bad_value_rejected_before_any_output(
@@ -384,6 +400,14 @@ class TestCliVerify:
         for key, text in values.items():
             assert abs(float(text)) < 1e-12, key
 
+    @pytest.mark.parametrize("flag", ["--q", "--qprime"])
+    def test_non_finite_flag_rejected(self, tmp_path, capsys, flag):
+        g = Grid(d=2, n=16)
+        path = str(tmp_path / "q.bin")
+        save_snapshot(generate_initial(InitialDataSpec(amplitude=0.0), g).values, g, 0.0, path)
+        assert cli_main(["verify", path, flag, "nan,0,1"]) == 2
+        assert f"{flag} 'nan,0,1': expected three finite numbers" in capsys.readouterr().err
+
 
 class TestCliNorms:
     def test_norms_on_run_output(self, config_file, tmp_path, capsys):
@@ -424,6 +448,20 @@ class TestCliNorms:
         assert rc == 2
         err = capsys.readouterr().err
         assert f"direction {direction} is not a signed coordinate axis of a 2-d grid" in err
+
+    def test_non_finite_base_point_rejected_before_any_snapshot(
+        self, config_file, tmp_path, capsys, monkeypatch
+    ):
+        assert cli_main(["run", "--config", config_file]) == 0
+        capsys.readouterr()
+
+        def no_load(*args, **kwargs):
+            raise AssertionError("snapshot loaded before --q was checked")
+
+        monkeypatch.setattr("spheremap.cli_io.load_snapshot", no_load)
+        rc = cli_main(["norms", "--dir", str(tmp_path / "out"), "--q", "nan,0,1"])
+        assert rc == 2
+        assert "--q 'nan,0,1': expected three finite numbers" in capsys.readouterr().err
 
 
 class TestCliSweep:

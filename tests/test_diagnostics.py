@@ -11,7 +11,6 @@ from spheremap.diagnostics import (
     directional_norm,
     energy,
     frame_bound_ratio,
-    gronwall_probe,
     l2_distance_q,
     xk_norm,
 )
@@ -20,6 +19,8 @@ from spheremap.gauge import coulomb_slice, derive_psi
 from spheremap.geometry import SphereField, projection_frame, renormalize
 from spheremap.initial_data import InitialDataSpec, generate_initial, tilted_qprime
 from spheremap.spectral import Grid, l2_norm
+
+from reference import gronwall_probe
 
 Q = np.array([0.0, 0.0, 1.0])
 U = np.array([1.0, 0.0, 0.0])

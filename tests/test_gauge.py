@@ -8,7 +8,6 @@ from spheremap.gauge import (
     a0_from_psi,
     a_from_psi,
     coulomb_slice,
-    covariant_derivative,
     derive_psi,
     msm_nonlinearity,
 )
@@ -16,7 +15,6 @@ from spheremap.geometry import (
     SphereField,
     connection_of,
     coulomb_fix,
-    divergence,
     flow_rhs,
     projection_frame,
     rotate_frame,
@@ -26,12 +24,13 @@ from spheremap.evolution import default_dt, evolve_msm
 from spheremap.spectral import (
     Grid,
     dealias,
-    dealiased_product,
     inv_gradient_riesz,
     l2_norm,
     partial_derivative,
     riesz,
 )
+
+from reference import covariant_derivative, dealiased_product, divergence
 
 Q = np.array([0.0, 0.0, 1.0])
 U = np.array([1.0, 0.0, 0.0])

@@ -11,20 +11,19 @@ from spheremap.geometry import (
     _cross,
     Frame,
     FrameDegenerateError,
-    _poisson_zero_mean,
     SphereField,
     connection_of,
     coulomb_fix,
     default_qprime,
-    divergence,
     project_n,
     projection_frame,
     renormalize,
     rotate_frame,
-    sweep_frame,
 )
 from spheremap.initial_data import KINDS, InitialDataSpec, generate_initial, tilted_qprime
 from spheremap.spectral import Grid, l2_norm, partial_derivative
+
+from reference import divergence, poisson_zero_mean
 
 Q = np.array([0.0, 0.0, 1.0])
 U = np.array([1.0, 0.0, 0.0])
@@ -58,6 +57,12 @@ class TestSphereField:
         values[0, 0, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             SphereField(g, values)
+
+    def test_rejects_nan_base_point(self):
+        g = Grid(d=2, n=8)
+        values = np.broadcast_to(Q.reshape(3, 1, 1), (3,) + g.shape).copy()
+        with pytest.raises(ValueError, match="base point q is not a unit vector"):
+            SphereField(g, values, q=np.array([np.nan, 0.0, 1.0]))
 
 
 class TestProjectN:
@@ -182,62 +187,6 @@ class TestProjectionFrame:
                 projection_frame(s, qp)
 
 
-class TestSweepFrame:
-    def test_constant_map(self):
-        g = Grid(d=2, n=8)
-        res = sweep_frame(constant_field(g))
-        assert res.seam_mismatch == 0.0
-        assert not res.seam_warning
-        assert res.frame.max_defect() < 1e-14
-
-    def test_small_bump_matches_projection_gauge_invariantly(self):
-        g = Grid(d=2, n=16)
-        spec = InitialDataSpec(amplitude=1e-3)
-        s = generate_initial(spec, g)
-        res = sweep_frame(s)
-        assert res.frame.max_defect() < 1e-10
-        proj = projection_frame(s, tilted_qprime(spec))
-        # |psi_m| = |d_m s| is frame independent: both constructions agree
-        from spheremap.gauge import derive_psi
-
-        psi_sweep = derive_psi(res.frame)
-        psi_proj = derive_psi(proj)
-        assert np.max(np.abs(np.abs(psi_sweep) - np.abs(psi_proj))) < 1e-8
-        # the relative rotation angle field is well defined
-        cos_a = np.sum(res.frame.v * proj.v, axis=0)
-        sin_a = np.sum(res.frame.v * proj.w, axis=0)
-        assert np.max(np.abs(cos_a**2 + sin_a**2 - 1.0)) < 1e-10
-
-    def test_small_bump_seam_is_small(self):
-        g = Grid(d=2, n=16)
-        s = generate_initial(InitialDataSpec(amplitude=1e-3), g)
-        res = sweep_frame(s)
-        assert res.seam_mismatch < 1e-4
-
-    def test_coarse_oscillation_rejected(self):
-        g = Grid(d=2, n=8)
-        theta = np.cos(coords(g)[0])
-        s = geodesic_field(g, 0.5, theta)  # oscillation far above 2^-10
-        with pytest.raises(ValueError, match="refine"):
-            sweep_frame(s)
-
-    def test_three_dimensional_sweep(self):
-        g = Grid(d=3, n=12)
-        s = generate_initial(InitialDataSpec(amplitude=5e-4), g)
-        res = sweep_frame(s)
-        assert res.frame.max_defect() < 1e-10
-        assert res.seam_mismatch < 1e-6
-        assert not res.seam_warning
-
-    def test_custom_seed_direction(self):
-        g = Grid(d=2, n=16)
-        s = generate_initial(InitialDataSpec(amplitude=1e-3), g)
-        res = sweep_frame(s, seed_direction=np.array([0.0, 1.0, 0.0]))
-        assert res.frame.max_defect() < 1e-10
-        origin = res.frame.v[:, 0, 0]
-        assert origin @ np.array([0.0, 1.0, 0.0]) > 0.99
-
-
 class TestConnection:
     def test_constant_frame_flat(self):
         g = Grid(d=2, n=8)
@@ -322,7 +271,7 @@ class TestCoulombFix:
         # reference: a_m = (d_m v).w, Laplacian chi = -div a, a' = a + d_m chi, axis by axis
         axes = range(1, d + 1)
         a = np.stack([np.sum(partial_derivative(g, frame.v, m) * frame.w, axis=0) for m in axes])
-        chi_ref = _poisson_zero_mean(g, -divergence(g, a))
+        chi_ref = poisson_zero_mean(g, -divergence(g, a))
         a_ref = a + np.stack([partial_derivative(g, chi_ref, m) for m in axes])
         assert np.max(np.abs(chi - chi_ref)) < 1e-12
         assert np.max(np.abs(conn.a - a_ref)) < 1e-12
