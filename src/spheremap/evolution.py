@@ -32,7 +32,7 @@ import numpy as np
 
 from .diagnostics import diagnostics_row
 from .gauge import CoulombSlice, coulomb_slice, msm_nonlinearity
-from .geometry import BlowupSuspectedError, SphereField, flow_rhs, renormalize, _worst_point
+from .geometry import BlowupSuspectedError, SphereField, _cross, _worst_point, renormalize
 from .initial_data import InitialDataSpec, generate_initial, tilted_qprime
 from .spectral import Grid, l2_norm
 
@@ -58,15 +58,52 @@ def default_dt(grid: Grid) -> float:
     return 2.0 / grid.k_max**2
 
 
-def rk4_update(s: SphereField, dt: float) -> np.ndarray:
-    """One classical RK4 step of the flow, before renormalization."""
-    grid = s.grid
+class _Rk4Work:
+    """Work arrays of ``rk4_update`` on one grid, reused from step to step.
+
+    A step then allocates only its result.  Fresh temporaries for every
+    stage sum, spectrum and cross product would make the top of the heap
+    grow and shrink on every step or not, depending on heap layout alone,
+    so the cost of a run would change with unrelated allocations elsewhere.
+    """
+
+    def __init__(self, grid: Grid) -> None:
+        shape = (3,) + grid.shape
+        self.grid = grid
+        self.stage = np.empty(shape)    # y + c dt k, the next stage's input
+        self.slope = np.empty(shape)    # s x Laplacian(s) of the last stage
+        self.total = np.empty(shape)    # k1 + 2 k2 + 2 k3 + k4 so far
+        self.lap = np.empty(shape)
+        self.spectrum = np.empty(shape[:-1] + (grid.n // 2 + 1,), dtype=complex)
+        self.component = np.empty(grid.shape)
+
+    def flow_rhs(self, y: np.ndarray) -> np.ndarray:
+        """``flow_rhs(grid, y)`` written into ``slope``, with the same bits."""
+        grid = self.grid
+        grid.rfft(y, out=self.spectrum)
+        np.multiply(grid.symbol("laplacian", half=True), self.spectrum, out=self.spectrum)
+        grid.irfft(self.spectrum, out=self.lap)
+        return _cross(y, self.lap, out=self.slope, tmp=self.component)
+
+
+def rk4_update(s: SphereField, dt: float, work: _Rk4Work | None = None) -> np.ndarray:
+    """One classical RK4 step of the flow, before renormalization.
+
+    y + (dt/6) (k1 + 2 k2 + 2 k3 + k4) with k_i = flow_rhs at the stages,
+    summed in that order in the arrays of ``work`` (``run`` keeps one for
+    all its steps; without it they are allocated for this call).  The
+    result is a new array.
+    """
     y = s.values
-    k1 = flow_rhs(grid, y)
-    k2 = flow_rhs(grid, y + 0.5 * dt * k1)
-    k3 = flow_rhs(grid, y + 0.5 * dt * k2)
-    k4 = flow_rhs(grid, y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if work is None:
+        work = _Rk4Work(s.grid)
+    stage, slope, total = work.stage, work.slope, work.total
+    np.copyto(total, work.flow_rhs(y))
+    for c, weight in ((0.5 * dt, 2.0), (0.5 * dt, 2.0), (dt, 1.0)):
+        np.add(y, np.multiply(c, slope, out=stage), out=stage)
+        work.flow_rhs(stage)
+        total += np.multiply(weight, slope, out=stage)  # 1.0 * k4 is k4 bit for bit
+    return y + np.multiply(dt / 6.0, total, out=total)
 
 
 def step_rk4_projected(s: SphereField, dt: float) -> SphereField:
@@ -200,13 +237,14 @@ def run(config: SimConfig) -> TrajectoryRecord:
         msm_mismatch=[0.0] if dual_track else None,
     )
 
+    work = _Rk4Work(grid)
     last_step = 0
     for k in range(1, config.steps + 1):
         t = k * dt
         tick = k % config.cadence == 0 or k == config.steps
         sl = None
         try:
-            raw = rk4_update(s, dt)
+            raw = rk4_update(s, dt, work)
             violation = float(np.max(np.abs(np.sqrt(np.sum(raw * raw, axis=0)) - 1.0)))
             s = renormalize(grid, raw, q=s.q)
             last_step = k

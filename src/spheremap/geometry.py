@@ -5,8 +5,8 @@ w = s x v, so (v, w) spans the tangent plane of the sphere at s.  Frames are
 built by projecting a fixed reference direction onto the tangent plane
 (``projection_frame``, always periodic).  ``coulomb_fix`` rotates a frame
 so that the connection coefficients a_m = (d_m v) . w become divergence
-free.  ``flow_rhs`` is the flow velocity s x Laplacian(s) shared by the
-integrator and the identities.
+free.  ``flow_rhs`` is the flow velocity s x Laplacian(s) of the identities;
+the integrator computes the same bits in reused work arrays.
 """
 
 from __future__ import annotations
@@ -56,10 +56,17 @@ def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.sum(u * v, axis=0)
 
 
-def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Pointwise u x v over the leading axis; the same bits as ``np.cross``."""
-    out = np.empty(np.broadcast_shapes(u.shape, v.shape), dtype=np.result_type(u, v))
-    tmp = np.empty(out.shape[1:], dtype=out.dtype)
+def _cross(
+    u: np.ndarray, v: np.ndarray, out: np.ndarray | None = None, tmp: np.ndarray | None = None
+) -> np.ndarray:
+    """Pointwise u x v over the leading axis; the same bits as ``np.cross``.
+
+    ``out`` (the result) and ``tmp`` (one component) are allocated unless given.
+    """
+    if out is None:
+        out = np.empty(np.broadcast_shapes(u.shape, v.shape), dtype=np.result_type(u, v))
+    if tmp is None:
+        tmp = np.empty(out.shape[1:], dtype=out.dtype)
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
         row = out[i, ...]  # a view also for single vectors

@@ -169,13 +169,23 @@ class Grid:
     def ifft(self, fhat: np.ndarray) -> np.ndarray:
         return np.fft.ifftn(fhat, axes=self._axes)
 
-    def rfft(self, f: np.ndarray) -> np.ndarray:
-        """Half spectrum of real data: the last axis keeps modes 0..n/2."""
-        return np.fft.rfftn(f, axes=self._axes)
+    def rfft(self, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Half spectrum of real data: the last axis keeps modes 0..n/2.
 
-    def irfft(self, fhat: np.ndarray) -> np.ndarray:
-        """Real field from a half spectrum produced by ``rfft``."""
-        return np.fft.irfftn(fhat, s=self.shape, axes=self._axes)
+        With ``out`` the spectrum is written there and no array is allocated.
+        """
+        return np.fft.rfftn(f, axes=self._axes, out=out)
+
+    def irfft(self, fhat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Real field from a half spectrum produced by ``rfft``.
+
+        With ``out`` the field is written there and no array is allocated:
+        the inverse transforms along the leading axes then run in place, so
+        ``fhat`` is overwritten.  Either way the result has the same bits.
+        """
+        for axis in self._axes[:-1]:  # the order of np.fft.irfftn
+            fhat = np.fft.ifft(fhat, axis=axis, out=None if out is None else fhat)
+        return np.fft.irfft(fhat, n=self.n, axis=-1, out=out)
 
     @cached_property
     def _symbols(self) -> dict:

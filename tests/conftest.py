@@ -10,9 +10,9 @@ def transform_calls(monkeypatch):
     """Names of the Grid transform methods called during the test, in order."""
     calls = []
     for name in ("fft", "ifft", "rfft", "irfft"):
-        def counted(self, f, _method=getattr(Grid, name), _name=name):
+        def counted(self, *args, _method=getattr(Grid, name), _name=name, **kwargs):
             calls.append(_name)
-            return _method(self, f)
+            return _method(self, *args, **kwargs)
 
         monkeypatch.setattr(Grid, name, counted)
     return calls

@@ -1,5 +1,7 @@
 """Tests for the time integrators and the simulation driver."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,33 @@ class TestStepRk4Projected:
             worst = max(worst, float(np.max(np.abs(np.sqrt(np.sum(raw**2, axis=0)) - 1))))
             s = step_rk4_projected(s, dt)
         assert worst <= 1e-6
+
+    @pytest.mark.parametrize("d, n", [(2, 16), (3, 8), (4, 8)])
+    def test_rk4_update_has_the_bits_of_the_plain_formula(self, d, n):
+        g = Grid(d=d, n=n)
+        s = bump_field(g, eps=0.3)
+        for dt in (default_dt(g), -0.5 * default_dt(g)):
+            y = s.values
+            k1 = flow_rhs(g, y)
+            k2 = flow_rhs(g, y + 0.5 * dt * k1)
+            k3 = flow_rhs(g, y + 0.5 * dt * k2)
+            k4 = flow_rhs(g, y + dt * k3)
+            plain = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            assert np.array_equal(rk4_update(s, dt), plain)
+
+    def test_rk4_update_allocates_only_its_result(self):
+        # run() passes one set of work arrays to every step
+        g = Grid(d=2, n=32)
+        s = bump_field(g)
+        work = evo._Rk4Work(g)
+        tracemalloc.start()
+        try:
+            for _ in range(10):
+                rk4_update(s, default_dt(g), work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * s.values.nbytes
 
     def test_reversibility(self):
         g = Grid(d=2, n=16)
@@ -302,9 +331,9 @@ class TestRun:
         counter = {"n": 0}
         real_update = evo.rk4_update
 
-        def failing_update(s, dt):
+        def failing_update(s, dt, work):
             counter["n"] += 1
-            out = real_update(s, dt)
+            out = real_update(s, dt, work)
             if counter["n"] >= 4:
                 out = out * 5.0  # push lengths outside [1/2, 2]
             return out

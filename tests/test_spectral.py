@@ -301,6 +301,20 @@ class TestRealPath:
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+class TestRealTransformsInto:
+    @pytest.mark.parametrize("d, n", [(2, 16), (3, 10), (4, 8)])
+    def test_out_gives_the_same_bits(self, d, n):
+        g = Grid(d=d, n=n)
+        f = np.random.default_rng(d).normal(size=(3,) + g.shape)
+        spectrum = np.empty((3,) + g.shape[:-1] + (n // 2 + 1,), dtype=complex)
+        assert g.rfft(f, out=spectrum) is spectrum
+        assert np.array_equal(spectrum, g.rfft(f))
+        field = np.empty_like(f)
+        expected = g.irfft(spectrum)
+        assert g.irfft(spectrum, out=field) is field  # overwrites spectrum
+        assert np.array_equal(field, expected)
+
+
 class TestDealiasing:
     def test_low_modes_untouched(self):
         g = Grid(d=2, n=16)
