@@ -31,7 +31,7 @@ from .diagnostics import (
 )
 from .evolution import SimConfig, run
 from .gauge import a_from_psi, coulomb_slice
-from .geometry import SphereField
+from .geometry import _UNIT_TOL, FrameDegenerateError, SphereField
 from .initial_data import InitialDataSpec, generate_initial
 from .spectral import Grid, l2_norm
 
@@ -233,14 +233,21 @@ def _parse_triple(text: str):
     return values
 
 
-def _flag_triple(flag: str, text: str | None):
-    """The x,y,z value of an optional command-line flag; errors name the flag."""
+def _flag_triple(flag: str, text: str | None, unit: bool = False):
+    """The x,y,z value of an optional command-line flag; errors name the flag.
+
+    With ``unit`` the value is a base point and must be a unit vector.
+    """
     if not text:
         return None
     try:
-        return _parse_triple(text)
+        value = _parse_triple(text)
     except ValueError as exc:
         raise ConfigError(f"{flag} {text!r}: {exc}") from exc
+    length = float(np.linalg.norm(value))
+    if unit and not abs(length - 1.0) <= _UNIT_TOL:
+        raise ConfigError(f"{flag} {text!r}: a base point must be a unit vector, length {length:g}")
+    return value
 
 
 def _convert(section: str, key: str, text: str):
@@ -381,10 +388,16 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    q = _flag_triple("--q", args.q)
+    q = _flag_triple("--q", args.q, unit=True)
     qp = _flag_triple("--qprime", args.qprime)
     s = _sphere_from_snapshot(load_snapshot(args.snapshot), q)
-    suite = gauge_identity_suite(s, qp)
+    try:
+        suite = gauge_identity_suite(s, qp)
+    except FrameDegenerateError as exc:
+        if qp is None:
+            raise
+        # an explicit direction builds the frame: it is what failed
+        raise ConfigError(f"--qprime {args.qprime!r}: no projection frame of the snapshot: {exc}") from exc
     for name, value in suite.items():
         print(f"{name} = {_fmt(value)}")
     return 0
@@ -404,7 +417,7 @@ def _load_record_dir(directory: str):
 
 
 def _cmd_norms(args) -> int:
-    q = _flag_triple("--q", args.q)  # reject a bad base point before loading any snapshot
+    q = _flag_triple("--q", args.q, unit=True)  # reject a bad base point before loading any snapshot
     grid, times, snaps = _load_record_dir(args.dir)
     direction_axis(grid, args.direction)  # reject a bad direction before any slice
     fields = []

@@ -115,11 +115,11 @@ def evolve_msm(grid: Grid, psi: np.ndarray, dt: float, nonlinear: bool = True) -
     """One integrating-factor RK4 step of the derived-field system.
 
     With the nonlinearity frozen (``nonlinear=False``) the step reduces to
-    the exact free propagator.
+    the exact free propagator.  The phases exp(-i dt |xi|^2 / 2) and their
+    square come from the grid's symbol cache, built once per ``dt``.
     """
     psi_hat = grid.fft(psi)
-    half = np.exp(-1j * (dt / 2.0) * grid.k_squared)
-    full = half * half
+    half, full = grid.symbol("free_phases", dt, half=False)
     if not nonlinear:
         return grid.ifft(full * psi_hat)
 

@@ -37,6 +37,7 @@ the 2/3 mask.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -76,45 +77,78 @@ def derive_psi(frame: Frame) -> np.ndarray:
     return np.sum(ds * frame.v, axis=1) + 1j * np.sum(ds * frame.w, axis=1)
 
 
+class _Pairs:
+    """Index tables of the pairs of spatial indices 0..d-1.
+
+    ``sym`` lists l <= l' and ``asym`` m < l, both in lexicographic order.
+    Row k of ``other`` lists the indices other than k in order, j below k
+    and j + 1 from k on, and ``pair[k, j]`` is the ``asym`` position of
+    {k, other[k, j]}: walking row k visits the pairs that contain k in
+    ``asym`` order.
+    """
+
+    def __init__(self, d: int) -> None:
+        self.sym = [(l, lp) for l in range(d) for lp in range(l, d)]
+        self.asym = [(m, l) for m in range(d) for l in range(m + 1, d)]
+        self.other = np.array([[l for l in range(d) if l != k] for k in range(d)])
+        self.pair = np.array(
+            [[self.asym.index((min(k, l), max(k, l))) for l in row] for k, row in enumerate(self.other)]
+        )
+
+
+@cache
+def _pairs(d: int) -> _Pairs:
+    return _Pairs(d)
+
+
 def _gauge_spectra(grid: Grid, p: np.ndarray, psi: np.ndarray | None = None) -> tuple:
-    """Truncated half spectra (a_hat, a0_hat, cross_hat) from p = T psi.
+    """Truncated half spectra (ac_hat, a0_hat) from p = T psi.
 
     One rfft of the real products Re(p_l conj p_l') (l <= l'), Im(p_m conj
     p_l) (m < l) and, when ``psi`` is given, Im(psi_m conj psi_l) (m < l)
-    formed from the untruncated psi; then the 2/3 mask T and the symbols:
+    formed from the untruncated psi; then the 2/3 mask T and the stacked
+    pair symbols:
 
         a_m = sum_{l != m} (i xi_l / |xi|^2) Im(p_m conj p_l)
         a0  = sum_l (R_l R_l + 1/2) Re(p_l conj p_l)
               + 2 sum_{l < l'} R_l R_l' Re(p_l conj p_l')
 
-    with R_l R_l' the fused symbol -xi_l xi_l' / |xi|^2.  ``cross_hat`` is
-    empty without ``psi``.
+    with R_l R_l' the fused symbol -xi_l xi_l' / |xi|^2.  The d rows of
+    a_hat are followed in ``ac_hat`` by the cross spectra Im(psi_m conj
+    psi_l), none without ``psi``.  Each sum runs in pair order from zero,
+    as a loop over the pairs would.
     """
     d = grid.d
-    sym = [(l, lp) for l in range(d) for lp in range(l, d)]
-    asym = [(m, l) for m in range(d) for l in range(m + 1, d)]
-    # filled in place: a list of products plus np.stack would hold them twice
-    rows = np.empty((len(sym) + len(asym) * (1 if psi is None else 2),) + grid.shape)
-    for k, (l, lp) in enumerate(sym):
+    pairs = _pairs(d)
+    nsym, nasym = len(pairs.sym), len(pairs.asym)
+    ncross = 0 if psi is None else nasym
+    # filled in place: a list of products plus np.stack would hold them twice.
+    # One product per pair, as written: the imaginary part of a complex
+    # product can change in the last bit with the order of its operands, and
+    # numpy's temporary elision computes x * conj(y) as conj(y) * x on fields
+    # of 256 KiB and more; a stacked product would give other bits there.
+    # The pair symbols below are real or purely imaginary, so their products
+    # have the same bits in either order and can be stacked.
+    rows = np.empty((nsym + nasym + ncross,) + grid.shape)
+    for k, (l, lp) in enumerate(pairs.sym):
         rows[k] = (p[l] * np.conj(p[lp])).real
-    for k, (m, l) in enumerate(asym, start=len(sym)):
+    for k, (m, l) in enumerate(pairs.asym, start=nsym):
         rows[k] = (p[m] * np.conj(p[l])).imag
         if psi is not None:
-            rows[k + len(asym)] = (psi[m] * np.conj(psi[l])).imag
+            rows[k + nasym] = (psi[m] * np.conj(psi[l])).imag
     spec = grid.rfft(rows)
     spec *= grid.symbol("dealias", half=True)
-    re_hat, im_hat = spec[: len(sym)], spec[len(sym): len(sym) + len(asym)]
 
-    a_hat = np.zeros((d,) + spec.shape[1:], dtype=complex)
-    for (m, l), im in zip(asym, im_hat):
-        # Im(p_l conj p_m) = -Im(p_m conj p_l)
-        a_hat[m] += grid.symbol("inv_gradient_riesz", l + 1, half=True) * im
-        a_hat[l] -= grid.symbol("inv_gradient_riesz", m + 1, half=True) * im
-    a0_hat = np.zeros(spec.shape[1:], dtype=complex)
-    for (l, lp), re in zip(sym, re_hat):
-        rr = grid.symbol("riesz_pair", l + 1, lp + 1, half=True)
-        a0_hat += (rr + 0.5) * re if l == lp else 2.0 * rr * re
-    return a_hat, a0_hat, spec[len(sym) + len(asym):]
+    ac_hat = np.zeros((d + ncross,) + spec.shape[1:], dtype=complex)
+    terms = grid.symbol("connection_pairs", half=True) * spec[nsym + pairs.pair]
+    for j in range(d - 1):
+        # rows k <= j take the pair (k, j + 1), rows k > j the pair (j, k),
+        # whose Im(p_j conj p_k) is -Im(p_k conj p_j)
+        ac_hat[: j + 1] += terms[: j + 1, j]
+        ac_hat[j + 1: d] -= terms[j + 1:, j]
+    ac_hat[d:] = spec[nsym + nasym:]
+    a0_hat = np.sum(grid.symbol("potential_pairs", half=True) * spec[:nsym], axis=0, initial=0)
+    return ac_hat, a0_hat
 
 
 def a_from_psi(grid: Grid, psi: np.ndarray) -> Connection:
@@ -124,7 +158,7 @@ def a_from_psi(grid: Grid, psi: np.ndarray) -> Connection:
     single multiplier i xi_l / |xi|^2 on the dealiased products.  The result
     is divergence free by the antisymmetry of Im(psi_m conj(psi_l)).
     """
-    a_hat, _, _ = _gauge_spectra(grid, dealias(grid, psi))
+    a_hat, _ = _gauge_spectra(grid, dealias(grid, psi))
     return Connection(grid, grid.irfft(a_hat))
 
 
@@ -133,7 +167,7 @@ def a0_from_psi(grid: Grid, psi: np.ndarray) -> np.ndarray:
 
     The double Riesz sum runs over spatial indices only.
     """
-    _, a0_hat, _ = _gauge_spectra(grid, dealias(grid, psi))
+    _, a0_hat = _gauge_spectra(grid, dealias(grid, psi))
     return grid.irfft(a0_hat)
 
 
@@ -246,26 +280,35 @@ def msm_nonlinearity(grid: Grid, psi_hat: np.ndarray) -> np.ndarray:
     Im(psi_l conj psi_m) are the untruncated psi.  Six batched transforms at
     every d: ifft of (p, d_l p_m, psi), rfft of the products, irfft of
     (a, cross), rfft of sum_l a_l^2, irfft of the potential, fft of N.
+    The transformed stacks are filled in place, and the sums over index
+    pairs (a, a0 and the cross term) are a few vectorized operations with
+    the stacked pair symbols, run in the order of a loop over the pairs.
     """
     d = grid.d
     mask = grid.symbol("dealias", half=False)
-    p_hat = mask * psi_hat
-    fields = grid.ifft(np.concatenate(
-        [p_hat, gradient_hat(grid, p_hat, half=False).reshape((d * d,) + grid.shape), psi_hat]
-    ))
+    # (p, d_l p_m, psi) filled in place and transformed in place
+    fields = np.empty((2 * d + d * d,) + grid.shape, dtype=complex)
     p, dp, psi = fields[:d], fields[d: d + d * d].reshape((d, d) + grid.shape), fields[d + d * d:]
+    np.multiply(mask, psi_hat, out=p)
+    gradient_hat(grid, p, half=False, out=dp)
+    psi[...] = psi_hat
+    grid.ifft(fields, out=fields)
 
-    a_hat, a0_hat, cross_hat = _gauge_spectra(grid, p, psi)
-    a_cross = grid.irfft(np.concatenate([a_hat, cross_hat]))
+    ac_hat, a0_hat = _gauge_spectra(grid, p, psi)
+    a_cross = grid.irfft(ac_hat)
     a, cross = a_cross[:d], a_cross[d:]
     potential = grid.irfft(
         a0_hat + grid.symbol("dealias", half=True) * grid.rfft(np.sum(a * a, axis=0))
     )
 
-    out = potential * p - 2j * np.sum(a[:, None] * dp, axis=0)
-    pairs = ((m, l) for m in range(d) for l in range(m + 1, d))
-    for c, (m, l) in zip(cross, pairs):
-        # c = Im(psi_m conj psi_l): adds to N_l, and with the opposite sign to N_m
-        out[l] += 1j * c * p[m]
-        out[m] -= 1j * c * p[l]
-    return mask * grid.fft(out)
+    out = potential * p
+    out -= 2j * np.sum(a[:, None] * dp, axis=0)
+    # c = Im(psi_m conj psi_l) adds i c p_m to N_l and -i c p_l to N_m; row k
+    # of ``terms`` holds the pairs that contain k, in pair order
+    pairs = _pairs(d)
+    terms = (1j * cross)[pairs.pair] * p[pairs.other]
+    for j in range(d - 1):
+        out[j + 1:] += terms[j + 1:, j]
+        out[: j + 1] -= terms[: j + 1, j]
+    grid.fft(out, out=out)
+    return np.multiply(mask, out, out=out)

@@ -18,7 +18,7 @@ rounding), localized around a base point q on the sphere:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -11,11 +11,18 @@ Conventions:
   real fields and act on real input through the half spectrum
   (``Grid.rfft`` / ``Grid.irfft``); complex input goes through the full
   ``Grid.fft`` / ``Grid.ifft``.
-* Every Hermitian symbol is built once per grid by name (``_SYMBOLS``,
-  cached by ``Grid.symbol``); Fourier-space kernels such as the gauge
-  nonlinearity and the Coulomb solve multiply the same cached symbols, with
+* The four ``Grid`` transforms give the bits of ``np.fft.fftn``,
+  ``ifftn``, ``rfftn`` and ``irfftn`` but call the 1-D ``np.fft``
+  transforms themselves, in numpy's axis order: on the small grids used
+  here the n-D wrappers cost more than a pass.  Each takes an optional
+  ``out`` array; after the first pass the others run in place.
+* Every symbol is built once per grid by name (``_SYMBOLS``, cached by
+  ``Grid.symbol``); Fourier-space kernels such as the gauge nonlinearity
+  and the Coulomb solve multiply the same cached symbols, with
   ``gradient_hat`` stacking all d first-derivative spectra for one inverse
-  transform.
+  transform.  Stacked symbols serve a whole stack of spectra in one
+  product: the gauge pair symbols of ``msm_nonlinearity`` and
+  ``a_from_psi``, and the integrating-factor phases of ``evolve_msm``.
 * The dual lattice is xi in (2*pi/L) * {-n/2, ..., n/2 - 1}^d.
 * Fourier coefficients are normalized so that Plancherel holds against the
   continuum L2 integral over the torus:
@@ -159,32 +166,48 @@ class Grid:
             mask &= keep_1d.reshape(shape)
         return mask
 
-    @property
-    def _axes(self) -> tuple:
-        return tuple(range(-self.d, 0))
+    def fft(self, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Full spectrum over the last d axes, batched over leading axes.
 
-    def fft(self, f: np.ndarray) -> np.ndarray:
-        return np.fft.fftn(f, axes=self._axes)
+        The 1-D transforms run last axis first, as ``np.fft.fftn`` does, and
+        give its bits.  The first writes into ``out`` (a new array if None)
+        and the others run in place there, so ``f`` is left as it was.
+        """
+        for axis in range(-1, -self.d - 1, -1):
+            f = out = np.fft.fft(f, axis=axis, out=out)
+        return out
 
-    def ifft(self, fhat: np.ndarray) -> np.ndarray:
-        return np.fft.ifftn(fhat, axes=self._axes)
+    def ifft(self, fhat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Inverse of ``fft``: ``np.fft.ifftn`` over the last d axes, bit for
+        bit, through 1-D transforms that write into ``out`` like ``fft``."""
+        for axis in range(-1, -self.d - 1, -1):
+            fhat = out = np.fft.ifft(fhat, axis=axis, out=out)
+        return out
 
     def rfft(self, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Half spectrum of real data: the last axis keeps modes 0..n/2.
 
-        With ``out`` the spectrum is written there and no array is allocated.
+        ``np.fft.rfftn`` bit for bit: a real transform of the last axis into
+        ``out`` (a new array if None), then complex ones of the other axes,
+        backwards and in place there.
         """
-        return np.fft.rfftn(f, axes=self._axes, out=out)
+        out = np.fft.rfft(f, axis=-1, out=out)
+        for axis in range(-2, -self.d - 1, -1):
+            np.fft.fft(out, axis=axis, out=out)
+        return out
 
     def irfft(self, fhat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Real field from a half spectrum produced by ``rfft``.
 
-        With ``out`` the field is written there and no array is allocated:
-        the inverse transforms along the leading axes then run in place, so
-        ``fhat`` is overwritten.  Either way the result has the same bits.
+        ``np.fft.irfftn`` bit for bit: complex inverse transforms of the
+        leading axes in its order, then a real one of the last axis into
+        ``out`` (a new array if None).  With ``out`` the complex passes run
+        in place, so ``fhat`` is overwritten; without it they run in one
+        new array and ``fhat`` is left as it was.
         """
-        for axis in self._axes[:-1]:  # the order of np.fft.irfftn
-            fhat = np.fft.ifft(fhat, axis=axis, out=None if out is None else fhat)
+        work = fhat if out is not None else None
+        for axis in range(-self.d, -1):  # the order of np.fft.irfftn
+            fhat = work = np.fft.ifft(fhat, axis=axis, out=work)
         return np.fft.irfft(fhat, n=self.n, axis=-1, out=out)
 
     @cached_property
@@ -192,13 +215,17 @@ class Grid:
         return {}
 
     def symbol(self, name: str, *args, half: bool) -> np.ndarray:
-        """Hermitian Fourier symbol ``name`` of ``_SYMBOLS`` at ``args``, cached.
+        """Fourier symbol ``name`` of ``_SYMBOLS`` at ``args``, cached.
 
-        The full form is in FFT ordering, broadcastable to ``shape``; the
-        half form keeps indices 0..n/2 of the last axis and multiplies
-        ``rfft`` spectra.  There index n/2 stands for frequency -n/2 where
-        rfft has +n/2; every symbol is even in that frequency or, for odd
-        derivative factors, zero at it.
+        The full form is in FFT ordering, broadcastable to ``shape`` or
+        stacked on leading axes; the half form keeps indices 0..n/2 of the
+        last axis and multiplies ``rfft`` spectra.  There index n/2 stands
+        for frequency -n/2 where rfft has +n/2; every symbol is even in that
+        frequency or, for odd derivative factors, zero at it.  All are
+        Hermitian except the integrating-factor phases ``free_phases``,
+        which are used in full form only and are cached per time step
+        ``dt``.  Entries are plain arrays, so the cache holds no reference
+        back to its grid.
         """
         key = (name, args, half)
         cache = self._symbols
@@ -230,15 +257,22 @@ def _apply_symbol(grid: Grid, f: np.ndarray, name: str, *args) -> np.ndarray:
     return grid.irfft(grid.symbol(name, *args, half=True) * grid.rfft(f))
 
 
-def gradient_hat(grid: Grid, fhat: np.ndarray, half: bool) -> np.ndarray:
+def gradient_hat(
+    grid: Grid, fhat: np.ndarray, half: bool, out: np.ndarray | None = None
+) -> np.ndarray:
     """Spectra i xi_m fhat of the d first derivatives, stacked on a new axis 0.
 
     ``fhat`` is a half (``rfft``) or full (``fft``) spectrum, batched over
     leading axes; one inverse transform of the result gives every d_m f.
+    Written into ``out`` when given.  Each axis keeps its broadcastable
+    symbol: a dense stack would hold d spectra on every grid, and ``norms``
+    holds a grid per snapshot.
     """
-    return np.stack(
-        [grid.symbol("partial_derivative", m, half=half) * fhat for m in range(1, grid.d + 1)]
-    )
+    if out is None:
+        out = np.empty((grid.d,) + fhat.shape, dtype=complex)
+    for m in range(grid.d):
+        np.multiply(grid.symbol("partial_derivative", m + 1, half=half), fhat, out=out[m])
+    return out
 
 
 def partial_derivative(grid: Grid, f: np.ndarray, axis: int) -> np.ndarray:
@@ -266,18 +300,44 @@ def _safe_power(k: np.ndarray, order: float) -> np.ndarray:
     return out
 
 
-# Hermitian Fourier symbols by name: builder(grid, *args) returns the symbol
-# in FFT ordering, broadcastable to grid.shape; ``Grid.symbol`` caches it.
+def _inv_gradient_riesz(g: Grid, axis: int) -> np.ndarray:
+    return 1j * g.freq_d(axis) * _safe_inverse(g.k_squared)
+
+
+def _riesz_pair(g: Grid, l: int, lp: int) -> np.ndarray:
+    """R_l R_l' fused: (i xi_l / |xi|) (i xi_l' / |xi|)."""
+    return -g.freq_d(l) * g.freq_d(lp) * _safe_inverse(g.k_squared)
+
+
+def _free_phases(g: Grid, dt: float) -> np.ndarray:
+    """exp(-i dt |xi|^2 / 2) and its square, the half- and full-step phases."""
+    half = np.exp(-1j * (dt / 2.0) * g.k_squared)
+    return np.stack([half, half * half])
+
+
+# Fourier symbols by name: builder(grid, *args) returns the symbol in FFT
+# ordering, broadcastable to grid.shape or stacked on leading axes;
+# ``Grid.symbol`` caches it.  The stacked gauge symbols index the pairs of
+# spatial indices 0..d-1 the way ``gauge`` does: row k, column j of
+# ``connection_pairs`` is i xi_l / |xi|^2 for l the j-th index other than k;
+# ``potential_pairs`` runs over l <= l' in order, with R_l R_l + 1/2 on the
+# diagonal and 2 R_l R_l' off it.
 _SYMBOLS = {
     "partial_derivative": lambda g, axis: 1j * g.freq_d(axis),
     "laplacian": lambda g: -g.k_squared,
     "riesz": lambda g, axis: 1j * g.freq_d(axis) * _safe_inverse(g.k_abs),
-    "inv_gradient_riesz": lambda g, axis: 1j * g.freq_d(axis) * _safe_inverse(g.k_squared),
-    # R_l R_l' fused: (i xi_l / |xi|) (i xi_l' / |xi|)
-    "riesz_pair": lambda g, l, lp: -g.freq_d(l) * g.freq_d(lp) * _safe_inverse(g.k_squared),
+    "inv_gradient_riesz": _inv_gradient_riesz,
+    "connection_pairs": lambda g: np.array(
+        [[_inv_gradient_riesz(g, l + 1) for l in range(g.d) if l != k] for k in range(g.d)]
+    ),
+    "potential_pairs": lambda g: np.array([
+        _riesz_pair(g, l + 1, lp + 1) + 0.5 if l == lp else 2.0 * _riesz_pair(g, l + 1, lp + 1)
+        for l in range(g.d) for lp in range(l, g.d)
+    ]),
     "dealias": lambda g: g.dealias_mask,
     # zero-mean inverse of the derivative-frequency Laplacian
     "poisson_zero_mean": lambda g: _safe_inverse(-g.k_squared_d),
+    "free_phases": _free_phases,
 }
 
 

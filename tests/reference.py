@@ -1,9 +1,10 @@
 """Reference implementations that serve as test oracles.
 
 These are the physical-space forms of operators the package computes in
-Fourier space, and the two-trajectory Gronwall probe behind the uniqueness
-criterion.  No command uses them; they live beside the tests that check the
-package against them.
+Fourier space, the loop-over-pairs form of the derived-field kernel, and
+the two-trajectory Gronwall probe behind the uniqueness criterion.  No
+command uses them; they live beside the tests that check the package
+against them.
 """
 
 from __future__ import annotations
@@ -14,7 +15,14 @@ import numpy as np
 
 from spheremap.evolution import default_dt, step_rk4_projected
 from spheremap.geometry import SphereField
-from spheremap.spectral import Grid, _apply_symbol, dealias, partial_derivative, sobolev_norm
+from spheremap.spectral import (
+    Grid,
+    _apply_symbol,
+    _riesz_pair,
+    dealias,
+    partial_derivative,
+    sobolev_norm,
+)
 
 
 def dealiased_product(grid: Grid, *factors: np.ndarray) -> np.ndarray:
@@ -50,6 +58,80 @@ def poisson_zero_mean(grid: Grid, rhs: np.ndarray) -> np.ndarray:
     composed spectral derivatives reproduces rhs exactly.
     """
     return _apply_symbol(grid, rhs, "poisson_zero_mean")
+
+
+def gauge_spectra_by_pairs(grid: Grid, p: np.ndarray, psi: np.ndarray | None = None) -> tuple:
+    """Truncated half spectra (a_hat, a0_hat, cross_hat) of the gauge
+    kernel, one pair of indices at a time, through ``np.fft.rfftn``."""
+    d = grid.d
+    sym = [(l, lp) for l in range(d) for lp in range(l, d)]
+    asym = [(m, l) for m in range(d) for l in range(m + 1, d)]
+    rows = np.empty((len(sym) + len(asym) * (1 if psi is None else 2),) + grid.shape)
+    for k, (l, lp) in enumerate(sym):
+        rows[k] = (p[l] * np.conj(p[lp])).real
+    for k, (m, l) in enumerate(asym, start=len(sym)):
+        rows[k] = (p[m] * np.conj(p[l])).imag
+        if psi is not None:
+            rows[k + len(asym)] = (psi[m] * np.conj(psi[l])).imag
+    spec = np.fft.rfftn(rows, axes=tuple(range(-d, 0)))
+    spec *= grid.symbol("dealias", half=True)
+    re_hat, im_hat = spec[: len(sym)], spec[len(sym): len(sym) + len(asym)]
+
+    a_hat = np.zeros((d,) + spec.shape[1:], dtype=complex)
+    for (m, l), im in zip(asym, im_hat):
+        a_hat[m] += grid.symbol("inv_gradient_riesz", l + 1, half=True) * im
+        a_hat[l] -= grid.symbol("inv_gradient_riesz", m + 1, half=True) * im
+    a0_hat = np.zeros(spec.shape[1:], dtype=complex)
+    for (l, lp), re in zip(sym, re_hat):
+        rr = np.ascontiguousarray(_riesz_pair(grid, l + 1, lp + 1)[..., : grid.n // 2 + 1])
+        a0_hat += (rr + 0.5) * re if l == lp else 2.0 * rr * re
+    return a_hat, a0_hat, spec[len(sym) + len(asym):]
+
+
+def nonlinearity_by_pairs(grid: Grid, psi_hat: np.ndarray) -> np.ndarray:
+    """``msm_nonlinearity`` with the cross term summed one pair at a time and
+    every transform a numpy n-D call on a fresh array."""
+    d = grid.d
+    axes = tuple(range(-d, 0))
+    mask = grid.dealias_mask
+    p_hat = mask * psi_hat
+    grad = np.stack([grid.symbol("partial_derivative", m, half=False) * p_hat
+                     for m in range(1, d + 1)])
+    fields = np.fft.ifftn(np.concatenate([p_hat, grad.reshape((d * d,) + grid.shape), psi_hat]),
+                          axes=axes)
+    p, dp, psi = fields[:d], fields[d: d + d * d].reshape((d, d) + grid.shape), fields[d + d * d:]
+
+    a_hat, a0_hat, cross_hat = gauge_spectra_by_pairs(grid, p, psi)
+    a_cross = np.fft.irfftn(np.concatenate([a_hat, cross_hat]), s=grid.shape, axes=axes)
+    a, cross = a_cross[:d], a_cross[d:]
+    potential = np.fft.irfftn(
+        a0_hat + grid.symbol("dealias", half=True) * np.fft.rfftn(np.sum(a * a, axis=0), axes=axes),
+        s=grid.shape, axes=axes,
+    )
+    out = potential * p - 2j * np.sum(a[:, None] * dp, axis=0)
+    pairs = ((m, l) for m in range(d) for l in range(m + 1, d))
+    for c, (m, l) in zip(cross, pairs):
+        out[l] += 1j * c * p[m]
+        out[m] -= 1j * c * p[l]
+    return mask * np.fft.fftn(out, axes=axes)
+
+
+def evolve_by_pairs(grid: Grid, psi: np.ndarray, dt: float) -> np.ndarray:
+    """``evolve_msm`` on ``nonlinearity_by_pairs``, its phases computed afresh."""
+    axes = tuple(range(-grid.d, 0))
+    psi_hat = np.fft.fftn(psi, axes=axes)
+    half = np.exp(-1j * (dt / 2.0) * grid.k_squared)
+    full = half * half
+
+    def nhat(ph):
+        return -1j * nonlinearity_by_pairs(grid, ph)
+
+    a = nhat(psi_hat)
+    b = nhat(half * (psi_hat + 0.5 * dt * a))
+    c = nhat(half * psi_hat + 0.5 * dt * b)
+    d = nhat(full * psi_hat + dt * half * c)
+    out_hat = full * psi_hat + (dt / 6.0) * (full * a + 2.0 * half * (b + c) + d)
+    return np.fft.ifftn(out_hat, axes=axes)
 
 
 def _h1_norm(grid: Grid, f: np.ndarray) -> float:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import spheremap as sm
-from spheremap.diagnostics import critical_norm, energy, frame_bound_ratio
+from spheremap.diagnostics import energy, frame_bound_ratio
 from spheremap.evolution import (
     SimConfig,
     default_dt,

@@ -408,6 +408,22 @@ class TestCliVerify:
         assert cli_main(["verify", path, flag, "nan,0,1"]) == 2
         assert f"{flag} 'nan,0,1': expected three finite numbers" in capsys.readouterr().err
 
+    def test_non_unit_base_point_rejected(self, tmp_path, capsys):
+        g = Grid(d=2, n=16)
+        path = str(tmp_path / "q.bin")
+        save_snapshot(generate_initial(InitialDataSpec(amplitude=0.0), g).values, g, 0.0, path)
+        assert cli_main(["verify", path, "--q", "0,0,2"]) == 2
+        assert "--q '0,0,2': a base point must be a unit vector, length 2" in capsys.readouterr().err
+
+    def test_qprime_parallel_to_the_map_rejected(self, tmp_path, capsys):
+        g = Grid(d=2, n=16)
+        path = str(tmp_path / "q.bin")
+        save_snapshot(generate_initial(InitialDataSpec(amplitude=0.0), g).values, g, 0.0, path)
+        assert cli_main(["verify", path, "--qprime", "0,0,1"]) == 2
+        err = capsys.readouterr().err
+        assert "--qprime '0,0,1': no projection frame of the snapshot" in err
+        assert "|u1.u2| = 1.00000 >= 2^-5" in err
+
 
 class TestCliNorms:
     def test_norms_on_run_output(self, config_file, tmp_path, capsys):
@@ -462,6 +478,20 @@ class TestCliNorms:
         rc = cli_main(["norms", "--dir", str(tmp_path / "out"), "--q", "nan,0,1"])
         assert rc == 2
         assert "--q 'nan,0,1': expected three finite numbers" in capsys.readouterr().err
+
+    def test_non_unit_base_point_rejected_before_any_snapshot(
+        self, config_file, tmp_path, capsys, monkeypatch
+    ):
+        assert cli_main(["run", "--config", config_file]) == 0
+        capsys.readouterr()
+
+        def no_load(*args, **kwargs):
+            raise AssertionError("snapshot loaded before --q was checked")
+
+        monkeypatch.setattr("spheremap.cli_io.load_snapshot", no_load)
+        rc = cli_main(["norms", "--dir", str(tmp_path / "out"), "--q", "0,0,2"])
+        assert rc == 2
+        assert "--q '0,0,2': a base point must be a unit vector, length 2" in capsys.readouterr().err
 
 
 class TestCliSweep:

@@ -1,6 +1,8 @@
 """Tests for the time integrators and the simulation driver."""
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -230,6 +232,21 @@ class TestEvolveMsm:
         e1 = np.max(np.abs(msm_evolve(psi0, dt, 16) - ref))
         e2 = np.max(np.abs(msm_evolve(psi0, dt / 2, 32) - ref))
         assert e1 / e2 == pytest.approx(16.0, rel=0.2)
+
+    def test_grid_is_freed_without_the_cycle_collector(self):
+        # the symbol cache holds the phases and pair symbols of a step; an
+        # entry that referenced its own grid would keep it alive until gc
+        gc.disable()
+        try:
+            g = Grid(d=2, n=16)
+            psi = bump_psi(g)
+            evolve_msm(g, psi, default_dt(g))
+            assert g.symbol("free_phases", default_dt(g), half=False).shape == (2,) + g.shape
+            grid_ref = weakref.ref(g)
+            del g
+            assert grid_ref() is None
+        finally:
+            gc.enable()
 
 
 class TestScalingSymmetry:

@@ -30,7 +30,14 @@ from spheremap.spectral import (
     riesz,
 )
 
-from reference import covariant_derivative, dealiased_product, divergence
+from reference import (
+    covariant_derivative,
+    dealiased_product,
+    divergence,
+    evolve_by_pairs,
+    gauge_spectra_by_pairs,
+    nonlinearity_by_pairs,
+)
 
 Q = np.array([0.0, 0.0, 1.0])
 U = np.array([1.0, 0.0, 0.0])
@@ -544,6 +551,28 @@ class TestFourierKernelMatchesComposition:
             fast = evolve_msm(g, fast, dt)
             psi = composed_evolve(g, psi, dt)
         assert max_rel(fast, psi) < 1e-12
+
+
+class TestStackedPairSumsKeepTheBits:
+    """The stacked pair symbols and sums give the bits of the loop over pairs,
+    also on fields of 2^14 points and more, where numpy reuses temporaries."""
+
+    @pytest.mark.parametrize("d, n", [(2, 16), (3, 8), (4, 8), (4, 12)])
+    def test_kernel_and_step(self, d, n):
+        g = Grid(d=d, n=n)
+        psi = random_full_spectrum_psi(g, seed=d * n)
+        psi_hat = g.fft(psi)
+        p = dealias(g, psi)
+        a_hat, a0_hat, _ = gauge_spectra_by_pairs(g, p)
+        pairs = [
+            (msm_nonlinearity(g, psi_hat), nonlinearity_by_pairs(g, psi_hat)),
+            (a_from_psi(g, psi).a, np.fft.irfftn(a_hat, s=g.shape, axes=tuple(range(-d, 0)))),
+            (a0_from_psi(g, psi), np.fft.irfftn(a0_hat, s=g.shape, axes=tuple(range(-d, 0)))),
+            (evolve_msm(g, psi, default_dt(g)), evolve_by_pairs(g, psi, default_dt(g))),
+        ]
+        for got, expected in pairs:
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
 
 
 class TestCoulombSlice:

@@ -315,6 +315,46 @@ class TestRealTransformsInto:
         assert np.array_equal(field, expected)
 
 
+class TestTransformsMatchNumpy:
+    """The Grid transforms give the bits of numpy's n-D transforms."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        d=st.integers(2, 4),
+        n=st.sampled_from([8, 10, 12]),
+        batch=st.lists(st.integers(1, 3), max_size=2),
+        complex_input=st.booleans(),
+        use_out=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bit_for_bit(self, d, n, batch, complex_input, use_out, seed):
+        g = Grid(d=d, n=n)
+        axes = tuple(range(-d, 0))
+        shape = tuple(batch) + g.shape
+        half_shape = shape[:-1] + (n // 2 + 1,)
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=shape)
+        if complex_input:
+            x = x + 1j * rng.normal(size=shape)
+        spectrum = rng.normal(size=half_shape) + 1j * rng.normal(size=half_shape)
+        real = np.ascontiguousarray(x.real)
+        cases = [
+            (g.fft, np.fft.fftn(x, axes=axes), x, complex),
+            (g.ifft, np.fft.ifftn(x, axes=axes), x, complex),
+            (g.rfft, np.fft.rfftn(real, axes=axes), real, complex),
+            (g.irfft, np.fft.irfftn(spectrum, s=g.shape, axes=axes), spectrum, float),
+        ]
+        for method, expected, arg, dtype in cases:
+            before = arg.copy()
+            out = np.empty(expected.shape, dtype=dtype) if use_out else None
+            got = method(arg.copy() if use_out else arg, out=out)
+            if use_out:
+                assert got is out
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes(), method.__name__
+            assert arg.tobytes() == before.tobytes(), f"{method.__name__} modified its input"
+
+
 class TestDealiasing:
     def test_low_modes_untouched(self):
         g = Grid(d=2, n=16)

@@ -35,3 +35,37 @@ def test_package_imports_only_listed_names():
             assert alias.name in module.__all__, (
                 f"spheremap imports {alias.name}, which {node.module}.__all__ does not list"
             )
+
+
+def _unused_imports(path: Path) -> list:
+    """Names bound by the module-level imports of ``path`` and never read.
+
+    A package ``__init__`` re-exports its relative imports, so those count
+    as used; so does every name listed in ``__all__``.
+    """
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            if path.name == "__init__.py" and node.level > 0:
+                continue
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= set(ast.literal_eval(node.value))
+    return [f"{path}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_top_level_imports():
+    root = Path(__file__).resolve().parents[1]
+    sources = sorted([*root.glob("src/**/*.py"), *root.glob("tests/**/*.py")])
+    assert sources
+    unused = [item for path in sources for item in _unused_imports(path)]
+    assert not unused, "unused imports: " + ", ".join(unused)
