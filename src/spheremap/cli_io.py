@@ -115,7 +115,11 @@ def save_snapshot(values: np.ndarray, grid: Grid, time: float, path: str) -> Non
 
 
 def load_snapshot(path: str, expect_grid: Grid | None = None) -> Snapshot:
-    """Read a snapshot back; raises on corruption or on a grid mismatch."""
+    """Read a snapshot back; raises on corruption or on a grid mismatch.
+
+    With ``expect_grid`` the snapshot carries that very ``Grid`` object, so
+    the snapshots of one record share its cached symbols.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < len(_MAGIC) + 12 or blob[: len(_MAGIC)] != _MAGIC:
@@ -155,15 +159,13 @@ def load_snapshot(path: str, expect_grid: Grid | None = None) -> Snapshot:
     if zlib.crc32(payload_bytes) != payload_crc:
         raise SnapshotFormatError(f"{path}: payload checksum mismatch")
 
-    if expect_grid is not None and (grid.d, grid.n, grid.length) != (
-        expect_grid.d,
-        expect_grid.n,
-        expect_grid.length,
-    ):
-        raise ValueError(
-            f"{path}: grid mismatch, file has d={grid.d} n={grid.n} L={grid.length}, "
-            f"expected d={expect_grid.d} n={expect_grid.n} L={expect_grid.length}"
-        )
+    if expect_grid is not None:
+        if grid != expect_grid:  # compares d, n and length
+            raise ValueError(
+                f"{path}: grid mismatch, file has d={grid.d} n={grid.n} L={grid.length}, "
+                f"expected d={expect_grid.d} n={expect_grid.n} L={expect_grid.length}"
+            )
+        grid = expect_grid
 
     flat = np.frombuffer(payload_bytes, dtype="<f8")
     if kind == _KIND_VECTOR3:
@@ -407,11 +409,9 @@ def _load_record_dir(directory: str):
     paths = sorted(glob.glob(os.path.join(directory, "snapshot_*.bin")))
     if len(paths) < 2:
         raise ConfigError(f"{directory}: need at least two snapshots for a record")
-    snaps = [load_snapshot(p) for p in paths]
-    grid = snaps[0].grid
-    for p, sn in zip(paths[1:], snaps[1:]):
-        if (sn.grid.d, sn.grid.n, sn.grid.length) != (grid.d, grid.n, grid.length):
-            raise ValueError(f"{p}: grid mismatch within record directory")
+    first = load_snapshot(paths[0])
+    grid = first.grid
+    snaps = [first] + [load_snapshot(p, expect_grid=grid) for p in paths[1:]]
     times = np.array([sn.time for sn in snaps])
     return grid, times, snaps
 

@@ -16,6 +16,12 @@ Conventions:
   transforms themselves, in numpy's axis order: on the small grids used
   here the n-D wrappers cost more than a pass.  Each takes an optional
   ``out`` array; after the first pass the others run in place.
+* At d = 4 the axis -2 pass of a half spectrum (``rfft``'s first complex
+  pass, ``irfft``'s last) runs on a contiguous transposed copy: in place,
+  numpy runs it as n^2 strided loops of n/2 + 1 lines, which cost about
+  twice a pass of the other axes.  The rule follows from the layout: on
+  full spectra and at d = 2, 3 every pass stays in place, where it is as
+  fast or faster.
 * Every symbol is built once per grid by name (``_SYMBOLS``, cached by
   ``Grid.symbol``); Fourier-space kernels such as the gauge nonlinearity
   and the Coulomb solve multiply the same cached symbols, with
@@ -189,11 +195,15 @@ class Grid:
 
         ``np.fft.rfftn`` bit for bit: a real transform of the last axis into
         ``out`` (a new array if None), then complex ones of the other axes,
-        backwards and in place there.
+        backwards and in place there.  At d = 4 the axis -2 pass runs on
+        contiguous lines (``_pass_on_lines``).
         """
         out = np.fft.rfft(f, axis=-1, out=out)
         for axis in range(-2, -self.d - 1, -1):
-            np.fft.fft(out, axis=axis, out=out)
+            if axis == -2 and self.d == 4:
+                _pass_on_lines(np.fft.fft, out)
+            else:
+                np.fft.fft(out, axis=axis, out=out)
         return out
 
     def irfft(self, fhat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -203,11 +213,16 @@ class Grid:
         leading axes in its order, then a real one of the last axis into
         ``out`` (a new array if None).  With ``out`` the complex passes run
         in place, so ``fhat`` is overwritten; without it they run in one
-        new array and ``fhat`` is left as it was.
+        new array and ``fhat`` is left as it was.  At d = 4 the axis -2 pass
+        runs on contiguous lines (``_pass_on_lines``), in ``work``: the
+        passes of axes -4 and -3 come first and have set it.
         """
         work = fhat if out is not None else None
         for axis in range(-self.d, -1):  # the order of np.fft.irfftn
-            fhat = work = np.fft.ifft(fhat, axis=axis, out=work)
+            if axis == -2 and self.d == 4:
+                _pass_on_lines(np.fft.ifft, work)
+            else:
+                fhat = work = np.fft.ifft(fhat, axis=axis, out=work)
         return np.fft.irfft(fhat, n=self.n, axis=-1, out=out)
 
     @cached_property
@@ -245,6 +260,18 @@ class Grid:
         return f
 
 
+def _pass_on_lines(transform, x: np.ndarray) -> None:
+    """``transform(x, axis=-2, out=x)`` on a contiguous copy with that axis last.
+
+    numpy cannot merge the axes on either side of axis -2 into one loop;
+    transposed, the same 1-D transforms of the same lines (so the same
+    bits) run as one.  The module docstring says where the two copies pay.
+    """
+    lines = np.ascontiguousarray(np.moveaxis(x, -2, -1))
+    transform(lines, axis=-1, out=lines)
+    np.copyto(x, np.moveaxis(lines, -1, -2))
+
+
 def _apply_symbol(grid: Grid, f: np.ndarray, name: str, *args) -> np.ndarray:
     """Apply the symbol ``grid.symbol(name, *args)`` to a field.
 
@@ -265,8 +292,7 @@ def gradient_hat(
     ``fhat`` is a half (``rfft``) or full (``fft``) spectrum, batched over
     leading axes; one inverse transform of the result gives every d_m f.
     Written into ``out`` when given.  Each axis keeps its broadcastable
-    symbol: a dense stack would hold d spectra on every grid, and ``norms``
-    holds a grid per snapshot.
+    symbol: a dense stack would hold d full-size spectra on every grid.
     """
     if out is None:
         out = np.empty((grid.d,) + fhat.shape, dtype=complex)

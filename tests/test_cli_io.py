@@ -15,6 +15,7 @@ from spheremap.cli_io import (
     save_snapshot,
 )
 from spheremap.diagnostics import DiagnosticsRow, critical_norm
+from spheremap.gauge import coulomb_slice
 from spheremap.initial_data import InitialDataSpec, generate_initial
 from spheremap.spectral import Grid, sobolev_norm
 
@@ -216,6 +217,13 @@ class TestSnapshotRoundtrip:
         save_snapshot(np.ones(g.shape), g, 0.0, path)
         with pytest.raises(ValueError, match="grid mismatch"):
             load_snapshot(path, expect_grid=Grid(d=2, n=16))
+
+    def test_matching_header_returns_the_expected_grid_object(self, tmp_path):
+        g = Grid(d=2, n=8)
+        path = str(tmp_path / "field.bin")
+        save_snapshot(np.ones(g.shape), g, 0.0, path)
+        assert load_snapshot(path, expect_grid=g).grid is g
+        assert load_snapshot(path).grid is not g
 
 
 class TestDiagnosticsCsv:
@@ -464,6 +472,33 @@ class TestCliNorms:
         assert rc == 2
         err = capsys.readouterr().err
         assert f"direction {direction} is not a signed coordinate axis of a 2-d grid" in err
+
+    def test_snapshots_of_a_record_share_one_grid(self, config_file, tmp_path, monkeypatch):
+        assert cli_main(["run", "--config", config_file]) == 0
+        grids = []
+
+        def recording_slice(s, *args, **kwargs):
+            grids.append(s.grid)
+            return coulomb_slice(s, *args, **kwargs)
+
+        monkeypatch.setattr("spheremap.cli_io.coulomb_slice", recording_slice)
+        rc = cli_main(["norms", "--dir", str(tmp_path / "out"), "--observable", "psi1",
+                       "--direction", "1"])
+        assert rc == 0
+        assert len(grids) == len(list((tmp_path / "out").glob("snapshot_*.bin"))) >= 2
+        assert all(g is grids[0] for g in grids)
+
+    def test_snapshot_from_another_grid_rejected(self, config_file, tmp_path, capsys):
+        assert cli_main(["run", "--config", config_file]) == 0
+        capsys.readouterr()
+        last = sorted((tmp_path / "out").glob("snapshot_*.bin"))[-1]
+        other = Grid(d=2, n=8)
+        save_snapshot(generate_initial(InitialDataSpec(amplitude=0.05), other).values,
+                      other, 1.0, str(last))
+        rc = cli_main(["norms", "--dir", str(tmp_path / "out"), "--observable", "psi1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{last}: grid mismatch" in err
 
     def test_non_finite_base_point_rejected_before_any_snapshot(
         self, config_file, tmp_path, capsys, monkeypatch

@@ -3,7 +3,10 @@
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -69,3 +72,15 @@ def test_no_unused_top_level_imports():
     assert sources
     unused = [item for path in sources for item in _unused_imports(path)]
     assert not unused, "unused imports: " + ", ".join(unused)
+
+
+def test_import_loads_no_second_spectral_backend():
+    """numpy.fft is the one spectral backend; importing another costs start-up."""
+    code = (
+        "import sys, spheremap; "
+        "print(' '.join(m for m in ('scipy', 'scipy.fft', 'pyfftw', 'mkl_fft') if m in sys.modules))"
+    )
+    src = Path(spheremap.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "", "import spheremap loaded " + done.stdout.strip()
