@@ -420,15 +420,18 @@ def _cmd_norms(args) -> int:
     q = _flag_triple("--q", args.q, unit=True)  # reject a bad base point before loading any snapshot
     grid, times, snaps = _load_record_dir(args.dir)
     direction_axis(grid, args.direction)  # reject a bad direction before any slice
-    fields = []
-    for sn in snaps:
+    # one record, filled row by row: a row of psi is a view that would keep
+    # the whole psi stack of its slice alive
+    dtype = complex if args.observable == "psi1" else float
+    values = np.empty((len(snaps),) + grid.shape, dtype=dtype)
+    for row, sn in zip(values, snaps):
         s = _sphere_from_snapshot(sn, q)
         if args.observable == "sminusq":
             diff = s.values - s.q.reshape((3,) + (1,) * grid.d)
-            fields.append(np.sqrt(np.sum(diff**2, axis=0)))
+            row[...] = np.sqrt(np.sum(diff**2, axis=0))
         else:  # psi1
-            fields.append(coulomb_slice(s).psi[0])
-    rec = SpaceTimeRecord(grid, times, np.stack(fields))
+            row[...] = coulomb_slice(s).psi[0]
+    rec = SpaceTimeRecord(grid, times, values)
 
     results = []
     pq = {"1": 1.0, "2": 2.0, "inf": np.inf}

@@ -2,7 +2,11 @@
 
 All physical-space norms use the uniform-grid quadrature rule, which is
 spectrally accurate for smooth periodic data; frequency-space norms share the
-Plancherel normalization of :mod:`spheremap.spectral`.
+Plancherel normalization of :mod:`spheremap.spectral`.  The energy and the
+critical norm are Plancherel sums over the half spectrum of the real map s
+(``plancherel_mass``): columns 0 and n/2 of the last axis count once, every
+other column twice for its conjugate partner.  A diagnostics row reads that
+spectrum from its Coulomb slice, so these two cells cost no transform.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import numpy as np
 
 from .gauge import CoulombSlice, derive_psi
 from .geometry import SphereField, projection_frame
-from .spectral import Grid, eta0, l2_norm, sobolev_norm
+from .spectral import Grid, eta0, l2_norm, plancherel_mass, sobolev_norm
 
 __all__ = [
     "DiagnosticsRow",
@@ -64,13 +68,20 @@ class DiagnosticsRow:
             raise ValueError(f"non-finite diagnostics row: {', '.join(bad)}")
 
 
-def energy(s: SphereField) -> float:
-    """Dirichlet energy sum_l ||d_l s||_L2^2, evaluated by Plancherel."""
+def _half_spectrum_mass(s: SphereField, s_hat: np.ndarray | None, power: float) -> float:
+    """integral of | |D|^(power/2) s |^2 over the 3 components of s, by
+    Plancherel on its half spectrum ``s_hat`` (one rfft when None)."""
     grid = s.grid
-    shat = grid.fft(s.values)
-    weight = grid.k_squared
-    total = np.sum(np.abs(shat) ** 2 * weight)
-    return float(total * grid.length**grid.d / grid.n ** (2 * grid.d))
+    if s_hat is None:
+        s_hat = grid.rfft(s.values)
+    weight = grid.symbol("frequency_power", power, half=True)
+    return float(np.sum(plancherel_mass(grid, s_hat, half=True, weight=weight)))
+
+
+def energy(s: SphereField, s_hat: np.ndarray | None = None) -> float:
+    """Dirichlet energy sum_l ||d_l s||_L2^2, evaluated by Plancherel on the
+    half spectrum ``s_hat`` of s (taken here when not given)."""
+    return _half_spectrum_mass(s, s_hat, 2.0)
 
 
 def l2_distance_q(s: SphereField, q: np.ndarray | None = None) -> float:
@@ -80,12 +91,14 @@ def l2_distance_q(s: SphereField, q: np.ndarray | None = None) -> float:
     return l2_norm(s.grid, diff)
 
 
-def critical_norm(s: SphereField, q: np.ndarray | None = None) -> float:
-    """Scale-critical size || s - q ||_{H^(d/2), homogeneous}."""
-    grid = s.grid
-    qv = np.asarray(q if q is not None else s.q, dtype=float)
-    diff = s.values - qv.reshape((3,) + (1,) * grid.d)
-    return sobolev_norm(grid, diff, grid.d / 2.0, homogeneous=True)
+def critical_norm(s: SphereField, s_hat: np.ndarray | None = None) -> float:
+    """Scale-critical size || s - q ||_{H^(d/2), homogeneous}.
+
+    s - q differs from s only at xi = 0, where the homogeneous weight is 0,
+    so this is a Plancherel sum on the half spectrum ``s_hat`` of s (taken
+    here when not given), for every constant q.
+    """
+    return float(np.sqrt(_half_spectrum_mass(s, s_hat, float(s.grid.d))))
 
 
 def frame_bound_ratio(s: SphereField, qprime: np.ndarray | None = None) -> float:
@@ -108,13 +121,15 @@ def frame_bound_ratio(s: SphereField, qprime: np.ndarray | None = None) -> float
 def diagnostics_row(t: float, sl: CoulombSlice, unit_violation: float) -> DiagnosticsRow:
     """Assemble the full monitored row for one Coulomb time slice: the
     conserved quantities of its map beside its structural-identity residuals.
+    The energy and the critical norm read the slice's spectrum of s, so a
+    row issues only the 7 transforms of the residuals.
     """
     s = sl.frame.s
     return DiagnosticsRow(
         t=t,
-        energy=energy(s),
+        energy=energy(s, sl.s_hat),
         l2_dist_q=l2_distance_q(s),
-        critical_norm=critical_norm(s),
+        critical_norm=critical_norm(s, sl.s_hat),
         unit_violation=unit_violation,
         **sl.residuals(),
     )

@@ -24,14 +24,17 @@ batched transforms at every d; ``a_from_psi`` and ``a0_from_psi`` are
 physical-space wrappers over the same product spectra.
 
 ``coulomb_slice`` is the one place a time slice is analysed: Coulomb-fixed
-projection frame, connection and psi.  ``CoulombSlice.residuals`` quantifies,
-in L2, how well the structural identities (derivative compatibility,
-connection curvature, and the time-slice relation for psi_0) hold for the
-discretely computed fields; for frame-derived data they decay spectrally
-under grid refinement.  The residuals are computed in Fourier space, every
-(m, l) pair from one batched product stack, in 11 transforms per slice at
-every d, with the covariant derivative D_m f = d_m f + i T(T a_m T f) and T
-the 2/3 mask.
+projection frame, connection and psi, in 6 transforms, with the half spectra
+of s and of the fixed connection that building them takes.
+``CoulombSlice.residuals`` quantifies, in L2, how well the structural
+identities (derivative compatibility, connection curvature, and the
+time-slice relation for psi_0) hold for the discretely computed fields; for
+frame-derived data they decay spectrally under grid refinement.  The
+residuals are computed in Fourier space from the slice's spectra, every
+(m, l) pair from one batched product stack, with the covariant derivative
+D_m f = d_m f + i T(T a_m T f) and T the 2/3 mask; the compatibility,
+curvature and div a norms are taken by Parseval from their spectra.  That
+is 7 transforms per slice at every d.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ from .spectral import (
     dealias,
     gradient_hat,
     l2_norm,
+    plancherel_mass,
 )
 
 __all__ = [
@@ -66,14 +70,17 @@ __all__ = [
 ]
 
 
-def derive_psi(frame: Frame) -> np.ndarray:
+def derive_psi(frame: Frame, s_hat: np.ndarray | None = None) -> np.ndarray:
     """Frame coordinates psi_m = (d_m s).v + i (d_m s).w of the map's gradient.
 
     Pointwise |psi_m| = |d_m s| since (v, w) is an orthonormal basis of the
-    tangent plane.  One rfft of s and one irfft of all d_m s.
+    tangent plane.  One irfft of all d_m s, from the half spectrum ``s_hat``
+    of s, taken here (one rfft) when not given.
     """
     grid = frame.grid
-    ds = grid.irfft(gradient_hat(grid, grid.rfft(frame.s.values), half=True))
+    if s_hat is None:
+        s_hat = grid.rfft(frame.s.values)
+    ds = grid.irfft(gradient_hat(grid, s_hat, half=True))
     return np.sum(ds * frame.v, axis=1) + 1j * np.sum(ds * frame.w, axis=1)
 
 
@@ -222,11 +229,21 @@ def _curvature_spectra(
 
 @dataclass(frozen=True)
 class CoulombSlice:
-    """One time slice in the Coulomb gauge: fixed frame, connection a, psi."""
+    """One time slice in the Coulomb gauge: fixed frame, connection a, psi,
+    and the half spectra of s and a, taken here when not given."""
 
     frame: Frame
     a: np.ndarray            # (d, n, ..., n) real, divergence free
     psi: np.ndarray          # (d, n, ..., n) complex
+    s_hat: np.ndarray | None = None   # rfft of the map s, (3, n, ..., n/2 + 1)
+    a_hat: np.ndarray | None = None   # rfft of a, (d, n, ..., n/2 + 1)
+
+    def __post_init__(self) -> None:
+        grid = self.frame.grid
+        if self.s_hat is None:
+            object.__setattr__(self, "s_hat", grid.rfft(self.frame.s.values))
+        if self.a_hat is None:
+            object.__setattr__(self, "a_hat", grid.rfft(self.a))
 
     def residuals(self) -> dict:
         """div a and the L2 residuals of the three structural identities:
@@ -238,32 +255,37 @@ class CoulombSlice:
         with D_m f = d_m f + i T(T a_m T f), T the 2/3 mask and
         psi_0 = (d_t s).v + i (d_t s).w for the flow's d_t s = s x Laplacian s.
         Every multiplier acts in Fourier space and every (m, l) pair shares
-        one batched transform per stage: 11 transforms at every d, 2 of them
-        for d_t s.
+        one batched transform per stage; d_t s comes from the slice's
+        spectrum of s with the bits of ``flow_rhs``, and the div a,
+        compatibility and curvature norms are taken by Parseval from their
+        spectra: 7 transforms at every d.
         """
         grid = self.frame.grid
         pairs = [(m, l) for m in range(grid.d) for l in range(m + 1, grid.d)]
         psi_hat = grid.fft(self.psi)
-        a_hat = grid.rfft(self.a)
-        cov_hat = _covariant_spectra(grid, psi_hat, a_hat, pairs)
-        curl_div = grid.irfft(_curvature_spectra(grid, self.psi, a_hat, pairs))
-        dts = flow_rhs(grid, self.frame.s.values)
+        cov_hat = _covariant_spectra(grid, psi_hat, self.a_hat, pairs)
+        compat = plancherel_mass(grid, cov_hat[:-1], half=False)
+        curl_div = plancherel_mass(
+            grid, _curvature_spectra(grid, self.psi, self.a_hat, pairs), half=True)
+        dts = flow_rhs(grid, self.frame.s.values, self.s_hat)
         psi0 = np.sum(dts * self.frame.v, axis=0) + 1j * np.sum(dts * self.frame.w, axis=0)
         return {
-            "div_a": l2_norm(grid, curl_div[-1]),
-            "res_compatibility": max(l2_norm(grid, r) for r in grid.ifft(cov_hat[:-1])),
-            "res_curvature": max(l2_norm(grid, r) for r in curl_div[:-1]),
+            "div_a": float(np.sqrt(curl_div[-1])),
+            "res_compatibility": float(np.sqrt(np.max(compat))),
+            "res_curvature": float(np.sqrt(np.max(curl_div[:-1]))),
             "res_psi0": l2_norm(grid, psi0 - 1j * grid.ifft(cov_hat[-1])),
         }
 
 
 def coulomb_slice(s: SphereField, qprime: np.ndarray | None = None) -> CoulombSlice:
-    """Coulomb-fixed projection frame of s, its connection and psi.
+    """Coulomb-fixed projection frame of s, its connection and psi, with the
+    half spectra of s and of the connection: 6 transforms.
 
     Raises FrameDegenerateError when s leaves the region |s . q'| < 2^-5.
     """
     frame, conn, _ = coulomb_fix(projection_frame(s, qprime))
-    return CoulombSlice(frame, conn.a, derive_psi(frame))
+    s_hat = s.grid.rfft(s.values)
+    return CoulombSlice(frame, conn.a, derive_psi(frame, s_hat), s_hat, conn.a_hat)
 
 
 def msm_nonlinearity(grid: Grid, psi_hat: np.ndarray) -> np.ndarray:

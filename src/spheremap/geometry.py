@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import Grid, gradient_hat, laplacian
+from .spectral import Grid, gradient_hat
 
 __all__ = [
     "FrameDegenerateError",
@@ -150,10 +150,15 @@ class Frame:
 
 @dataclass(frozen=True)
 class Connection:
-    """Real connection coefficients a_m = (d_m v) . w, shape (d, n, ..., n)."""
+    """Real connection coefficients a_m = (d_m v) . w, shape (d, n, ..., n).
+
+    ``a_hat`` is their half spectrum when the code that built them has it
+    (``coulomb_fix``), else None.
+    """
 
     grid: Grid
     a: np.ndarray
+    a_hat: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         a = np.asarray(self.a, dtype=float)
@@ -253,6 +258,8 @@ def coulomb_fix(frame: Frame) -> tuple:
     zero-mean normalization fixes the otherwise free constant rotation per
     time slice.  The divergence, the Poisson solve and d_m chi are taken in
     Fourier space: one rfft of a and one irfft of (chi, d_1 chi, ..., d_d chi).
+    The fixed connection carries its half spectrum rfft(a) + i xi chi_hat,
+    equal to the rfft of its values up to roundoff.
     """
     grid = frame.grid
     a = connection_of(frame).a
@@ -260,9 +267,11 @@ def coulomb_fix(frame: Frame) -> tuple:
     div_hat = sum(grid.symbol("partial_derivative", m, half=True) * a_hat[m - 1]
                   for m in range(1, grid.d + 1))
     chi_hat = -grid.symbol("poisson_zero_mean", half=True) * div_hat
-    chi_grad = grid.irfft(np.concatenate([chi_hat[None], gradient_hat(grid, chi_hat, half=True)]))
+    chi_grad_hat = np.concatenate([chi_hat[None], gradient_hat(grid, chi_hat, half=True)])
+    chi_grad = grid.irfft(chi_grad_hat)  # leaves chi_grad_hat as it was
+    a_hat += chi_grad_hat[1:]
     chi = chi_grad[0]
-    return rotate_frame(frame, chi), Connection(grid, a + chi_grad[1:]), chi
+    return rotate_frame(frame, chi), Connection(grid, a + chi_grad[1:], a_hat), chi
 
 
 def renormalize(grid: Grid, u: np.ndarray, q: np.ndarray | None = None) -> SphereField:
@@ -283,9 +292,13 @@ def renormalize(grid: Grid, u: np.ndarray, q: np.ndarray | None = None) -> Spher
     return SphereField(grid, u / lengths, **kwargs)
 
 
-def flow_rhs(grid: Grid, values: np.ndarray) -> np.ndarray:
+def flow_rhs(grid: Grid, values: np.ndarray, values_hat: np.ndarray | None = None) -> np.ndarray:
     """Flow velocity s x Laplacian(s) of an R^3 field; pointwise orthogonal to s.
 
-    The Laplacian of the whole (3, n, ..., n) stack is one rfft/irfft pair.
+    The Laplacian of the whole (3, n, ..., n) stack is one rfft/irfft pair;
+    a caller that holds the half spectrum ``values_hat`` of ``values``
+    passes it and saves the rfft.
     """
-    return _cross(values, laplacian(grid, values))
+    if values_hat is None:
+        values_hat = grid.rfft(values)
+    return _cross(values, grid.irfft(grid.symbol("laplacian", half=True) * values_hat))

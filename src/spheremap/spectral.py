@@ -57,6 +57,7 @@ __all__ = [
     "eta0",
     "sobolev_norm",
     "l2_norm",
+    "plancherel_mass",
     "dealias",
     "gradient_hat",
 ]
@@ -352,6 +353,8 @@ _SYMBOLS = {
     "partial_derivative": lambda g, axis: 1j * g.freq_d(axis),
     "laplacian": lambda g: -g.k_squared,
     "riesz": lambda g, axis: 1j * g.freq_d(axis) * _safe_inverse(g.k_abs),
+    # |xi|^power, 0 at xi = 0: the weights of the energy and the critical norm
+    "frequency_power": lambda g, power: _safe_power(g.k_abs, power),
     "inv_gradient_riesz": _inv_gradient_riesz,
     "connection_pairs": lambda g: np.array(
         [[_inv_gradient_riesz(g, l + 1) for l in range(g.d) if l != k] for k in range(g.d)]
@@ -419,6 +422,34 @@ def l2_norm(grid: Grid, f: np.ndarray) -> float:
     """L2 norm by the uniform-grid quadrature rule (spectrally accurate)."""
     f = grid._check_field(f)
     return float(np.sqrt(np.sum(np.abs(f) ** 2) * grid.cell_volume))
+
+
+def plancherel_mass(
+    grid: Grid, fhat: np.ndarray, half: bool, weight: np.ndarray | None = None
+) -> np.ndarray:
+    """integral w(xi)|f|^2 dx of each field f of a stack, from its spectrum.
+
+    ``fhat`` is a full (``fft``) or half (``rfft`` of real f) spectrum over
+    the last d axes, stacked on leading axes; the result has the leading
+    shape.  ``weight`` is a real symbol w of the same form, even in xi;
+    without it w = 1 and the result is the squared L2 norm.  In a half
+    spectrum columns 0 and n/2 of the last axis stand for themselves and
+    every other column also for its conjugate partner, so they count once
+    and twice.  Each field's power |fhat|^2 goes through two buffers of one
+    real field and numpy's pairwise sum; no full-size temporary is made.
+    """
+    rows = fhat.reshape((-1,) + fhat.shape[-grid.d:])
+    power, tmp = np.empty(rows.shape[1:]), np.empty(rows.shape[1:])
+    out = np.empty(len(rows))
+    for k, row in enumerate(rows):
+        np.square(row.real, out=power)
+        power += np.square(row.imag, out=tmp)
+        if weight is not None:
+            power *= weight
+        out[k] = np.sum(power)
+        if half:
+            out[k] = 2.0 * out[k] - np.sum(power[..., 0]) - np.sum(power[..., -1])
+    return out.reshape(fhat.shape[: -grid.d]) * (grid.length**grid.d / grid.n ** (2 * grid.d))
 
 
 def dealias(grid: Grid, f: np.ndarray) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Reference implementations that serve as test oracles.
 
 These are the physical-space forms of operators the package computes in
-Fourier space, the loop-over-pairs form of the derived-field kernel, and
-the two-trajectory Gronwall probe behind the uniqueness criterion.  No
-command uses them; they live beside the tests that check the package
-against them.
+Fourier space, the full-spectrum forms of the energy and the critical norm
+that the package sums over half spectra, the loop-over-pairs form of the
+derived-field kernel, and the two-trajectory Gronwall probe behind the
+uniqueness criterion.  No command uses them; they live beside the tests
+that check the package against them.
 """
 
 from __future__ import annotations
@@ -23,6 +24,20 @@ from spheremap.spectral import (
     partial_derivative,
     sobolev_norm,
 )
+
+
+def energy_full_spectrum(s: SphereField) -> float:
+    """Dirichlet energy by Plancherel on the full ``fft`` of all of s."""
+    grid = s.grid
+    shat = grid.fft(s.values)
+    total = np.sum(np.abs(shat) ** 2 * grid.k_squared)
+    return float(total * grid.length**grid.d / grid.n ** (2 * grid.d))
+
+
+def critical_norm_full_spectrum(s: SphereField) -> float:
+    """|| s - q ||_{H^(d/2), homogeneous} on the full ``fft`` of s - q."""
+    diff = s.values - s.q.reshape((3,) + (1,) * s.grid.d)
+    return sobolev_norm(s.grid, diff, s.grid.d / 2.0, homogeneous=True)
 
 
 def dealiased_product(grid: Grid, *factors: np.ndarray) -> np.ndarray:

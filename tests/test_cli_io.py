@@ -1,6 +1,7 @@
 """Tests for initial data generation, persistence, config parsing and the CLI."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -527,6 +528,30 @@ class TestCliNorms:
         rc = cli_main(["norms", "--dir", str(tmp_path / "out"), "--q", "0,0,2"])
         assert rc == 2
         assert "--q '0,0,2': a base point must be a unit vector, length 2" in capsys.readouterr().err
+
+    @staticmethod
+    def _norms_peak_bytes(tmp_path, count, grid, values):
+        record = tmp_path / f"record-{count}"
+        record.mkdir()
+        for k in range(count):
+            save_snapshot(values, grid, 0.1 * k, str(record / f"snapshot_{k:08d}.bin"))
+        argv = ["norms", "--dir", str(record), "--observable", "psi1"]
+        tracemalloc.start()
+        try:
+            assert cli_main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_psi1_record_keeps_one_component_per_snapshot(self, tmp_path, capsys):
+        # each added snapshot costs its own values (3 real components) and
+        # one complex psi_1 row, not the d = 4 components of its psi stack
+        grid = Grid(d=4, n=8)
+        values = generate_initial(InitialDataSpec(amplitude=0.02), grid).values
+        peaks = {count: self._norms_peak_bytes(tmp_path, count, grid, values) for count in (3, 9)}
+        component = np.empty(grid.shape, dtype=complex).nbytes
+        per_snapshot = (peaks[9] - peaks[3]) / 6 - values.nbytes
+        assert per_snapshot < 2 * component, (peaks, per_snapshot / component)
 
 
 class TestCliSweep:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spheremap.diagnostics import (
     DiagnosticsRow,
@@ -20,7 +22,7 @@ from spheremap.geometry import SphereField, projection_frame, renormalize
 from spheremap.initial_data import InitialDataSpec, generate_initial, tilted_qprime
 from spheremap.spectral import Grid, l2_norm
 
-from reference import gronwall_probe
+from reference import critical_norm_full_spectrum, energy_full_spectrum, gronwall_probe
 
 Q = np.array([0.0, 0.0, 1.0])
 U = np.array([1.0, 0.0, 0.0])
@@ -75,6 +77,26 @@ class TestEnergy:
         psi = derive_psi(frame)
         psi_mass = sum(l2_norm(g, psi[m]) ** 2 for m in range(g.d))
         assert psi_mass == pytest.approx(energy(s), rel=1e-10)
+
+
+class TestHalfSpectrumMonitors:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d=st.sampled_from([2, 3, 4]),
+        n=st.sampled_from([8, 10, 12]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_energy_and_critical_norm_match_full_spectrum(self, d, n, seed):
+        # unit vectors at independent random directions: every mode, the
+        # Nyquist column of the half spectrum included, carries power
+        g = Grid(d=d, n=n)
+        u = np.random.default_rng(seed).normal(size=(3,) + g.shape)
+        s = SphereField(g, u / np.sqrt(np.sum(u * u, axis=0)))
+        s_hat = g.rfft(s.values)
+        assert energy(s) == pytest.approx(energy_full_spectrum(s), rel=1e-12)
+        assert energy(s, s_hat) == energy(s)
+        assert critical_norm(s) == pytest.approx(critical_norm_full_spectrum(s), rel=1e-12)
+        assert critical_norm(s, s_hat) == critical_norm(s)
 
 
 class TestL2DistanceQ:

@@ -16,6 +16,7 @@ from spheremap.evolution import (
     run,
     step_rk4_projected,
 )
+from spheremap.cli_io import gauge_identity_suite
 from spheremap.diagnostics import diagnostics_row
 from spheremap.gauge import coulomb_slice, derive_psi, msm_nonlinearity
 from spheremap.geometry import SphereField, coulomb_fix, flow_rhs, projection_frame
@@ -147,11 +148,15 @@ class TestStepRk4Projected:
 # rfft of sum a_l^2, irfft of the potential, fft of N
 MSM_KERNEL_TRANSFORMS = ["ifft", "rfft", "irfft", "rfft", "irfft", "fft"]
 
-# fft of psi, rfft of a, ifft of T psi, irfft of T a, fft of the products,
-# rfft of the curvature sources, irfft of (curvature, div a), rfft/irfft of
-# d_t s, ifft of the compatibility residuals, ifft of sum_m D_m psi_m
-RESIDUAL_TRANSFORMS = ["fft", "rfft", "ifft", "irfft", "fft", "rfft", "irfft",
-                       "rfft", "irfft", "ifft", "ifft"]
+# fft of psi, ifft of T psi, irfft of T a, fft of the products, rfft of the
+# curvature sources, irfft of Laplacian s for d_t s, ifft of sum_m D_m psi_m;
+# the slice holds the spectra of s and a, and the compatibility, curvature
+# and div a norms are taken by Parseval
+RESIDUAL_TRANSFORMS = ["fft", "ifft", "irfft", "fft", "rfft", "irfft", "ifft"]
+
+# connection_of (rfft of v, irfft of d_m v), coulomb_fix (rfft of a, irfft of
+# chi and d_m chi), rfft of s, derive_psi (irfft of d_m s)
+SLICE_TRANSFORMS = ["rfft", "irfft", "rfft", "irfft", "rfft", "irfft"]
 
 
 def bump_psi(grid):
@@ -186,15 +191,29 @@ class TestTransformCount:
         assert len(transform_calls) == 26
 
     @pytest.mark.parametrize("d, n", [(2, 16), (3, 8), (4, 8)])
-    def test_slice_residuals_issue_eleven_transforms(self, transform_calls, d, n):
-        # a diagnostics row adds one fft each for the energy and the critical norm
-        sl = coulomb_slice(bump_field(Grid(d=d, n=n)), (0.0, 1.0, 0.0))
+    def test_slice_residuals_issue_seven_transforms(self, transform_calls, d, n):
+        # the energy and the critical norm read the slice's spectrum of s
+        s = bump_field(Grid(d=d, n=n))
+        transform_calls.clear()
+        sl = coulomb_slice(s, (0.0, 1.0, 0.0))
+        assert transform_calls == SLICE_TRANSFORMS
         transform_calls.clear()
         sl.residuals()
         assert transform_calls == RESIDUAL_TRANSFORMS
         transform_calls.clear()
         diagnostics_row(0.0, sl, 0.0)
-        assert len(transform_calls) == 13
+        assert transform_calls == RESIDUAL_TRANSFORMS
+
+    @pytest.mark.parametrize("d, n", [(2, 16), (3, 8), (4, 8)])
+    def test_gauge_identity_suite_issues_17_transforms(self, transform_calls, d, n):
+        # the slice, its residuals, and a_from_psi: fft/ifft of T psi, rfft of
+        # the products, irfft of a
+        s = bump_field(Grid(d=d, n=n))
+        transform_calls.clear()
+        gauge_identity_suite(s, (0.0, 1.0, 0.0))
+        a_from_psi = ["fft", "ifft", "rfft", "irfft"]
+        assert transform_calls == SLICE_TRANSFORMS + RESIDUAL_TRANSFORMS + a_from_psi
+        assert len(transform_calls) == 17
 
 
 class TestEvolveMsm:
@@ -391,9 +410,9 @@ class TestRun:
         calls = {"n": 0}
         real_energy = diag.energy
 
-        def failing_energy(s):
+        def failing_energy(s, s_hat=None):
             calls["n"] += 1
-            return float("nan") if calls["n"] >= 3 else real_energy(s)
+            return float("nan") if calls["n"] >= 3 else real_energy(s, s_hat)
 
         monkeypatch.setattr(diag, "energy", failing_energy)
         config = SimConfig(

@@ -13,6 +13,7 @@ from spheremap.spectral import (
     l2_norm,
     laplacian,
     partial_derivative,
+    plancherel_mass,
     riesz,
     sobolev_norm,
 )
@@ -227,6 +228,43 @@ class TestSobolevNorm:
         combined = sobolev_norm(g, f, 1.0)
         parts = [sobolev_norm(g, f[i], 1.0) for i in range(3)]
         assert combined == pytest.approx(np.sqrt(sum(p**2 for p in parts)), rel=1e-12)
+
+
+def field_with_nyquist(grid, seed, shape=()):
+    """Random real stack plus a random multiple of the checkerboard along the
+    last axis, the mode a half spectrum stores in its column n/2."""
+    rng = np.random.default_rng(seed)
+    checker = np.cos(np.pi * np.arange(grid.n))
+    return rng.normal(size=shape + grid.shape) + rng.normal(size=shape + (1,) * grid.d) * checker
+
+
+class TestPlancherelMass:
+    """The spectral masses of the diagnostics row and the slice residuals
+    against physical-space quadrature and the full-spectrum Sobolev norm,
+    on random fields with Nyquist content; n/2 odd (10) and even (8, 12)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.sampled_from([2, 3, 4]),
+        n=st.sampled_from([8, 10, 12]),
+        rows=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_quadrature(self, d, n, rows, seed):
+        g = Grid(d=d, n=n)
+        f = field_with_nyquist(g, seed, (rows,))
+        z = f + 1j * field_with_nyquist(g, seed + 1, (rows,))
+        half = plancherel_mass(g, g.rfft(f), half=True)
+        full = plancherel_mass(g, g.fft(z), half=False)
+        assert half.shape == full.shape == (rows,)
+        for k in range(rows):
+            assert half[k] == pytest.approx(l2_norm(g, f[k]) ** 2, rel=1e-12)
+            assert full[k] == pytest.approx(l2_norm(g, z[k]) ** 2, rel=1e-12)
+        for power in (2.0, float(d)):
+            weight = g.symbol("frequency_power", power, half=True)
+            weighted = np.sum(plancherel_mass(g, g.rfft(f), half=True, weight=weight))
+            expected = sobolev_norm(g, f, power / 2.0, homogeneous=True) ** 2
+            assert weighted == pytest.approx(expected, rel=1e-12)
 
 
 class TestBatchedStacks:

@@ -5,6 +5,7 @@ import importlib
 import inspect
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -84,3 +85,16 @@ def test_import_loads_no_second_spectral_backend():
     done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "", "import spheremap loaded " + done.stdout.strip()
+
+
+def test_declared_numpy_floor_has_transforms_with_out():
+    """Every ``Grid`` transform passes ``out=`` to ``np.fft``, which numpy
+    accepts from 2.0 on; an older numpy raises TypeError on the first one."""
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+    floors = [re.fullmatch(r"numpy\s*>=\s*(\d+)(?:\.(\d+))?.*", dep.strip())
+              for dep in project["dependencies"] if dep.strip().startswith("numpy")]
+    assert len(floors) == 1 and floors[0], f"no numpy>= floor in {project['dependencies']}"
+    major, minor = floors[0].groups()
+    assert (int(major), int(minor or 0)) >= (2, 0)
