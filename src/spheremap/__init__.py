@@ -12,10 +12,7 @@ from .spectral import (
     dealias,
     inv_gradient_riesz,
     l2_norm,
-    laplacian,
-    partial_derivative,
     riesz,
-    sobolev_norm,
 )
 from .geometry import (
     BlowupSuspectedError,

@@ -1,11 +1,12 @@
 """Configuration, persistence, and the batch command-line interface.
 
 Snapshot files are a small checksummed raw binary format (little-endian
-64-bit floats, 3 interleaved components for vector fields) so round-trips
-are bit exact and trivially parseable.  Diagnostics tables are CSV with
-locale-independent 17-significant-digit formatting; identical runs produce
-byte-identical files.  All writes go through a uniquely named temp file in
-the target directory and an atomic rename.
+64-bit floats, the 3 components of a sphere-valued field interleaved per
+grid point) so round-trips are bit exact and trivially parseable.
+Diagnostics tables are CSV with locale-independent 17-significant-digit
+formatting; identical runs produce byte-identical files.  All writes go
+through a uniquely named temp file in the target directory and an atomic
+rename.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import (
+    DiagnosticsRow,
     SpaceTimeRecord,
     direction_axis,
     directional_norm,
@@ -50,7 +52,6 @@ __all__ = [
 
 _MAGIC = b"SPHMAP\x00\x01"
 _VERSION = 1
-_KIND_SCALAR = 1
 _KIND_VECTOR3 = 3
 
 
@@ -66,7 +67,7 @@ class SnapshotFormatError(IOError):
 class Snapshot:
     grid: Grid
     time: float
-    values: np.ndarray   # (n,...,n) real scalar or (3, n,...,n) vector
+    values: np.ndarray   # (3, n, ..., n)
 
 
 # mkstemp creates its file private; outputs get the usual umask-derived mode
@@ -90,23 +91,18 @@ def _atomic_write(path: str, data: bytes) -> None:
 
 
 def save_snapshot(values: np.ndarray, grid: Grid, time: float, path: str) -> None:
-    """Write a field snapshot; kind (scalar/vector) is inferred from shape."""
+    """Write the (3, n, ..., n) values of a sphere-valued field."""
     values = np.asarray(values)
-    if values.shape == (3,) + grid.shape:
-        kind = _KIND_VECTOR3
-        payload = np.moveaxis(values, 0, -1)  # interleave components per point
-    elif values.shape == grid.shape:
-        kind = _KIND_SCALAR
-        payload = values
-    else:
-        raise ValueError(f"values shape {values.shape} fits neither scalar nor vector layout")
+    if values.shape != (3,) + grid.shape:
+        raise ValueError(f"values shape {values.shape} != (3,)+{grid.shape}")
+    payload = np.moveaxis(values, 0, -1)  # interleave components per point
     if np.iscomplexobj(payload):
         raise ValueError("snapshot payload must be real")
     payload_bytes = np.ascontiguousarray(payload, dtype="<f8").tobytes()
 
     header = bytearray()
     header += _MAGIC
-    header += struct.pack("<III", _VERSION, kind, grid.d)
+    header += struct.pack("<III", _VERSION, _KIND_VECTOR3, grid.d)
     header += struct.pack(f"<{grid.d}I", *((grid.n,) * grid.d))
     header += struct.pack("<ddQ", grid.length, float(time), payload.size)
     header += struct.pack("<I", zlib.crc32(payload_bytes))
@@ -129,7 +125,7 @@ def load_snapshot(path: str, expect_grid: Grid | None = None) -> Snapshot:
     off += 12
     if version != _VERSION:
         raise SnapshotFormatError(f"{path}: unsupported snapshot version {version}")
-    if kind not in (_KIND_SCALAR, _KIND_VECTOR3):
+    if kind != _KIND_VECTOR3:
         raise SnapshotFormatError(f"{path}: unknown field kind {kind}")
     if not 1 <= d <= 8 or len(blob) < off + 4 * d + 8 + 8 + 8 + 8:
         raise SnapshotFormatError(f"{path}: truncated header")
@@ -146,8 +142,11 @@ def load_snapshot(path: str, expect_grid: Grid | None = None) -> Snapshot:
 
     if len(set(ns)) != 1:
         raise SnapshotFormatError(f"{path}: anisotropic grids are not supported")
-    grid = Grid(d=d, n=ns[0], length=length)
-    expected_count = (3 if kind == _KIND_VECTOR3 else 1) * grid.n**grid.d
+    try:
+        grid = Grid(d=d, n=ns[0], length=length)
+    except ValueError as exc:
+        raise SnapshotFormatError(f"{path}: {exc}") from exc
+    expected_count = 3 * grid.n**grid.d
     if count != expected_count:
         raise SnapshotFormatError(f"{path}: payload length {count} != expected {expected_count}")
     payload_bytes = blob[off:]
@@ -168,11 +167,7 @@ def load_snapshot(path: str, expect_grid: Grid | None = None) -> Snapshot:
         grid = expect_grid
 
     flat = np.frombuffer(payload_bytes, dtype="<f8")
-    if kind == _KIND_VECTOR3:
-        values = np.moveaxis(flat.reshape(grid.shape + (3,)), -1, 0).copy()
-    else:
-        values = flat.reshape(grid.shape).copy()
-    return Snapshot(grid, time, values)
+    return Snapshot(grid, time, np.moveaxis(flat.reshape(grid.shape + (3,)), -1, 0).copy())
 
 
 def _fmt(v: float) -> str:
@@ -181,15 +176,11 @@ def _fmt(v: float) -> str:
 
 def emit_diagnostics_csv(rows, path: str) -> None:
     """Write diagnostics rows as CSV with a header naming every field."""
-    from .diagnostics import DiagnosticsRow
-
-    lines = [",".join(DiagnosticsRow.FIELDS)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row.as_tuple()))
-    _atomic_write(path, ("\n".join(lines) + "\n").encode("ascii"))
+    emit_series_csv(DiagnosticsRow.FIELDS, [row.as_tuple() for row in rows], path)
 
 
 def emit_series_csv(header, rows, path: str) -> None:
+    """Write rows of numbers (17 significant digits) or text cells as CSV."""
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(v if isinstance(v, str) else _fmt(v) for v in row))
@@ -302,40 +293,22 @@ def parse_config(
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             values.setdefault(section, {})[key] = _convert(section, key, text)
 
+    # every key is a field name of Grid, InitialDataSpec or SimConfig, so an
+    # omitted key takes the dataclass default
     gsec = values.get("grid", {})
     for required in ("d", "n"):
         if required not in gsec:
             raise ConfigError(f"[grid] {required} is required")
-    grid = Grid(d=gsec["d"], n=gsec["n"], length=gsec.get("length", 2.0 * np.pi))
-
-    isec = dict(values.get("initial", {}))
+    isec = values.get("initial", {})
     if seed is not None:
         isec["seed"] = seed
-    initial = InitialDataSpec(
-        kind=isec.get("kind", "geodesic-bump"),
-        amplitude=isec.get("amplitude", 0.05),
-        width=isec.get("width"),
-        mode_cutoff=isec.get("mode_cutoff", 2),
-        seed=isec.get("seed", 0),
-        q=isec.get("q", (0.0, 0.0, 1.0)),
-        u=isec.get("u"),
-        profile=isec.get("profile", "bump"),
-    )
-
-    tsec = values.get("time", {})
-    rsec = values.get("run", {})
-    osec = values.get("output", {})
-    directory = out_dir if out_dir is not None else osec.get("directory")
+    directory = out_dir if out_dir is not None else values.get("output", {}).get("directory")
     try:
         return SimConfig(
-            grid=grid,
-            initial=initial,
-            dt=tsec.get("dt"),
-            steps=tsec.get("steps", 0),
-            integrator=rsec.get("integrator", "rk4-projected"),
-            cadence=rsec.get("cadence", 1),
-            snapshot_every=rsec.get("snapshot_every", 0),
-            qprime=rsec.get("qprime"),
+            grid=Grid(**gsec),
+            initial=InitialDataSpec(**isec),
+            **values.get("time", {}),
+            **values.get("run", {}),
             out_dir=directory,
         )
     except ValueError as exc:
@@ -363,8 +336,6 @@ def gauge_identity_suite(s: SphereField, qprime: np.ndarray | None = None) -> di
 
 
 def _sphere_from_snapshot(snap: Snapshot, q: np.ndarray | None = None) -> SphereField:
-    if snap.values.ndim != snap.grid.d + 1:
-        raise ValueError("snapshot does not contain a vector field")
     if q is None:
         mean = snap.values.mean(axis=tuple(range(1, snap.grid.d + 1)))
         q = mean / np.linalg.norm(mean)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .gauge import CoulombSlice, derive_psi
 from .geometry import SphereField, projection_frame
-from .spectral import Grid, eta0, l2_norm, plancherel_mass, sobolev_norm
+from .spectral import Grid, eta0, l2_norm, plancherel_mass
 
 __all__ = [
     "DiagnosticsRow",
@@ -106,16 +106,19 @@ def frame_bound_ratio(s: SphereField, qprime: np.ndarray | None = None) -> float
 
     Returns 0 for s identically at the base point (0/0 guarded).  Stability
     of this ratio across an amplitude sweep evidences the linear bound of
-    the derived fields by the critical norm of the data.
+    the derived fields by the critical norm of the data.  One rfft of s
+    serves both norms; the numerator is a Plancherel sum on the full
+    spectrum of psi.
     """
-    denom = critical_norm(s)
+    grid = s.grid
+    s_hat = grid.rfft(s.values)
+    denom = critical_norm(s, s_hat)
     if denom == 0.0:
         return 0.0
-    frame = projection_frame(s, qprime)
-    psi = derive_psi(frame)
-    sigma = (s.grid.d - 2) / 2.0
-    num = max(sobolev_norm(s.grid, psi[m], sigma, homogeneous=True) for m in range(s.grid.d))
-    return num / denom
+    psi_hat = grid.fft(derive_psi(projection_frame(s, qprime), s_hat))
+    weight = grid.symbol("frequency_power", grid.d - 2.0, half=False)
+    num = np.sqrt(np.max(plancherel_mass(grid, psi_hat, half=False, weight=weight)))
+    return float(num / denom)
 
 
 def diagnostics_row(t: float, sl: CoulombSlice, unit_violation: float) -> DiagnosticsRow:

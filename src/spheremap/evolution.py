@@ -5,7 +5,9 @@ Two integrators are provided:
 * ``step_rk4_projected``: classical RK4 on the sphere flow followed by a
   pointwise renormalization back to the unit sphere.  The default time step
   2 / |xi_max|^2 sits inside RK4's imaginary-axis stability interval
-  (about 2.83) for the spectral Laplacian's eigenvalues -|xi|^2.
+  (about 2.83) for the spectral Laplacian's eigenvalues -|xi|^2.  Every
+  stage evaluates the flow through ``geometry.flow_rhs``, in work arrays
+  that ``run`` keeps for all its steps.
 * ``evolve_msm``: one integrating-factor RK4 step of the derived-field
   system (i d_t + Laplacian) psi_m = N_m(Psi); the linear phase
   exp(-i dt |xi|^2) is applied exactly, RK4 handles the nonlinearity.
@@ -32,7 +34,15 @@ import numpy as np
 
 from .diagnostics import diagnostics_row
 from .gauge import CoulombSlice, coulomb_slice, msm_nonlinearity
-from .geometry import BlowupSuspectedError, SphereField, _cross, _worst_point, renormalize
+from .geometry import (
+    BlowupSuspectedError,
+    FrameDegenerateError,
+    SphereField,
+    _FlowWork,
+    _worst_point,
+    flow_rhs,
+    renormalize,
+)
 from .initial_data import InitialDataSpec, generate_initial, tilted_qprime
 from .spectral import Grid, l2_norm
 
@@ -58,8 +68,9 @@ def default_dt(grid: Grid) -> float:
     return 2.0 / grid.k_max**2
 
 
-class _Rk4Work:
-    """Work arrays of ``rk4_update`` on one grid, reused from step to step.
+class _Rk4Work(_FlowWork):
+    """Work arrays of ``rk4_update`` on one grid, reused from step to step:
+    those of ``flow_rhs`` plus the stage input and the running sum.
 
     A step then allocates only its result.  Fresh temporaries for every
     stage sum, spectrum and cross product would make the top of the heap
@@ -68,40 +79,27 @@ class _Rk4Work:
     """
 
     def __init__(self, grid: Grid) -> None:
-        shape = (3,) + grid.shape
-        self.grid = grid
-        self.stage = np.empty(shape)    # y + c dt k, the next stage's input
-        self.slope = np.empty(shape)    # s x Laplacian(s) of the last stage
-        self.total = np.empty(shape)    # k1 + 2 k2 + 2 k3 + k4 so far
-        self.lap = np.empty(shape)
-        self.spectrum = np.empty(shape[:-1] + (grid.n // 2 + 1,), dtype=complex)
-        self.component = np.empty(grid.shape)
-
-    def flow_rhs(self, y: np.ndarray) -> np.ndarray:
-        """``flow_rhs(grid, y)`` written into ``slope``, with the same bits."""
-        grid = self.grid
-        grid.rfft(y, out=self.spectrum)
-        np.multiply(grid.symbol("laplacian", half=True), self.spectrum, out=self.spectrum)
-        grid.irfft(self.spectrum, out=self.lap)
-        return _cross(y, self.lap, out=self.slope, tmp=self.component)
+        super().__init__(grid)
+        self.stage = np.empty((3,) + grid.shape)    # y + c dt k, the next stage's input
+        self.total = np.empty((3,) + grid.shape)    # k1 + 2 k2 + 2 k3 + k4 so far
 
 
 def rk4_update(s: SphereField, dt: float, work: _Rk4Work | None = None) -> np.ndarray:
     """One classical RK4 step of the flow, before renormalization.
 
-    y + (dt/6) (k1 + 2 k2 + 2 k3 + k4) with k_i = flow_rhs at the stages,
-    summed in that order in the arrays of ``work`` (``run`` keeps one for
-    all its steps; without it they are allocated for this call).  The
-    result is a new array.
+    y + (dt/6) (k1 + 2 k2 + 2 k3 + k4) with k_i = ``flow_rhs`` at the
+    stages, summed in that order in the arrays of ``work`` (``run`` keeps
+    one for all its steps; without it they are allocated for this call).
+    The result is a new array.
     """
-    y = s.values
+    grid, y = s.grid, s.values
     if work is None:
-        work = _Rk4Work(s.grid)
+        work = _Rk4Work(grid)
     stage, slope, total = work.stage, work.slope, work.total
-    np.copyto(total, work.flow_rhs(y))
+    np.copyto(total, flow_rhs(grid, y, work=work))
     for c, weight in ((0.5 * dt, 2.0), (0.5 * dt, 2.0), (dt, 1.0)):
         np.add(y, np.multiply(c, slope, out=stage), out=stage)
-        work.flow_rhs(stage)
+        flow_rhs(grid, stage, work=work)
         total += np.multiply(weight, slope, out=stage)  # 1.0 * k4 is k4 bit for bit
     return y + np.multiply(dt / 6.0, total, out=total)
 
@@ -182,6 +180,12 @@ class SimConfig:
             raise ValueError("cadence must be >= 1")
         if self.snapshot_every < 0:
             raise ValueError("snapshot_every must be >= 0")
+        if self.qprime is not None:
+            # project_n's admissible input length, checked before any data is built
+            qprime = tuple(float(c) for c in self.qprime)
+            length = float(np.linalg.norm(qprime))
+            if not 0.5 < length < 2.0:  # NaN fails too
+                raise ValueError(f"qprime = {qprime} has length {length:g}, outside (1/2, 2)")
         dt = self.resolved_dt()
         if not np.isfinite(dt) or dt == 0:
             raise ValueError(f"dt = {dt} must be finite and non-zero")
@@ -205,7 +209,6 @@ class SimConfig:
 class TrajectoryRecord:
     """Snapshots, diagnostics rows, and optional derived-field mismatch series."""
 
-    times: list
     snapshots: list            # (step, SphereField) pairs, subsampled
     rows: list                 # DiagnosticsRow per recorded time
     aborted: bool = False
@@ -226,12 +229,18 @@ def run(config: SimConfig) -> TrajectoryRecord:
     dt = config.resolved_dt()
     qp = config.resolved_qprime()
     s = generate_initial(config.initial, grid)
-    sl = coulomb_slice(s, qp)
+    try:
+        sl = coulomb_slice(s, qp)
+    except FrameDegenerateError as exc:
+        source = "run.qprime" if config.qprime is not None else "tilted from initial.u"
+        raise FrameDegenerateError(
+            f"no frame of the initial data along q' = {tuple(float(c) for c in qp)} "
+            f"({source}): {exc}"
+        ) from exc
 
     dual_track = config.integrator == "strang-msm"
     psi = sl.psi if dual_track else None
     record = TrajectoryRecord(
-        times=[0.0],
         snapshots=[(0, s)],
         rows=[diagnostics_row(0.0, sl, 0.0)],
         msm_mismatch=[0.0] if dual_track else None,
@@ -259,7 +268,6 @@ def run(config: SimConfig) -> TrajectoryRecord:
         if dual_track:
             psi = evolve_msm(grid, psi, dt)
         if tick:
-            record.times.append(t)
             record.rows.append(row)
             if dual_track:
                 record.msm_mismatch.append(_relative_psi_mismatch(grid, psi, sl.psi))

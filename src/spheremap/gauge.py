@@ -230,20 +230,13 @@ def _curvature_spectra(
 @dataclass(frozen=True)
 class CoulombSlice:
     """One time slice in the Coulomb gauge: fixed frame, connection a, psi,
-    and the half spectra of s and a, taken here when not given."""
+    and the half spectra of s and a (``coulomb_slice`` builds them all)."""
 
     frame: Frame
     a: np.ndarray            # (d, n, ..., n) real, divergence free
     psi: np.ndarray          # (d, n, ..., n) complex
-    s_hat: np.ndarray | None = None   # rfft of the map s, (3, n, ..., n/2 + 1)
-    a_hat: np.ndarray | None = None   # rfft of a, (d, n, ..., n/2 + 1)
-
-    def __post_init__(self) -> None:
-        grid = self.frame.grid
-        if self.s_hat is None:
-            object.__setattr__(self, "s_hat", grid.rfft(self.frame.s.values))
-        if self.a_hat is None:
-            object.__setattr__(self, "a_hat", grid.rfft(self.a))
+    s_hat: np.ndarray        # rfft of the map s, (3, n, ..., n/2 + 1)
+    a_hat: np.ndarray        # rfft of a, (d, n, ..., n/2 + 1)
 
     def residuals(self) -> dict:
         """div a and the L2 residuals of the three structural identities:
@@ -255,13 +248,13 @@ class CoulombSlice:
         with D_m f = d_m f + i T(T a_m T f), T the 2/3 mask and
         psi_0 = (d_t s).v + i (d_t s).w for the flow's d_t s = s x Laplacian s.
         Every multiplier acts in Fourier space and every (m, l) pair shares
-        one batched transform per stage; d_t s comes from the slice's
-        spectrum of s with the bits of ``flow_rhs``, and the div a,
-        compatibility and curvature norms are taken by Parseval from their
-        spectra: 7 transforms at every d.
+        one batched transform per stage; d_t s is ``flow_rhs`` on the
+        slice's spectrum of s, and the div a, compatibility and curvature
+        norms are taken by Parseval from their spectra: 7 transforms at
+        every d.
         """
         grid = self.frame.grid
-        pairs = [(m, l) for m in range(grid.d) for l in range(m + 1, grid.d)]
+        pairs = _pairs(grid.d).asym
         psi_hat = grid.fft(self.psi)
         cov_hat = _covariant_spectra(grid, psi_hat, self.a_hat, pairs)
         compat = plancherel_mass(grid, cov_hat[:-1], half=False)

@@ -5,8 +5,8 @@ w = s x v, so (v, w) spans the tangent plane of the sphere at s.  Frames are
 built by projecting a fixed reference direction onto the tangent plane
 (``projection_frame``, always periodic).  ``coulomb_fix`` rotates a frame
 so that the connection coefficients a_m = (d_m v) . w become divergence
-free.  ``flow_rhs`` is the flow velocity s x Laplacian(s) of the identities;
-the integrator computes the same bits in reused work arrays.
+free.  ``flow_rhs`` is the one evaluation of the flow velocity
+s x Laplacian(s), for the integrator and the identities alike.
 """
 
 from __future__ import annotations
@@ -109,9 +109,6 @@ class SphereField:
         if not abs(np.linalg.norm(q) - 1.0) <= _UNIT_TOL:  # NaN fails too
             raise ValueError("base point q is not a unit vector")
 
-    def unit_violation(self) -> float:
-        return float(np.max(np.abs(_norms(self.values) - 1.0)))
-
 
 @dataclass(frozen=True)
 class Frame:
@@ -127,7 +124,7 @@ class Frame:
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "w", w)
         err = self.max_defect()
-        if err > _FRAME_TOL:
+        if not err <= _FRAME_TOL:  # NaN fails too
             raise ValueError(f"frame orthonormality defect {err:.3e} exceeds {_FRAME_TOL:.0e}")
 
     def max_defect(self) -> float:
@@ -141,7 +138,7 @@ class Frame:
             np.abs(_norms(self.w) - 1.0),
             _norms(self.w - _cross(s, self.v)),
         ]
-        return float(max(np.max(c) for c in checks))
+        return float(np.max([np.max(c) for c in checks]))  # keeps a NaN
 
     @property
     def grid(self) -> Grid:
@@ -292,13 +289,35 @@ def renormalize(grid: Grid, u: np.ndarray, q: np.ndarray | None = None) -> Spher
     return SphereField(grid, u / lengths, **kwargs)
 
 
-def flow_rhs(grid: Grid, values: np.ndarray, values_hat: np.ndarray | None = None) -> np.ndarray:
+class _FlowWork:
+    """Arrays ``flow_rhs`` writes into: the half spectrum, the Laplacian,
+    one cross-product component and the result ``slope``."""
+
+    def __init__(self, grid: Grid) -> None:
+        shape = (3,) + grid.shape
+        self.spectrum = np.empty(shape[:-1] + (grid.n // 2 + 1,), dtype=complex)
+        self.lap = np.empty(shape)
+        self.component = np.empty(grid.shape)
+        self.slope = np.empty(shape)
+
+
+def flow_rhs(
+    grid: Grid,
+    values: np.ndarray,
+    values_hat: np.ndarray | None = None,
+    work: _FlowWork | None = None,
+) -> np.ndarray:
     """Flow velocity s x Laplacian(s) of an R^3 field; pointwise orthogonal to s.
 
     The Laplacian of the whole (3, n, ..., n) stack is one rfft/irfft pair;
     a caller that holds the half spectrum ``values_hat`` of ``values``
-    passes it and saves the rfft.
+    passes it and saves the rfft (it is left as it was).  The result is
+    ``work.slope``; without ``work`` the arrays are allocated for this call.
     """
+    if work is None:
+        work = _FlowWork(grid)
     if values_hat is None:
-        values_hat = grid.rfft(values)
-    return _cross(values, grid.irfft(grid.symbol("laplacian", half=True) * values_hat))
+        values_hat = grid.rfft(values, out=work.spectrum)
+    np.multiply(grid.symbol("laplacian", half=True), values_hat, out=work.spectrum)
+    grid.irfft(work.spectrum, out=work.lap)
+    return _cross(values, work.lap, out=work.slope, tmp=work.component)

@@ -108,10 +108,8 @@ def _band_limited_random(grid: Grid, rng: np.random.Generator, cutoff: int) -> n
     modes = np.fft.fftfreq(grid.n, d=1.0 / grid.n).astype(int)
     small = np.abs(modes) <= cutoff
     mask = np.ones(grid.shape, dtype=bool)
-    for m in range(grid.d):
-        shape = [1] * grid.d
-        shape[m] = grid.n
-        mask &= small.reshape(shape)
+    for m in range(1, grid.d + 1):
+        mask &= grid.along(m, small)
     k = int(np.sum(mask))
     coeffs[mask] = rng.normal(size=k) + 1j * rng.normal(size=k)
     f = np.fft.ifftn(coeffs).real

@@ -39,6 +39,8 @@ Conventions:
   operators they discretize.
 * Quadratic and cubic products of fields are stabilized by the 2/3-rule
   (``dealias``).
+* Every norm in frequency space is one Plancherel sum, ``plancherel_mass``,
+  on a half or full spectrum the caller already holds.
 """
 
 from __future__ import annotations
@@ -50,12 +52,9 @@ import numpy as np
 
 __all__ = [
     "Grid",
-    "partial_derivative",
-    "laplacian",
     "riesz",
     "inv_gradient_riesz",
     "eta0",
-    "sobolev_norm",
     "l2_norm",
     "plancherel_mass",
     "dealias",
@@ -115,19 +114,21 @@ class Grid:
         out[self.n // 2] = 0.0
         return out
 
-    def freq(self, axis: int) -> np.ndarray:
-        """Frequency values along one axis (1-based), broadcastable to shape."""
+    def along(self, axis: int, line: np.ndarray) -> np.ndarray:
+        """The n values ``line`` laid along one axis (1-based), broadcastable
+        to shape."""
         self._check_axis(axis)
         shape = [1] * self.d
         shape[axis - 1] = self.n
-        return self._freq_1d.reshape(shape)
+        return line.reshape(shape)
+
+    def freq(self, axis: int) -> np.ndarray:
+        """Frequency values along one axis (1-based), broadcastable to shape."""
+        return self.along(axis, self._freq_1d)
 
     def freq_d(self, axis: int) -> np.ndarray:
         """Odd-derivative frequencies along one axis (Nyquist zeroed)."""
-        self._check_axis(axis)
-        shape = [1] * self.d
-        shape[axis - 1] = self.n
-        return self._freq_1d_odd.reshape(shape)
+        return self.along(axis, self._freq_1d_odd)
 
     @cached_property
     def k_squared(self) -> np.ndarray:
@@ -156,21 +157,15 @@ class Grid:
 
     def coordinate(self, axis: int) -> np.ndarray:
         """Sample coordinates along one axis (1-based), broadcastable."""
-        self._check_axis(axis)
-        shape = [1] * self.d
-        shape[axis - 1] = self.n
-        x = self.spacing * np.arange(self.n)
-        return x.reshape(shape)
+        return self.along(axis, self.spacing * np.arange(self.n))
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
         """2/3-rule mask: keep integer modes with |m| < n/3 on every axis."""
         keep_1d = np.abs(np.fft.fftfreq(self.n, d=1.0 / self.n)) < self.n / 3.0
         mask = np.ones(self.shape, dtype=bool)
-        for m in range(self.d):
-            shape = [1] * self.d
-            shape[m] = self.n
-            mask &= keep_1d.reshape(shape)
+        for m in range(1, self.d + 1):
+            mask &= self.along(m, keep_1d)
         return mask
 
     def fft(self, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -302,17 +297,6 @@ def gradient_hat(
     return out
 
 
-def partial_derivative(grid: Grid, f: np.ndarray, axis: int) -> np.ndarray:
-    """Spectral derivative along ``axis`` (1-based): multiplier i*xi_axis."""
-    grid._check_axis(axis)
-    return _apply_symbol(grid, f, "partial_derivative", axis)
-
-
-def laplacian(grid: Grid, f: np.ndarray) -> np.ndarray:
-    """Spectral Laplacian: multiplier -|xi|^2."""
-    return _apply_symbol(grid, f, "laplacian")
-
-
 def _safe_inverse(weight: np.ndarray) -> np.ndarray:
     """1/weight with the zero-frequency entry replaced by 0."""
     out = np.zeros_like(weight)
@@ -353,7 +337,8 @@ _SYMBOLS = {
     "partial_derivative": lambda g, axis: 1j * g.freq_d(axis),
     "laplacian": lambda g: -g.k_squared,
     "riesz": lambda g, axis: 1j * g.freq_d(axis) * _safe_inverse(g.k_abs),
-    # |xi|^power, 0 at xi = 0: the weights of the energy and the critical norm
+    # |xi|^power, 0 at xi = 0: the weights of the energy, the critical norm
+    # and the frame-bound ratio
     "frequency_power": lambda g, power: _safe_power(g.k_abs, power),
     "inv_gradient_riesz": _inv_gradient_riesz,
     "connection_pairs": lambda g: np.array(
@@ -395,27 +380,6 @@ def eta0(mu) -> np.ndarray:
     t = (mu[ramp] - _ETA0_PLATEAU) / (_ETA0_SUPPORT - _ETA0_PLATEAU)
     out[ramp] = np.exp(1.0 - 1.0 / (1.0 - t**2))
     return out
-
-
-def sobolev_norm(grid: Grid, f: np.ndarray, sigma: float, homogeneous: bool = False) -> float:
-    """Sobolev norm of a (possibly multi-component) field via Plancherel.
-
-    ``homogeneous`` weights by |xi|^sigma and ignores the xi = 0 mode;
-    otherwise the weight is (1 + |xi|^2)^(sigma/2).  Components (leading
-    axes) are combined as a root sum of squares.  sigma is restricted to
-    [-1, d + 10].
-    """
-    if not -1.0 <= sigma <= grid.d + 10:
-        raise ValueError(f"sigma={sigma} outside supported range [-1, {grid.d + 10}]")
-    f = grid._check_field(f)
-    fhat = grid.fft(f)
-    power = np.abs(fhat) ** 2
-    if homogeneous:
-        weight = _safe_power(grid.k_abs, 2.0 * sigma)
-    else:
-        weight = (1.0 + grid.k_squared) ** sigma
-    total = np.sum(power * weight)
-    return float(np.sqrt(total * grid.length**grid.d / grid.n ** (2 * grid.d)))
 
 
 def l2_norm(grid: Grid, f: np.ndarray) -> float:

@@ -1,9 +1,11 @@
 """Reference implementations that serve as test oracles.
 
 These are the physical-space forms of operators the package computes in
-Fourier space, the full-spectrum forms of the energy and the critical norm
-that the package sums over half spectra, the loop-over-pairs form of the
-derived-field kernel, and the two-trajectory Gronwall probe behind the
+Fourier space, the single-field spectral derivative and Laplacian and the
+full-``fft`` Sobolev norm, which no command needs, the full-spectrum forms
+of the energy and the critical norm that the package sums over half spectra,
+the loop-over-pairs form of the derived-field kernel, a ``CoulombSlice``
+built from given fields, and the two-trajectory Gronwall probe behind the
 uniqueness criterion.  No command uses them; they live beside the tests
 that check the package against them.
 """
@@ -15,15 +17,53 @@ from dataclasses import dataclass
 import numpy as np
 
 from spheremap.evolution import default_dt, step_rk4_projected
-from spheremap.geometry import SphereField
+from spheremap.gauge import CoulombSlice
+from spheremap.geometry import Frame, SphereField
 from spheremap.spectral import (
     Grid,
     _apply_symbol,
     _riesz_pair,
+    _safe_power,
     dealias,
-    partial_derivative,
-    sobolev_norm,
 )
+
+
+def partial_derivative(grid: Grid, f: np.ndarray, axis: int) -> np.ndarray:
+    """Spectral derivative along ``axis`` (1-based): multiplier i*xi_axis."""
+    grid._check_axis(axis)
+    return _apply_symbol(grid, f, "partial_derivative", axis)
+
+
+def laplacian(grid: Grid, f: np.ndarray) -> np.ndarray:
+    """Spectral Laplacian: multiplier -|xi|^2."""
+    return _apply_symbol(grid, f, "laplacian")
+
+
+def sobolev_norm(grid: Grid, f: np.ndarray, sigma: float, homogeneous: bool = False) -> float:
+    """Sobolev norm of a (possibly multi-component) field via Plancherel.
+
+    ``homogeneous`` weights by |xi|^sigma and ignores the xi = 0 mode;
+    otherwise the weight is (1 + |xi|^2)^(sigma/2).  Components (leading
+    axes) are combined as a root sum of squares.  sigma is restricted to
+    [-1, d + 10].
+    """
+    if not -1.0 <= sigma <= grid.d + 10:
+        raise ValueError(f"sigma={sigma} outside supported range [-1, {grid.d + 10}]")
+    f = grid._check_field(f)
+    fhat = grid.fft(f)
+    power = np.abs(fhat) ** 2
+    if homogeneous:
+        weight = _safe_power(grid.k_abs, 2.0 * sigma)
+    else:
+        weight = (1.0 + grid.k_squared) ** sigma
+    total = np.sum(power * weight)
+    return float(np.sqrt(total * grid.length**grid.d / grid.n ** (2 * grid.d)))
+
+
+def slice_with_spectra(frame: Frame, a: np.ndarray, psi: np.ndarray) -> CoulombSlice:
+    """``CoulombSlice`` of given fields, with the rfft of s and of a."""
+    grid = frame.grid
+    return CoulombSlice(frame, a, psi, grid.rfft(frame.s.values), grid.rfft(a))
 
 
 def energy_full_spectrum(s: SphereField) -> float:

@@ -1,7 +1,9 @@
 """Tests for initial data generation, persistence, config parsing and the CLI."""
 
 import os
+import struct
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -18,7 +20,9 @@ from spheremap.cli_io import (
 from spheremap.diagnostics import DiagnosticsRow, critical_norm
 from spheremap.gauge import coulomb_slice
 from spheremap.initial_data import InitialDataSpec, generate_initial
-from spheremap.spectral import Grid, sobolev_norm
+from spheremap.spectral import Grid
+
+from reference import sobolev_norm
 
 
 def coords(grid):
@@ -69,7 +73,7 @@ class TestGenerateInitial:
         g = Grid(d=2, n=16)
         for kind in ("geodesic-bump", "band-limited-random", "stereographic-pullback"):
             s = generate_initial(InitialDataSpec(kind=kind, amplitude=0.3, seed=5), g)
-            assert s.unit_violation() < 1e-14
+            assert np.max(np.abs(np.sqrt(np.sum(s.values**2, axis=0)) - 1.0)) < 1e-14
 
     def test_critical_norm_slope(self):
         # amplitude 1e-3 cosine profile: critical norm / eps matches the
@@ -113,6 +117,17 @@ class TestGenerateInitial:
             InitialDataSpec(**kwargs)
 
 
+def write_header(path, d, n, length, kind=3):
+    """A snapshot header with valid checksums and an empty payload."""
+    header = bytearray(b"SPHMAP\x00\x01")
+    header += struct.pack("<III", 1, kind, d)
+    header += struct.pack(f"<{d}I", *((n,) * d))
+    header += struct.pack("<ddQ", length, 0.0, 0)
+    header += struct.pack("<I", zlib.crc32(b""))
+    header += struct.pack("<I", zlib.crc32(bytes(header)))
+    path.write_bytes(bytes(header))
+
+
 class TestSnapshotRoundtrip:
     def test_vector_bitwise(self, tmp_path):
         g = Grid(d=2, n=16)
@@ -123,15 +138,6 @@ class TestSnapshotRoundtrip:
         assert snap.time == 0.25
         assert snap.grid == g
         assert np.array_equal(snap.values, s.values)
-
-    def test_scalar_bitwise(self, tmp_path):
-        g = Grid(d=3, n=8)
-        rng = np.random.default_rng(0)
-        f = rng.normal(size=g.shape)
-        path = str(tmp_path / "scalar.bin")
-        save_snapshot(f, g, 1.5, path)
-        snap = load_snapshot(path)
-        assert np.array_equal(snap.values, f)
 
     def test_four_dimensional_vector(self, tmp_path):
         g = Grid(d=4, n=8)
@@ -150,7 +156,7 @@ class TestSnapshotRoundtrip:
     def test_version_mismatch(self, tmp_path):
         g = Grid(d=2, n=8)
         path = str(tmp_path / "field.bin")
-        save_snapshot(np.ones(g.shape), g, 0.0, path)
+        save_snapshot(np.ones((3,) + g.shape), g, 0.0, path)
         blob = bytearray(open(path, "rb").read())
         blob[8] = 9  # version field follows the 8-byte magic
         open(path, "wb").write(bytes(blob))
@@ -160,7 +166,7 @@ class TestSnapshotRoundtrip:
     def test_corrupt_payload(self, tmp_path):
         g = Grid(d=2, n=8)
         path = str(tmp_path / "field.bin")
-        save_snapshot(np.zeros(g.shape) + 1.0, g, 0.0, path)
+        save_snapshot(np.zeros((3,) + g.shape) + 1.0, g, 0.0, path)
         blob = bytearray(open(path, "rb").read())
         blob[-5] ^= 0xFF
         open(path, "wb").write(bytes(blob))
@@ -170,7 +176,7 @@ class TestSnapshotRoundtrip:
     def test_truncated_payload(self, tmp_path):
         g = Grid(d=2, n=8)
         path = str(tmp_path / "field.bin")
-        save_snapshot(np.ones(g.shape), g, 0.0, path)
+        save_snapshot(np.ones((3,) + g.shape), g, 0.0, path)
         blob = open(path, "rb").read()
         open(path, "wb").write(blob[:-16])
         with pytest.raises(SnapshotFormatError, match="truncated"):
@@ -179,28 +185,27 @@ class TestSnapshotRoundtrip:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda b: b + b"\0", "trailing bytes after payload: 513 bytes, expected 512"),
-            (lambda b: b[:-16], "truncated payload: 496 bytes, expected 512"),
+            (lambda b: b + b"\0", "trailing bytes after payload: 1537 bytes, expected 1536"),
+            (lambda b: b[:-16], "truncated payload: 1520 bytes, expected 1536"),
         ],
         ids=["trailing", "truncated"],
     )
     def test_payload_size_mismatch_names_sizes(self, tmp_path, edit, message):
         g = Grid(d=2, n=8)
         path = tmp_path / "field.bin"
-        save_snapshot(np.ones(g.shape), g, 0.0, str(path))
+        save_snapshot(np.ones((3,) + g.shape), g, 0.0, str(path))
         path.write_bytes(edit(path.read_bytes()))
         with pytest.raises(SnapshotFormatError) as exc:
             load_snapshot(str(path))
         assert str(exc.value).endswith(message)
 
-    @pytest.mark.parametrize("vector", [True, False])
-    def test_every_truncation_and_bit_flip_rejected(self, tmp_path, vector):
+    def test_every_truncation_and_bit_flip_rejected(self, tmp_path):
         g = Grid(d=2, n=8)
         values = generate_initial(InitialDataSpec(amplitude=0.1), g).values
         path = tmp_path / "field.bin"
-        save_snapshot(values if vector else values[0], g, 0.5, str(path))
+        save_snapshot(values, g, 0.5, str(path))
         blob = path.read_bytes()
-        assert len(blob) == 60 + 8 * (3 if vector else 1) * g.n**2
+        assert len(blob) == 60 + 8 * 3 * g.n**2
         for end in range(len(blob)):
             path.write_bytes(blob[:end])
             with pytest.raises(SnapshotFormatError):
@@ -212,17 +217,34 @@ class TestSnapshotRoundtrip:
             with pytest.raises(SnapshotFormatError):
                 load_snapshot(str(path))
 
+    @pytest.mark.parametrize(
+        "d, n, length",
+        [(1, 8, 1.0), (5, 8, 1.0), (2, 6, 1.0), (2, 7, 1.0), (2, 8, -1.0), (2, 8, np.nan)],
+    )
+    def test_unsupported_grid_in_header_is_a_format_error(self, tmp_path, d, n, length):
+        path = tmp_path / "field.bin"
+        write_header(path, d, n, length)
+        with pytest.raises(SnapshotFormatError) as exc:
+            load_snapshot(str(path))
+        assert str(exc.value).startswith(f"{path}: ")
+
+    def test_scalar_kind_is_unknown(self, tmp_path):
+        path = tmp_path / "field.bin"
+        write_header(path, 2, 8, 1.0, kind=1)
+        with pytest.raises(SnapshotFormatError, match="unknown field kind 1"):
+            load_snapshot(str(path))
+
     def test_grid_mismatch_rejected(self, tmp_path):
         g = Grid(d=2, n=8)
         path = str(tmp_path / "field.bin")
-        save_snapshot(np.ones(g.shape), g, 0.0, path)
+        save_snapshot(np.ones((3,) + g.shape), g, 0.0, path)
         with pytest.raises(ValueError, match="grid mismatch"):
             load_snapshot(path, expect_grid=Grid(d=2, n=16))
 
     def test_matching_header_returns_the_expected_grid_object(self, tmp_path):
         g = Grid(d=2, n=8)
         path = str(tmp_path / "field.bin")
-        save_snapshot(np.ones(g.shape), g, 0.0, path)
+        save_snapshot(np.ones((3,) + g.shape), g, 0.0, path)
         assert load_snapshot(path, expect_grid=g).grid is g
         assert load_snapshot(path).grid is not g
 
@@ -370,6 +392,51 @@ class TestCliRun:
         assert rc == 2
         assert not out.exists()
         assert cause in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "qprime, cause",
+        [
+            ("0,0,0", "qprime = (0.0, 0.0, 0.0) has length 0, outside (1/2, 2)"),
+            ("3,0,0", "qprime = (3.0, 0.0, 0.0) has length 3, outside (1/2, 2)"),
+            ("1e-9,0,0", "qprime = (1e-09, 0.0, 0.0) has length 1e-09, outside (1/2, 2)"),
+        ],
+        ids=["zero", "long", "short"],
+    )
+    def test_qprime_of_bad_length_rejected_by_name(
+        self, config_file, tmp_path, capsys, monkeypatch, qprime, cause
+    ):
+        def no_data(*args, **kwargs):
+            raise AssertionError("initial data built before qprime was checked")
+
+        monkeypatch.setattr("spheremap.evolution.generate_initial", no_data)
+        out = tmp_path / "bad"
+        rc = cli_main(["run", "--config", config_file, "--out", str(out),
+                       "--override", f"run.qprime={qprime}"])
+        assert rc == 2
+        assert not out.exists()
+        assert cause in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides, cause",
+        [
+            (["run.qprime=0,0,1"], "q' = (0.0, 0.0, 1.0) (run.qprime): |u1.u2| = 1.00000"),
+            (["initial.amplitude=0.5"],
+             "q' = (0.5000000000000001, 0.8660254037844387, 0.0) (tilted from initial.u): "
+             "|u1.u2| = 0.12370"),
+        ],
+        ids=["run.qprime", "tilted"],
+    )
+    def test_inadmissible_initial_frame_names_its_direction(
+        self, config_file, tmp_path, capsys, overrides, cause
+    ):
+        out = tmp_path / "bad"
+        argv = ["run", "--config", config_file, "--out", str(out)]
+        for item in overrides:
+            argv += ["--override", item]
+        assert cli_main(argv) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "no frame of the initial data along " + cause in err
 
     def test_negative_dt_steps_backwards(self, config_file, tmp_path):
         # the flow is time-reversible, so a stable negative step is legal

@@ -26,7 +26,6 @@ from spheremap.spectral import (
     dealias,
     inv_gradient_riesz,
     l2_norm,
-    partial_derivative,
     riesz,
 )
 
@@ -37,6 +36,8 @@ from reference import (
     evolve_by_pairs,
     gauge_spectra_by_pairs,
     nonlinearity_by_pairs,
+    partial_derivative,
+    slice_with_spectra,
 )
 
 Q = np.array([0.0, 0.0, 1.0])
@@ -55,7 +56,7 @@ def constant_field(grid, q=Q):
 def residuals_without_frame(grid, psi, a):
     """Slice residuals of fields that come without a frame: the compatibility
     and curvature residuals never read it, so the constant map's frame serves."""
-    return CoulombSlice(projection_frame(constant_field(grid), U), a, psi).residuals()
+    return slice_with_spectra(projection_frame(constant_field(grid), U), a, psi).residuals()
 
 
 def small_data_gauge(n=32, eps=0.05, d=2):
@@ -212,7 +213,7 @@ class TestResiduals:
         frame = projection_frame(constant_field(g), U)
         psi = derive_psi(frame)
         a = np.zeros((2,) + g.shape)
-        assert CoulombSlice(frame, a, psi).residuals()["res_psi0"] < 1e-14
+        assert slice_with_spectra(frame, a, psi).residuals()["res_psi0"] < 1e-14
 
     def test_random_unrelated_fields_fail(self):
         g = Grid(d=2, n=16)
@@ -229,7 +230,7 @@ class TestResiduals:
         values = {}
         for n in (16, 32):
             grid, frame, conn, psi = small_data_gauge(n=n, eps=0.05)
-            values[n] = CoulombSlice(frame, conn.a, psi).residuals()[f"res_{resfun}"]
+            values[n] = slice_with_spectra(frame, conn.a, psi).residuals()[f"res_{resfun}"]
         assert values[16] / values[32] >= 10.0
 
     def test_psi0_identity_is_gauge_independent(self):
@@ -237,11 +238,11 @@ class TestResiduals:
         # equation alone; a non-Coulomb frame changes the residual only
         # through discretization, not by O(|div a|).
         grid, frame, conn, psi = small_data_gauge(n=32, eps=0.05)
-        res_coulomb = CoulombSlice(frame, conn.a, psi).residuals()["res_psi0"]
+        res_coulomb = slice_with_spectra(frame, conn.a, psi).residuals()["res_psi0"]
         x1, x2 = coords(grid)
         rotated = rotate_frame(frame, 0.2 * np.cos(x1) * np.sin(x2))
         a_rot = connection_of(rotated)
-        res_rot = CoulombSlice(rotated, a_rot.a, derive_psi(rotated)).residuals()["res_psi0"]
+        res_rot = slice_with_spectra(rotated, a_rot.a, derive_psi(rotated)).residuals()["res_psi0"]
         assert l2_norm(grid, divergence(grid, a_rot.a)) > 0.1  # strongly non-Coulomb
         assert res_rot < 1e-5
         assert res_coulomb < 1e-7
@@ -313,7 +314,7 @@ class TestResidualKernelMatchesReference:
         frame = projection_frame(generate_initial(spec, g), tilted_qprime(spec))
         psi = random_band_limited_psi(g, seed=10 * d + n, max_mode=2)
         a = random_band_limited_psi(g, seed=10 * d + n + 1, max_mode=2).real
-        res = CoulombSlice(frame, a, psi).residuals()
+        res = slice_with_spectra(frame, a, psi).residuals()
         ref = reference_residuals(frame, a, psi)
         assert list(res) == list(ref)
         for key, value in ref.items():

@@ -21,9 +21,9 @@ from spheremap.geometry import (
     rotate_frame,
 )
 from spheremap.initial_data import KINDS, InitialDataSpec, generate_initial, tilted_qprime
-from spheremap.spectral import Grid, l2_norm, partial_derivative
+from spheremap.spectral import Grid, l2_norm
 
-from reference import divergence, poisson_zero_mean
+from reference import divergence, partial_derivative, poisson_zero_mean
 
 Q = np.array([0.0, 0.0, 1.0])
 U = np.array([1.0, 0.0, 0.0])
@@ -313,3 +313,13 @@ class TestFrameValidation:
         w = v.copy()  # w = v violates orthogonality
         with pytest.raises(ValueError, match="orthonormality"):
             Frame(s, v, w)
+
+    @pytest.mark.parametrize("which", ["v", "w"])
+    def test_nan_frame_rejected(self, which):
+        # a NaN in v fails every check; one in w fails only the later ones
+        g = Grid(d=2, n=8)
+        frame = projection_frame(constant_field(g), U)
+        v, w = frame.v.copy(), frame.w.copy()
+        (v if which == "v" else w)[1, 2, 3] = np.nan
+        with pytest.raises(ValueError, match="orthonormality defect nan"):
+            Frame(frame.s, v, w)

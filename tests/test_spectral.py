@@ -11,14 +11,17 @@ from spheremap.spectral import (
     eta0,
     inv_gradient_riesz,
     l2_norm,
-    laplacian,
-    partial_derivative,
     plancherel_mass,
     riesz,
-    sobolev_norm,
 )
 
-from reference import dealiased_product, poisson_zero_mean
+from reference import (
+    dealiased_product,
+    laplacian,
+    partial_derivative,
+    poisson_zero_mean,
+    sobolev_norm,
+)
 
 
 def coords(grid):

@@ -1,4 +1,6 @@
-"""The package's public surface: each module's ``__all__`` names what it defines."""
+"""The package's public surface: each module's ``__all__`` names what it
+defines, every public definition is used in ``src/``, and a run evaluates
+the flow through its one right-hand side."""
 
 import ast
 import importlib
@@ -13,6 +15,10 @@ from pathlib import Path
 import pytest
 
 import spheremap
+import spheremap.geometry as geometry
+from spheremap.evolution import SimConfig, run
+from spheremap.initial_data import InitialDataSpec
+from spheremap.spectral import Grid
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(spheremap.__path__))
 
@@ -98,3 +104,63 @@ def test_declared_numpy_floor_has_transforms_with_out():
     assert len(floors) == 1 and floors[0], f"no numpy>= floor in {project['dependencies']}"
     major, minor = floors[0].groups()
     assert (int(major), int(minor or 0)) >= (2, 0)
+
+
+# Public definitions that nothing in src/ references, and why each stays.
+UNREFERENCED_PUBLIC = {
+    "a0_from_psi": "perfbench's install test deletes it to check how a missing name is reported",
+    "riesz": "criterion 10 checks it against a closed form",
+    "inv_gradient_riesz": "criterion 10 checks it against a closed form",
+    "step_rk4_projected": "criteria 5, 6 and 8 step with it",
+}
+
+
+def test_every_public_definition_is_referenced_in_src():
+    """A public top-level function or class that no code in ``src/`` reads
+    is test-only surface; it belongs in ``tests/reference.py``."""
+    package = Path(spheremap.__file__).resolve().parent
+    defined, referenced = {}, set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                defined[node.name] = path.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    unused = sorted(f"{defined[name]}:{name}" for name in set(defined) - referenced
+                    if name not in UNREFERENCED_PUBLIC)
+    assert not unused, "public definitions with no reference in src/: " + ", ".join(unused)
+    stale = sorted(name for name in UNREFERENCED_PUBLIC
+                   if name not in defined or name in referenced)
+    assert not stale, "allowlisted but defined nowhere or referenced: " + ", ".join(stale)
+
+
+def test_run_evaluates_the_flow_only_through_flow_rhs(monkeypatch):
+    """4 calls per RK4 step and 1 per diagnostics row; each call looks up
+    the Laplacian symbol once, and nothing else in a run does."""
+    calls = {"flow_rhs": 0, "laplacian": 0}
+    real_rhs, real_symbol = geometry.flow_rhs, Grid.symbol
+
+    def counting_rhs(*args, **kwargs):
+        calls["flow_rhs"] += 1
+        return real_rhs(*args, **kwargs)
+
+    def counting_symbol(self, name, *args, **kwargs):
+        calls["laplacian"] += name == "laplacian"
+        return real_symbol(self, name, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("spheremap"):
+            for attr, value in list(vars(module).items()):
+                if value is real_rhs:
+                    monkeypatch.setattr(module, attr, counting_rhs)
+    monkeypatch.setattr(Grid, "symbol", counting_symbol)
+    steps = 6
+    record = run(SimConfig(grid=Grid(d=2, n=16), initial=InitialDataSpec(amplitude=0.05),
+                           steps=steps, cadence=2))
+    assert len(record.rows) == 4
+    assert calls["flow_rhs"] == 4 * steps + len(record.rows)
+    assert calls["laplacian"] == calls["flow_rhs"]
