@@ -19,7 +19,7 @@ import struct
 import sys
 import tempfile
 import zlib
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .diagnostics import (
     xk_norm,
 )
 from .evolution import SimConfig, run
-from .gauge import a_from_psi, coulomb_slice
+from .gauge import CoulombSlice, a_from_psi, coulomb_slice
 from .geometry import _UNIT_TOL, FrameDegenerateError, SphereField
 from .initial_data import InitialDataSpec, generate_initial
 from .spectral import Grid, l2_norm
@@ -176,7 +176,7 @@ def _fmt(v: float) -> str:
 
 def emit_diagnostics_csv(rows, path: str) -> None:
     """Write diagnostics rows as CSV with a header naming every field."""
-    emit_series_csv(DiagnosticsRow.FIELDS, [row.as_tuple() for row in rows], path)
+    emit_series_csv([f.name for f in fields(DiagnosticsRow)], [astuple(row) for row in rows], path)
 
 
 def emit_series_csv(header, rows, path: str) -> None:
@@ -190,8 +190,6 @@ def emit_series_csv(header, rows, path: str) -> None:
 # ---------------------------------------------------------------------------
 # configuration files
 # ---------------------------------------------------------------------------
-
-_TRIPLE_KEYS = {"q", "u", "qprime"}
 
 _SCHEMA = {
     "grid": {"d": int, "n": int, "length": float},
@@ -259,7 +257,7 @@ def _convert(section: str, key: str, text: str):
 
 def parse_config(
     path: str,
-    overrides=(),
+    overrides,
     out_dir: str | None = None,
     seed: int | None = None,
 ) -> SimConfig:
@@ -319,15 +317,14 @@ def parse_config(
 # verification helpers shared by the verify and sweep subcommands
 # ---------------------------------------------------------------------------
 
-def gauge_identity_suite(s: SphereField, qprime: np.ndarray | None = None) -> dict:
-    """Residuals of the structural identities on one time slice.
+def gauge_identity_suite(sl: CoulombSlice) -> dict:
+    """Residuals of the structural identities on one Coulomb slice.
 
     Returns compatibility, curvature and psi_0 residuals, the divergence of
     the Coulomb connection, and the L2 mismatch between the connection
-    recovered from psi alone and the frame connection.
+    recovered from psi alone and the frame connection: 11 transforms.
     """
-    grid = s.grid
-    sl = coulomb_slice(s, qprime)
+    grid = sl.frame.grid
     suite = sl.residuals()
     div_a = suite.pop("div_a")
     a_psi = a_from_psi(grid, sl.psi).a
@@ -335,11 +332,12 @@ def gauge_identity_suite(s: SphereField, qprime: np.ndarray | None = None) -> di
     return {**suite, "res_cross": float(cross), "div_a": div_a}
 
 
-def _sphere_from_snapshot(snap: Snapshot, q: np.ndarray | None = None) -> SphereField:
+def _sphere_from_snapshot(snap: Snapshot, q: np.ndarray | None) -> SphereField:
+    """The snapshot's map with base point q, or its normalized mean direction."""
     if q is None:
         mean = snap.values.mean(axis=tuple(range(1, snap.grid.d + 1)))
         q = mean / np.linalg.norm(mean)
-    return SphereField(snap.grid, snap.values, q=np.asarray(q, dtype=float))
+    return SphereField(snap.grid, snap.values, q)
 
 
 # ---------------------------------------------------------------------------
@@ -365,13 +363,13 @@ def _cmd_verify(args) -> int:
     qp = _flag_triple("--qprime", args.qprime)
     s = _sphere_from_snapshot(load_snapshot(args.snapshot), q)
     try:
-        suite = gauge_identity_suite(s, qp)
+        sl = coulomb_slice(s, qp)
     except FrameDegenerateError as exc:
         if qp is None:
             raise
         # an explicit direction builds the frame: it is what failed
         raise ConfigError(f"--qprime {args.qprime!r}: no projection frame of the snapshot: {exc}") from exc
-    for name, value in suite.items():
+    for name, value in gauge_identity_suite(sl).items():
         print(f"{name} = {_fmt(value)}")
     return 0
 
@@ -438,9 +436,9 @@ def _cmd_sweep(args) -> int:
     for value in swept:
         config = parse_config(args.config, list(args.override) + [f"{target}={value}"],
                               out_dir=None, seed=args.seed)
-        s0 = generate_initial(config.initial, config.grid)
-        suite = gauge_identity_suite(s0, config.resolved_qprime())
-        ratio = frame_bound_ratio(s0, config.resolved_qprime())
+        sl = coulomb_slice(generate_initial(config.initial, config.grid), config.resolved_qprime())
+        suite = gauge_identity_suite(sl)
+        ratio = frame_bound_ratio(sl)
         suites.append(suite)
         rows.append((_number_or_text(value), *suite.values(), ratio))
         printable = "  ".join(f"{k}={_fmt(v)}" for k, v in suite.items())

@@ -5,18 +5,21 @@ spectrally accurate for smooth periodic data; frequency-space norms share the
 Plancherel normalization of :mod:`spheremap.spectral`.  The energy and the
 critical norm are Plancherel sums over the half spectrum of the real map s
 (``plancherel_mass``): columns 0 and n/2 of the last axis count once, every
-other column twice for its conjugate partner.  A diagnostics row reads that
-spectrum from its Coulomb slice, so these two cells cost no transform.
+other column twice for its conjugate partner.  Every analysis here reads a
+Coulomb slice it is given: a diagnostics row takes that spectrum from the
+slice, so these two cells cost no transform, and ``frame_bound_ratio``
+takes psi from it, so the ratio costs one fft and does not depend on the
+frame direction q'.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .gauge import CoulombSlice, derive_psi
-from .geometry import SphereField, projection_frame
+from .gauge import CoulombSlice
+from .geometry import SphereField
 from .spectral import Grid, eta0, l2_norm, plancherel_mass
 
 __all__ = [
@@ -47,77 +50,60 @@ class DiagnosticsRow:
     res_curvature: float
     res_psi0: float
 
-    FIELDS = (
-        "t",
-        "energy",
-        "l2_dist_q",
-        "critical_norm",
-        "unit_violation",
-        "div_a",
-        "res_compatibility",
-        "res_curvature",
-        "res_psi0",
-    )
-
-    def as_tuple(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.FIELDS)
-
     def __post_init__(self) -> None:
-        bad = [name for name in self.FIELDS if not np.isfinite(getattr(self, name))]
+        bad = [f.name for f in fields(self) if not np.isfinite(getattr(self, f.name))]
         if bad:
             raise ValueError(f"non-finite diagnostics row: {', '.join(bad)}")
 
 
-def _half_spectrum_mass(s: SphereField, s_hat: np.ndarray | None, power: float) -> float:
+def _half_spectrum_mass(s: SphereField, s_hat: np.ndarray, power: float) -> float:
     """integral of | |D|^(power/2) s |^2 over the 3 components of s, by
-    Plancherel on its half spectrum ``s_hat`` (one rfft when None)."""
+    Plancherel on its half spectrum ``s_hat``."""
     grid = s.grid
-    if s_hat is None:
-        s_hat = grid.rfft(s.values)
     weight = grid.symbol("frequency_power", power, half=True)
     return float(np.sum(plancherel_mass(grid, s_hat, half=True, weight=weight)))
 
 
-def energy(s: SphereField, s_hat: np.ndarray | None = None) -> float:
+def energy(s: SphereField, s_hat: np.ndarray) -> float:
     """Dirichlet energy sum_l ||d_l s||_L2^2, evaluated by Plancherel on the
-    half spectrum ``s_hat`` of s (taken here when not given)."""
+    half spectrum ``s_hat`` of s."""
     return _half_spectrum_mass(s, s_hat, 2.0)
 
 
-def l2_distance_q(s: SphereField, q: np.ndarray | None = None) -> float:
+def l2_distance_q(s: SphereField) -> float:
     """|| s - q ||_L2 by quadrature; conserved along the flow."""
-    qv = np.asarray(q if q is not None else s.q, dtype=float)
-    diff = s.values - qv.reshape((3,) + (1,) * s.grid.d)
+    diff = s.values - s.q.reshape((3,) + (1,) * s.grid.d)
     return l2_norm(s.grid, diff)
 
 
-def critical_norm(s: SphereField, s_hat: np.ndarray | None = None) -> float:
+def critical_norm(s: SphereField, s_hat: np.ndarray) -> float:
     """Scale-critical size || s - q ||_{H^(d/2), homogeneous}.
 
     s - q differs from s only at xi = 0, where the homogeneous weight is 0,
-    so this is a Plancherel sum on the half spectrum ``s_hat`` of s (taken
-    here when not given), for every constant q.
+    so this is a Plancherel sum on the half spectrum ``s_hat`` of s, for
+    every constant q.
     """
     return float(np.sqrt(_half_spectrum_mass(s, s_hat, float(s.grid.d))))
 
 
-def frame_bound_ratio(s: SphereField, qprime: np.ndarray | None = None) -> float:
-    """max_m ||psi_m||_{H^((d-2)/2), hom} divided by ||s - q||_{H^(d/2), hom}.
+def frame_bound_ratio(sl: CoulombSlice) -> float:
+    """max_m ||psi_m||_{H^((d-2)/2), hom} divided by ||s - q||_{H^(d/2), hom}
+    on one Coulomb slice.
 
     Returns 0 for s identically at the base point (0/0 guarded).  Stability
     of this ratio across an amplitude sweep evidences the linear bound of
-    the derived fields by the critical norm of the data.  One rfft of s
-    serves both norms; the numerator is a Plancherel sum on the full
-    spectrum of psi.
+    the derived fields by the critical norm of the data.  The Coulomb gauge
+    is unique up to one constant rotation, so the ratio does not depend on
+    the frame direction q'.  The denominator reads the slice's spectrum of
+    s; the numerator is a Plancherel sum on one fft of the slice's psi.
     """
+    s = sl.frame.s
     grid = s.grid
-    s_hat = grid.rfft(s.values)
-    denom = critical_norm(s, s_hat)
+    denom = critical_norm(s, sl.s_hat)
     if denom == 0.0:
         return 0.0
-    psi_hat = grid.fft(derive_psi(projection_frame(s, qprime), s_hat))
     weight = grid.symbol("frequency_power", grid.d - 2.0, half=False)
-    num = np.sqrt(np.max(plancherel_mass(grid, psi_hat, half=False, weight=weight)))
+    num = np.sqrt(np.max(plancherel_mass(grid, grid.fft(sl.psi), half=False, weight=weight)))
     return float(num / denom)
 
 

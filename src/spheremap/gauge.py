@@ -25,7 +25,9 @@ physical-space wrappers over the same product spectra.
 
 ``coulomb_slice`` is the one place a time slice is analysed: Coulomb-fixed
 projection frame, connection and psi, in 6 transforms, with the half spectra
-of s and of the fixed connection that building them takes.
+of s and of the fixed connection that building them takes.  The diagnostics
+row, the frame-bound ratio and the gauge identity suite read a slice built
+here; none of them builds a frame of its own.
 ``CoulombSlice.residuals`` quantifies, in L2, how well the structural
 identities (derivative compatibility, connection curvature, and the
 time-slice relation for psi_0) hold for the discretely computed fields; for
@@ -70,16 +72,14 @@ __all__ = [
 ]
 
 
-def derive_psi(frame: Frame, s_hat: np.ndarray | None = None) -> np.ndarray:
+def derive_psi(frame: Frame, s_hat: np.ndarray) -> np.ndarray:
     """Frame coordinates psi_m = (d_m s).v + i (d_m s).w of the map's gradient.
 
     Pointwise |psi_m| = |d_m s| since (v, w) is an orthonormal basis of the
     tangent plane.  One irfft of all d_m s, from the half spectrum ``s_hat``
-    of s, taken here (one rfft) when not given.
+    of s.
     """
     grid = frame.grid
-    if s_hat is None:
-        s_hat = grid.rfft(frame.s.values)
     ds = grid.irfft(gradient_hat(grid, s_hat, half=True))
     return np.sum(ds * frame.v, axis=1) + 1j * np.sum(ds * frame.w, axis=1)
 

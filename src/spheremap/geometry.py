@@ -11,7 +11,7 @@ s x Laplacian(s), for the integrator and the identities alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,7 +92,7 @@ class SphereField:
 
     grid: Grid
     values: np.ndarray
-    q: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))
+    q: np.ndarray
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=float)
@@ -209,8 +209,9 @@ def default_qprime(q: np.ndarray) -> np.ndarray:
     raise ValueError("no standard basis vector transverse to q")  # unreachable for unit q
 
 
-def projection_frame(s: SphereField, qprime: np.ndarray | None = None) -> Frame:
-    """Frame with v = N[qprime, s] pointwise and w = s x v.
+def projection_frame(s: SphereField, qprime: np.ndarray | None) -> Frame:
+    """Frame with v = N[qprime, s] pointwise and w = s x v; a None
+    ``qprime`` means ``default_qprime(s.q)``.
 
     Valid whenever |s(x) . qprime| < 2^-5 everywhere, which holds for small
     perturbations of the base point when qprime is orthogonal to it.  The
@@ -271,8 +272,8 @@ def coulomb_fix(frame: Frame) -> tuple:
     return rotate_frame(frame, chi), Connection(grid, a + chi_grad[1:], a_hat), chi
 
 
-def renormalize(grid: Grid, u: np.ndarray, q: np.ndarray | None = None) -> SphereField:
-    """Project an R^3 field back to the unit sphere pointwise.
+def renormalize(grid: Grid, u: np.ndarray, q: np.ndarray) -> SphereField:
+    """Project an R^3 field back to the unit sphere pointwise, with base point q.
 
     Raises BlowupSuspectedError when any pointwise length leaves [1/2, 2].
     """
@@ -285,8 +286,7 @@ def renormalize(grid: Grid, u: np.ndarray, q: np.ndarray | None = None) -> Spher
             f"field length left [1/2, 2] at grid point {idx} "
             f"(|u| = {float(lengths[idx]) if np.all(np.isfinite(lengths)) else float('nan'):.4f})"
         )
-    kwargs = {} if q is None else {"q": np.asarray(q, dtype=float)}
-    return SphereField(grid, u / lengths, **kwargs)
+    return SphereField(grid, u / lengths, q)
 
 
 class _FlowWork:

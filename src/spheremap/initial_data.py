@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SphereField
+from .geometry import SphereField, default_qprime
 from .spectral import Grid
 
 __all__ = ["InitialDataSpec", "generate_initial", "tilted_qprime"]
@@ -55,6 +55,10 @@ class InitialDataSpec:
             raise ValueError(f"amplitude = {self.amplitude} must be finite and >= 0")
         if self.width is not None and not (np.isfinite(self.width) and self.width > 0):
             raise ValueError(f"width = {self.width} must be finite and positive")
+        if self.mode_cutoff < 1:
+            raise ValueError(f"mode_cutoff = {self.mode_cutoff} must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed = {self.seed} must be >= 0")
         q = np.asarray(self.q, dtype=float)
         # written as "not ... <=" so that NaN components fail the checks
         if not abs(np.linalg.norm(q) - 1.0) <= 1e-12:
@@ -67,8 +71,6 @@ class InitialDataSpec:
     def resolved_u(self) -> np.ndarray:
         if self.u is not None:
             return np.asarray(self.u, dtype=float)
-        from .geometry import default_qprime
-
         return default_qprime(np.asarray(self.q, dtype=float))
 
 
@@ -86,10 +88,9 @@ def tilted_qprime(spec: InitialDataSpec) -> np.ndarray:
     return qp / np.linalg.norm(qp)
 
 
-def _bump_profile(grid: Grid, width: float, center: float | None = None) -> np.ndarray:
-    """Periodic Gaussian-like bump, peak height _BUMP_PEAK at the center."""
-    if center is None:
-        center = grid.length / 2.0
+def _bump_profile(grid: Grid, width: float) -> np.ndarray:
+    """Periodic Gaussian-like bump, peak height _BUMP_PEAK at the center of the box."""
+    center = grid.length / 2.0
     rho2 = np.zeros(grid.shape)
     for m in range(1, grid.d + 1):
         x = grid.coordinate(m)

@@ -4,6 +4,7 @@ import os
 import struct
 import tracemalloc
 import zlib
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -82,7 +83,7 @@ class TestGenerateInitial:
         eps = 1e-3
         s = generate_initial(InitialDataSpec(amplitude=eps, profile="cosine"), g)
         theta_norm = sobolev_norm(g, np.cos(coords(g)[0]), g.d / 2.0, homogeneous=True)
-        assert critical_norm(s) / eps == pytest.approx(theta_norm, rel=1e-4)
+        assert critical_norm(s, g.rfft(s.values)) / eps == pytest.approx(theta_norm, rel=1e-4)
 
     def test_seed_determinism(self):
         g = Grid(d=2, n=16)
@@ -254,7 +255,7 @@ class TestDiagnosticsCsv:
         path = str(tmp_path / "diag.csv")
         emit_diagnostics_csv([], path)
         text = open(path).read()
-        assert text == ",".join(DiagnosticsRow.FIELDS) + "\n"
+        assert text == ",".join(f.name for f in fields(DiagnosticsRow)) + "\n"
 
     def test_deterministic_bytes(self, tmp_path):
         row = DiagnosticsRow(0.1, 1.0 / 3.0, 2e-7, 0.5, 1e-12, 0.0, 1e-9, 2e-9, 3e-9)
@@ -275,7 +276,7 @@ class TestDiagnosticsCsv:
         (tmp_path / "diagnostics.csv.tmp").mkdir()
         path = tmp_path / "diagnostics.csv"
         emit_diagnostics_csv([], str(path))
-        assert path.read_text() == ",".join(DiagnosticsRow.FIELDS) + "\n"
+        assert path.read_text() == ",".join(f.name for f in fields(DiagnosticsRow)) + "\n"
         assert sorted(os.listdir(tmp_path)) == ["diagnostics.csv", "diagnostics.csv.tmp"]
 
     def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
@@ -290,7 +291,7 @@ class TestDiagnosticsCsv:
 
 class TestParseConfig:
     def test_full_parse(self, config_file, tmp_path):
-        config = parse_config(config_file)
+        config = parse_config(config_file, [])
         assert config.grid == Grid(d=2, n=16)
         assert config.steps == 4
         assert config.cadence == 2
@@ -307,7 +308,7 @@ class TestParseConfig:
         path = tmp_path / "bad.ini"
         path.write_text("[grid]\nd=2\nn=16\n[physics]\nc=3e8\n")
         with pytest.raises(ConfigError, match="unknown config section"):
-            parse_config(str(path))
+            parse_config(str(path), [])
 
     def test_overrides_and_seed(self, config_file):
         config = parse_config(config_file, overrides=["time.steps=9"], seed=99)
@@ -316,7 +317,7 @@ class TestParseConfig:
 
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="cannot read"):
-            parse_config("/nonexistent/run.ini")
+            parse_config("/nonexistent/run.ini", [])
 
     def test_bad_value(self, config_file):
         with pytest.raises(ConfigError, match="amplitude"):
@@ -413,6 +414,32 @@ class TestCliRun:
         rc = cli_main(["run", "--config", config_file, "--out", str(out),
                        "--override", f"run.qprime={qprime}"])
         assert rc == 2
+        assert not out.exists()
+        assert cause in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides, cause",
+        [
+            (["initial.kind=band-limited-random", "initial.mode_cutoff=-1"],
+             "mode_cutoff = -1 must be >= 1"),
+            (["initial.kind=band-limited-random", "initial.mode_cutoff=0"],
+             "mode_cutoff = 0 must be >= 1"),
+            (["initial.seed=-3"], "seed = -3 must be >= 0"),
+        ],
+        ids=["negative-cutoff", "zero-cutoff", "negative-seed"],
+    )
+    def test_bad_initial_integer_rejected_by_name(
+        self, config_file, tmp_path, capsys, monkeypatch, overrides, cause
+    ):
+        def no_data(*args, **kwargs):
+            raise AssertionError("initial data built before the spec was checked")
+
+        monkeypatch.setattr("spheremap.evolution.generate_initial", no_data)
+        out = tmp_path / "bad"
+        argv = ["run", "--config", config_file, "--out", str(out)]
+        for item in overrides:
+            argv += ["--override", item]
+        assert cli_main(argv) == 2
         assert not out.exists()
         assert cause in capsys.readouterr().err
 

@@ -49,14 +49,14 @@ class TestSphereField:
         g = Grid(d=2, n=8)
         values = np.broadcast_to(np.array([0.0, 0.0, 1.1]).reshape(3, 1, 1), (3,) + g.shape)
         with pytest.raises(ValueError, match="unit-length"):
-            SphereField(g, values.copy())
+            SphereField(g, values.copy(), q=Q)
 
     def test_rejects_nan(self):
         g = Grid(d=2, n=8)
         values = np.broadcast_to(Q.reshape(3, 1, 1), (3,) + g.shape).copy()
         values[0, 0, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            SphereField(g, values)
+            SphereField(g, values, q=Q)
 
     def test_rejects_nan_base_point(self):
         g = Grid(d=2, n=8)
@@ -144,7 +144,7 @@ class TestProjectionFrame:
         # map tilted almost onto the reference direction at one point
         values = np.broadcast_to(Q.reshape(3, 1, 1), (3,) + g.shape).copy()
         values[:, 2, 5] = [0.9, 0.0, np.sqrt(1 - 0.81)]
-        s = SphereField(g, values)
+        s = SphereField(g, values, q=Q)
         with pytest.raises(FrameDegenerateError, match="2, 5"):
             projection_frame(s, U)
 
@@ -302,7 +302,7 @@ class TestRenormalize:
         values = np.broadcast_to(Q.reshape(3, 1, 1), (3,) + g.shape).copy()
         values[:, 1, 1] = 0.0
         with pytest.raises(BlowupSuspectedError):
-            renormalize(g, values)
+            renormalize(g, values, q=Q)
 
 
 class TestFrameValidation:

@@ -1,6 +1,7 @@
 """The package's public surface: each module's ``__all__`` names what it
-defines, every public definition is used in ``src/``, and a run evaluates
-the flow through its one right-hand side."""
+defines, every public definition, module-level name and default parameter
+is used in ``src/``, and a run evaluates the flow through its one
+right-hand side."""
 
 import ast
 import importlib
@@ -115,27 +116,107 @@ UNREFERENCED_PUBLIC = {
 }
 
 
+def _src_trees() -> dict:
+    """File name -> parsed module, for every module of the package."""
+    package = Path(spheremap.__file__).resolve().parent
+    return {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+
+
+def _names_read(trees: dict) -> set:
+    """Every name and attribute that the code of ``trees`` reads."""
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return read
+
+
 def test_every_public_definition_is_referenced_in_src():
     """A public top-level function or class that no code in ``src/`` reads
     is test-only surface; it belongs in ``tests/reference.py``."""
-    package = Path(spheremap.__file__).resolve().parent
-    defined, referenced = {}, set()
-    for path in sorted(package.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                defined[node.name] = path.name
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                referenced.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
+    trees = _src_trees()
+    defined = {node.name: name for name, tree in trees.items() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and not node.name.startswith("_")}
+    referenced = _names_read(trees)
     unused = sorted(f"{defined[name]}:{name}" for name in set(defined) - referenced
                     if name not in UNREFERENCED_PUBLIC)
     assert not unused, "public definitions with no reference in src/: " + ", ".join(unused)
     stale = sorted(name for name in UNREFERENCED_PUBLIC
                    if name not in defined or name in referenced)
     assert not stale, "allowlisted but defined nowhere or referenced: " + ", ".join(stale)
+
+
+def test_every_module_level_name_is_read_in_src():
+    """A module-level constant that nothing in ``src/`` reads is dead."""
+    trees = _src_trees()
+    assigned = {}
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                for leaf in ast.walk(target):
+                    if isinstance(leaf, ast.Name):
+                        assigned[leaf.id] = name
+    unread = sorted(f"{assigned[name]}:{name}"
+                    for name in set(assigned) - _names_read(trees) - {"__all__", "__version__"})
+    assert not unread, "module-level names never read in src/: " + ", ".join(unread)
+
+
+# Defaults of module-level functions that src/ does not both pass and leave
+# out, and why each stays.
+ONE_SIDED_DEFAULTS = {
+    "evolve_msm.nonlinear": "criterion 10 and test_free_phase check the exact free propagator "
+                            "through it",
+    "cli_main.argv": "the console script passes none; perfbench and the CLI tests pass argv",
+    "parse_config.out_dir": "perfbench/run.py times parse_config(path, overrides) for setup_s",
+    "parse_config.seed": "perfbench/run.py times parse_config(path, overrides) for setup_s",
+}
+
+
+def test_every_default_is_both_passed_and_left_out_in_src():
+    """A default that every ``src/`` call passes is not needed, and one that
+    no ``src/`` call passes is a second code path that only tests take."""
+    trees = _src_trees()
+    optional = {}  # "function.parameter" -> positional index, None if keyword-only
+    for tree in trees.values():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                first = len(positional) - len(args.defaults)
+                for index, arg in enumerate(positional[first:], start=first):
+                    optional[f"{node.name}.{arg.arg}"] = index
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        optional[f"{node.name}.{arg.arg}"] = None
+    uses = {key: set() for key in optional}
+    for tree in trees.values():
+        for call in (node for node in ast.walk(tree) if isinstance(node, ast.Call)):
+            func = call.func
+            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            keywords = {kw.arg for kw in call.keywords}
+            if None in keywords or any(isinstance(a, ast.Starred) for a in call.args):
+                continue  # *args / **kwargs: which parameters it fills is unknown here
+            for key, index in optional.items():
+                function, parameter = key.split(".")
+                if function == called:
+                    passed = parameter in keywords or (index is not None and index < len(call.args))
+                    uses[key].add("passed" if passed else "left out")
+    one_sided = sorted(f"{key} ({', '.join(uses[key]) or 'never called'})"
+                       for key in optional
+                       if len(uses[key]) < 2 and key not in ONE_SIDED_DEFAULTS)
+    assert not one_sided, "defaults not both passed and left out in src/: " + ", ".join(one_sided)
+    stale = sorted(key for key in ONE_SIDED_DEFAULTS if key not in optional or len(uses[key]) == 2)
+    assert not stale, "allowlisted but no default or used both ways: " + ", ".join(stale)
 
 
 def test_run_evaluates_the_flow_only_through_flow_rhs(monkeypatch):
