@@ -24,10 +24,9 @@ from .geometry import (
     connection_of,
     default_qprime,
     flow_rhs,
-    project_n,
-    projection_frame,
     renormalize,
     rotate_frame,
+    transport_frame,
 )
 from .gauge import (
     CoulombSlice,
@@ -37,7 +36,7 @@ from .gauge import (
     derive_psi,
     msm_nonlinearity,
 )
-from .initial_data import InitialDataSpec, generate_initial, tilted_qprime
+from .initial_data import InitialDataSpec, generate_initial
 from .diagnostics import (
     DiagnosticsRow,
     SpaceTimeRecord,

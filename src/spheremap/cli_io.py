@@ -33,7 +33,7 @@ from .diagnostics import (
 )
 from .evolution import SimConfig, run
 from .gauge import CoulombSlice, a_from_psi, coulomb_slice
-from .geometry import _UNIT_TOL, FrameDegenerateError, SphereField
+from .geometry import _UNIT_TOL, SphereField
 from .initial_data import InitialDataSpec, generate_initial
 from .spectral import Grid, l2_norm
 
@@ -194,12 +194,7 @@ def emit_series_csv(header, rows, path: str) -> None:
 _SCHEMA = {
     "grid": {"d": int, "n": int, "length": float},
     "time": {"dt": "float_or_auto", "steps": int},
-    "run": {
-        "integrator": str,
-        "cadence": int,
-        "snapshot_every": int,
-        "qprime": "triple_or_auto",
-    },
+    "run": {"integrator": str, "cadence": int, "snapshot_every": int},
     "initial": {
         "kind": str,
         "amplitude": float,
@@ -224,20 +219,17 @@ def _parse_triple(text: str):
     return values
 
 
-def _flag_triple(flag: str, text: str | None, unit: bool = False):
-    """The x,y,z value of an optional command-line flag; errors name the flag.
-
-    With ``unit`` the value is a base point and must be a unit vector.
-    """
+def _base_point_flag(text: str | None):
+    """The unit x,y,z base point of an optional ``--q`` flag; errors name the flag."""
     if not text:
         return None
     try:
         value = _parse_triple(text)
     except ValueError as exc:
-        raise ConfigError(f"{flag} {text!r}: {exc}") from exc
+        raise ConfigError(f"--q {text!r}: {exc}") from exc
     length = float(np.linalg.norm(value))
-    if unit and not abs(length - 1.0) <= _UNIT_TOL:
-        raise ConfigError(f"{flag} {text!r}: a base point must be a unit vector, length {length:g}")
+    if not abs(length - 1.0) <= _UNIT_TOL:
+        raise ConfigError(f"--q {text!r}: a base point must be a unit vector, length {length:g}")
     return value
 
 
@@ -359,41 +351,30 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    q = _flag_triple("--q", args.q, unit=True)
-    qp = _flag_triple("--qprime", args.qprime)
-    s = _sphere_from_snapshot(load_snapshot(args.snapshot), q)
-    try:
-        sl = coulomb_slice(s, qp)
-    except FrameDegenerateError as exc:
-        if qp is None:
-            raise
-        # an explicit direction builds the frame: it is what failed
-        raise ConfigError(f"--qprime {args.qprime!r}: no projection frame of the snapshot: {exc}") from exc
+    q = _base_point_flag(args.q)
+    sl = coulomb_slice(_sphere_from_snapshot(load_snapshot(args.snapshot), q))
     for name, value in gauge_identity_suite(sl).items():
         print(f"{name} = {_fmt(value)}")
     return 0
 
 
-def _load_record_dir(directory: str):
-    paths = sorted(glob.glob(os.path.join(directory, "snapshot_*.bin")))
-    if len(paths) < 2:
-        raise ConfigError(f"{directory}: need at least two snapshots for a record")
-    first = load_snapshot(paths[0])
-    grid = first.grid
-    snaps = [first] + [load_snapshot(p, expect_grid=grid) for p in paths[1:]]
-    times = np.array([sn.time for sn in snaps])
-    return grid, times, snaps
-
-
 def _cmd_norms(args) -> int:
-    q = _flag_triple("--q", args.q, unit=True)  # reject a bad base point before loading any snapshot
-    grid, times, snaps = _load_record_dir(args.dir)
+    q = _base_point_flag(args.q)  # reject a bad base point before loading any snapshot
+    paths = sorted(glob.glob(os.path.join(args.dir, "snapshot_*.bin")))
+    if len(paths) < 2:
+        raise ConfigError(f"{args.dir}: need at least two snapshots for a record")
+    sn = load_snapshot(paths[0])
+    grid = sn.grid
     direction_axis(grid, args.direction)  # reject a bad direction before any slice
-    # one record, filled row by row: a row of psi is a view that would keep
-    # the whole psi stack of its slice alive
+    # one record, filled row by row as each snapshot is read and dropped: a
+    # row of psi is a view that would keep the whole psi stack of its slice alive
     dtype = complex if args.observable == "psi1" else float
-    values = np.empty((len(snaps),) + grid.shape, dtype=dtype)
-    for row, sn in zip(values, snaps):
+    values = np.empty((len(paths),) + grid.shape, dtype=dtype)
+    times = np.empty(len(paths))
+    for i, row in enumerate(values):
+        if i:
+            sn = load_snapshot(paths[i], expect_grid=grid)
+        times[i] = sn.time
         s = _sphere_from_snapshot(sn, q)
         if args.observable == "sminusq":
             diff = s.values - s.q.reshape((3,) + (1,) * grid.d)
@@ -434,9 +415,12 @@ def _cmd_sweep(args) -> int:
     rows = []
     suites = []
     for value in swept:
-        config = parse_config(args.config, list(args.override) + [f"{target}={value}"],
-                              out_dir=None, seed=args.seed)
-        sl = coulomb_slice(generate_initial(config.initial, config.grid), config.resolved_qprime())
+        try:
+            config = parse_config(args.config, list(args.override) + [f"{target}={value}"],
+                                  out_dir=None, seed=args.seed)
+            sl = coulomb_slice(generate_initial(config.initial, config.grid))
+        except ValueError as exc:  # a config, data or frame error of this value
+            raise ConfigError(f"{target} = {value}: {exc}") from exc
         suite = gauge_identity_suite(sl)
         ratio = frame_bound_ratio(sl)
         suites.append(suite)
@@ -475,7 +459,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="gauge-identity residual suite on a snapshot")
     p_ver.add_argument("snapshot", help="snapshot file")
     p_ver.add_argument("--q", default=None, help="base point, x,y,z (default: mean direction)")
-    p_ver.add_argument("--qprime", default=None, help="frame direction, x,y,z")
     p_ver.set_defaults(func=_cmd_verify)
 
     p_nrm = sub.add_parser("norms", help="directional / modulation norms on a record")
@@ -510,7 +493,3 @@ def cli_main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(cli_main())

@@ -22,7 +22,10 @@ analyses one Coulomb slice per cadence tick for the diagnostics row, and
 optionally co-evolves the derived fields to track the mismatch between the
 two formulations (the constant per-slice phase freedom is aligned on the
 largest Fourier mode of psi_1 before differencing).  A run that leaves the
-regime of validity ends as a recorded abort with its partial outputs.
+regime of validity (a field length outside [1/2, 2], a map that reaches the
+antipode -q of its base point, where the slice's transport frame does not
+exist, or a non-finite row) ends as a recorded abort with its partial
+outputs.
 """
 
 from __future__ import annotations
@@ -36,14 +39,13 @@ from .diagnostics import diagnostics_row
 from .gauge import CoulombSlice, coulomb_slice, msm_nonlinearity
 from .geometry import (
     BlowupSuspectedError,
-    FrameDegenerateError,
     SphereField,
     _FlowWork,
     _worst_point,
     flow_rhs,
     renormalize,
 )
-from .initial_data import InitialDataSpec, generate_initial, tilted_qprime
+from .initial_data import InitialDataSpec, generate_initial
 from .spectral import Grid, l2_norm
 
 __all__ = [
@@ -168,7 +170,6 @@ class SimConfig:
     integrator: str = "rk4-projected"
     cadence: int = 1                   # diagnostics every this many steps
     snapshot_every: int = 0            # 0 -> initial and final snapshot only
-    qprime: tuple | None = None        # frame direction for diagnostics
     out_dir: str | None = None
 
     def __post_init__(self) -> None:
@@ -180,12 +181,6 @@ class SimConfig:
             raise ValueError("cadence must be >= 1")
         if self.snapshot_every < 0:
             raise ValueError("snapshot_every must be >= 0")
-        if self.qprime is not None:
-            # project_n's admissible input length, checked before any data is built
-            qprime = tuple(float(c) for c in self.qprime)
-            length = float(np.linalg.norm(qprime))
-            if not 0.5 < length < 2.0:  # NaN fails too
-                raise ValueError(f"qprime = {qprime} has length {length:g}, outside (1/2, 2)")
         dt = self.resolved_dt()
         if not np.isfinite(dt) or dt == 0:
             raise ValueError(f"dt = {dt} must be finite and non-zero")
@@ -198,11 +193,6 @@ class SimConfig:
 
     def resolved_dt(self) -> float:
         return self.dt if self.dt is not None else default_dt(self.grid)
-
-    def resolved_qprime(self) -> np.ndarray:
-        if self.qprime is not None:
-            return np.asarray(self.qprime, dtype=float)
-        return tilted_qprime(self.initial)
 
 
 @dataclass
@@ -220,23 +210,16 @@ def run(config: SimConfig) -> TrajectoryRecord:
     """Execute one run and persist outputs if an output directory is set.
 
     Deterministic: identical configs produce identical records and
-    byte-identical output files.  On a suspected blowup, an inadmissible
-    diagnostics frame or a non-finite diagnostics row the partial record is
-    persisted and returned with ``aborted=True``; the reason names the step,
-    the time, the failed check and the grid point.
+    byte-identical output files.  Initial data with no Coulomb slice raise
+    FrameDegenerateError before the first step.  On a suspected blowup, a
+    state with no Coulomb slice (s near -q) or a non-finite diagnostics row
+    the partial record is persisted and returned with ``aborted=True``; the
+    reason names the step, the time, the failed check and the grid point.
     """
     grid = config.grid
     dt = config.resolved_dt()
-    qp = config.resolved_qprime()
     s = generate_initial(config.initial, grid)
-    try:
-        sl = coulomb_slice(s, qp)
-    except FrameDegenerateError as exc:
-        source = "run.qprime" if config.qprime is not None else "tilted from initial.u"
-        raise FrameDegenerateError(
-            f"no frame of the initial data along q' = {tuple(float(c) for c in qp)} "
-            f"({source}): {exc}"
-        ) from exc
+    sl = coulomb_slice(s)
 
     dual_track = config.integrator == "strang-msm"
     psi = sl.psi if dual_track else None
@@ -258,7 +241,7 @@ def run(config: SimConfig) -> TrajectoryRecord:
             s = renormalize(grid, raw, q=s.q)
             last_step = k
             if tick:
-                sl = coulomb_slice(s, qp)
+                sl = coulomb_slice(s)
                 row = diagnostics_row(t, sl, violation)
         # FrameDegenerateError and the non-finite row are ValueErrors
         except (BlowupSuspectedError, ValueError) as exc:

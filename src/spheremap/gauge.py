@@ -24,7 +24,7 @@ batched transforms at every d; ``a_from_psi`` and ``a0_from_psi`` are
 physical-space wrappers over the same product spectra.
 
 ``coulomb_slice`` is the one place a time slice is analysed: Coulomb-fixed
-projection frame, connection and psi, in 6 transforms, with the half spectra
+transport frame, connection and psi, in 6 transforms, with the half spectra
 of s and of the fixed connection that building them takes.  The diagnostics
 row, the frame-bound ratio and the gauge identity suite read a slice built
 here; none of them builds a frame of its own.
@@ -52,7 +52,7 @@ from .geometry import (
     SphereField,
     coulomb_fix,
     flow_rhs,
-    projection_frame,
+    transport_frame,
 )
 from .spectral import (
     Grid,
@@ -270,13 +270,13 @@ class CoulombSlice:
         }
 
 
-def coulomb_slice(s: SphereField, qprime: np.ndarray | None = None) -> CoulombSlice:
-    """Coulomb-fixed projection frame of s, its connection and psi, with the
+def coulomb_slice(s: SphereField) -> CoulombSlice:
+    """Coulomb-fixed transport frame of s, its connection and psi, with the
     half spectra of s and of the connection: 6 transforms.
 
-    Raises FrameDegenerateError when s leaves the region |s . q'| < 2^-5.
+    Raises FrameDegenerateError where s comes (nearly) antipodal to s.q.
     """
-    frame, conn, _ = coulomb_fix(projection_frame(s, qprime))
+    frame, conn, _ = coulomb_fix(transport_frame(s))
     s_hat = s.grid.rfft(s.values)
     return CoulombSlice(frame, conn.a, derive_psi(frame, s_hat), s_hat, conn.a_hat)
 

@@ -2,11 +2,14 @@
 
 A frame is a triple (s, v, w) of mutually orthonormal R^3 fields with
 w = s x v, so (v, w) spans the tangent plane of the sphere at s.  Frames are
-built by projecting a fixed reference direction onto the tangent plane
-(``projection_frame``, always periodic).  ``coulomb_fix`` rotates a frame
-so that the connection coefficients a_m = (d_m v) . w become divergence
-free.  ``flow_rhs`` is the one evaluation of the flow velocity
-s x Laplacian(s), for the integrator and the identities alike.
+built by carrying one fixed direction q' orthogonal to the base point q to
+each s(x) along the great circle from q (``transport_frame``, a pointwise
+expression, so always periodic); that works wherever s(x) != -q.  Frames of
+two directions q' differ by one constant rotation, which no phase-invariant
+output sees.  ``coulomb_fix`` rotates a frame so that the connection
+coefficients a_m = (d_m v) . w become divergence free.  ``flow_rhs`` is
+the one evaluation of the flow velocity s x Laplacian(s), for the
+integrator and the identities alike.
 """
 
 from __future__ import annotations
@@ -23,9 +26,8 @@ __all__ = [
     "SphereField",
     "Frame",
     "Connection",
-    "project_n",
     "default_qprime",
-    "projection_frame",
+    "transport_frame",
     "connection_of",
     "coulomb_fix",
     "rotate_frame",
@@ -33,15 +35,17 @@ __all__ = [
     "flow_rhs",
 ]
 
-# Admissibility threshold for the tangent projection.
-PROJECTION_DOT_MAX = 2.0**-5
-
 _UNIT_TOL = 1e-10
 _FRAME_TOL = 1e-8
+# 1 + s.q carries a rounding error near 1e-16, so the transport frame's v is
+# off by about 2e-16 / (1 + s.q); from this value up that stays 50 times
+# inside _FRAME_TOL.
+_ANTIPODE_MIN = 1e-6
 
 
 class FrameDegenerateError(ValueError):
-    """Tangent-projection input left the admissible region."""
+    """The map came (nearly) antipodal to its base point, where no transport
+    frame exists."""
 
 
 class BlowupSuspectedError(RuntimeError):
@@ -166,33 +170,6 @@ class Connection:
             raise ValueError("connection contains non-finite values")
 
 
-def project_n(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    """Unit vector orthogonal to u2 in span{u1, u2}.
-
-    Computes (u1 - ((u1.u2)/|u2|^2) u2) / |...| with the admissibility
-    preconditions |u1|, |u2| in (1/2, 2) and |u1.u2| < 2^-5.  Accepts single
-    vectors of shape (3,) or fields of shape (3, ...); preconditions are
-    enforced pointwise.
-    """
-    u1 = np.asarray(u1, dtype=float)
-    u2 = np.asarray(u2, dtype=float)
-    u1, u2 = np.broadcast_arrays(u1, u2)
-    n1, n2 = _norms(u1), _norms(u2)
-    dots = _dot(u1, u2)
-    bad_len = (n1 <= 0.5) | (n1 >= 2.0) | (n2 <= 0.5) | (n2 >= 2.0)
-    if np.any(bad_len):
-        idx = _worst_point(np.where(bad_len, np.maximum(np.abs(n1 - 1), np.abs(n2 - 1)), 0.0))
-        raise FrameDegenerateError(f"input length outside (1/2, 2) at grid point {idx}")
-    dot_abs = np.abs(dots)
-    if np.any(dot_abs >= PROJECTION_DOT_MAX):
-        idx = _worst_point(dot_abs)
-        raise FrameDegenerateError(
-            f"|u1.u2| = {float(np.max(dot_abs)):.5f} >= 2^-5 at grid point {idx}"
-        )
-    proj = u1 - (dots / n2**2) * u2
-    return proj / _norms(proj)
-
-
 def default_qprime(q: np.ndarray) -> np.ndarray:
     """Deterministic unit reference direction orthogonal to q.
 
@@ -209,19 +186,33 @@ def default_qprime(q: np.ndarray) -> np.ndarray:
     raise ValueError("no standard basis vector transverse to q")  # unreachable for unit q
 
 
-def projection_frame(s: SphereField, qprime: np.ndarray | None) -> Frame:
-    """Frame with v = N[qprime, s] pointwise and w = s x v; a None
-    ``qprime`` means ``default_qprime(s.q)``.
+def transport_frame(s: SphereField) -> Frame:
+    """Frame that carries a fixed direction q' to s(x) along the great
+    circle from the base point q:
 
-    Valid whenever |s(x) . qprime| < 2^-5 everywhere, which holds for small
-    perturbations of the base point when qprime is orthogonal to it.  The
-    result is exactly periodic by construction.
+        v = q' - (s.q') / (1 + s.q) (q + s),   w = s x v,
+
+    the image of q' under the rotation about q x s that takes q to s.  It is
+    unit and tangent wherever s != -q; raises FrameDegenerateError, naming
+    the grid point and its 1 + s.q, where s comes within _ANTIPODE_MIN of it.
+    q' = (e + sqrt(3) q x e) / 2 with e = ``default_qprime(q)``, the default
+    transverse direction u of the initial data.  Along e itself the frame of
+    a geodesic bump lies in the bump's plane, its connection is exactly 0 in
+    floating point, and the identity residuals that read it test nothing.
     """
-    if qprime is None:
-        qprime = default_qprime(s.q)
-    qprime = np.asarray(qprime, dtype=float)
-    qp_field = np.broadcast_to(qprime.reshape((3,) + (1,) * s.grid.d), s.values.shape)
-    v = project_n(qp_field, s.values)
+    q = s.q
+    e = default_qprime(q)
+    qprime = 0.5 * e + (np.sqrt(3.0) / 2.0) * np.cross(q, e)
+    shape = (3,) + (1,) * s.grid.d
+    qb, qpb = q.reshape(shape), (qprime / np.linalg.norm(qprime)).reshape(shape)
+    denom = 1.0 + _dot(s.values, qb)
+    if not np.min(denom) >= _ANTIPODE_MIN:
+        idx = _worst_point(-denom)
+        raise FrameDegenerateError(
+            f"map (nearly) antipodal to its base point: 1 + s.q = {float(denom[idx]):.3e} "
+            f"at grid point {idx}"
+        )
+    v = qpb - (_dot(s.values, qpb) / denom) * (qb + s.values)
     return Frame(s, v, _cross(s.values, v))
 
 

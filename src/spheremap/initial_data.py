@@ -6,10 +6,9 @@ rounding), localized around a base point q on the sphere:
 * ``geodesic-bump``: s = cos(eps*theta) q + sin(eps*theta) u along the great
   circle through q and a transverse unit direction u.  The default profile
   theta is a periodic Gaussian bump with peak height 1/2, so the maximal
-  geodesic angle is eps/2; this keeps |s . q'| < 2^-5 along small-data
-  trajectories for eps up to ~0.06, which is what the tangent-projection
-  frame requires.  The alternative profile ``cosine`` is the single lowest
-  mode cos(2 pi x_1 / L), used for closed-form checks.
+  geodesic angle is eps/2: the map reaches -q, where no Coulomb slice
+  exists, only at eps = 2 pi.  The alternative profile ``cosine`` is the
+  single lowest mode cos(2 pi x_1 / L), used for closed-form checks.
 * ``band-limited-random``: exponential-map data exp_q(eps*(theta1 u + theta2 q x u))
   with seeded random band-limited profiles.
 * ``stereographic-pullback``: inverse stereographic image of a small seeded
@@ -25,7 +24,7 @@ import numpy as np
 from .geometry import SphereField, default_qprime
 from .spectral import Grid
 
-__all__ = ["InitialDataSpec", "generate_initial", "tilted_qprime"]
+__all__ = ["InitialDataSpec", "generate_initial"]
 
 KINDS = ("geodesic-bump", "band-limited-random", "stereographic-pullback")
 PROFILES = ("bump", "cosine")
@@ -72,20 +71,6 @@ class InitialDataSpec:
         if self.u is not None:
             return np.asarray(self.u, dtype=float)
         return default_qprime(np.asarray(self.q, dtype=float))
-
-
-def tilted_qprime(spec: InitialDataSpec) -> np.ndarray:
-    """Frame reference direction (u + sqrt(3) q x u)/2 for diagnostics.
-
-    Orthogonal to q but tilted off both tangent axes of the data, so the
-    projection frame is non-degenerate; the 1/2 overlap with the data's own
-    tangent direction keeps |s . q'| <= sin(eps/2)/2 on the initial slice,
-    inside the admissible region 2^-5 for amplitudes up to ~0.12.
-    """
-    q = np.asarray(spec.q, dtype=float)
-    u = spec.resolved_u()
-    qp = 0.5 * u + (np.sqrt(3.0) / 2.0) * np.cross(q, u)
-    return qp / np.linalg.norm(qp)
 
 
 def _bump_profile(grid: Grid, width: float) -> np.ndarray:

@@ -5,8 +5,10 @@ Fourier space, the single-field spectral derivative and Laplacian and the
 full-``fft`` Sobolev norm, which no command needs, the full-spectrum forms
 of the energy and the critical norm that the package sums over half spectra,
 the loop-over-pairs form of the derived-field kernel, a ``CoulombSlice``
-built from given fields, and the two-trajectory Gronwall probe behind the
-uniqueness criterion.  No command uses them; they live beside the tests
+built from given fields, the tangent-projection frame the package built its
+slices from before the geodesic-transport frame (an independent frame whose
+Coulomb-fixed psi the package's must match up to a constant phase), and the
+two-trajectory Gronwall probe behind the uniqueness criterion.  No command uses them; they live beside the tests
 that check the package against them.
 """
 
@@ -18,7 +20,16 @@ import numpy as np
 
 from spheremap.evolution import default_dt, step_rk4_projected
 from spheremap.gauge import CoulombSlice
-from spheremap.geometry import Frame, SphereField
+from spheremap.geometry import (
+    Frame,
+    FrameDegenerateError,
+    SphereField,
+    _cross,
+    _dot,
+    _norms,
+    _worst_point,
+    default_qprime,
+)
 from spheremap.spectral import (
     Grid,
     _apply_symbol,
@@ -64,6 +75,53 @@ def slice_with_spectra(frame: Frame, a: np.ndarray, psi: np.ndarray) -> CoulombS
     """``CoulombSlice`` of given fields, with the rfft of s and of a."""
     grid = frame.grid
     return CoulombSlice(frame, a, psi, grid.rfft(frame.s.values), grid.rfft(a))
+
+
+# Admissibility threshold for the tangent projection.
+PROJECTION_DOT_MAX = 2.0**-5
+
+
+def project_n(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """Unit vector orthogonal to u2 in span{u1, u2}.
+
+    Computes (u1 - ((u1.u2)/|u2|^2) u2) / |...| with the admissibility
+    preconditions |u1|, |u2| in (1/2, 2) and |u1.u2| < 2^-5.  Accepts single
+    vectors of shape (3,) or fields of shape (3, ...); preconditions are
+    enforced pointwise.
+    """
+    u1 = np.asarray(u1, dtype=float)
+    u2 = np.asarray(u2, dtype=float)
+    u1, u2 = np.broadcast_arrays(u1, u2)
+    n1, n2 = _norms(u1), _norms(u2)
+    dots = _dot(u1, u2)
+    bad_len = (n1 <= 0.5) | (n1 >= 2.0) | (n2 <= 0.5) | (n2 >= 2.0)
+    if np.any(bad_len):
+        idx = _worst_point(np.where(bad_len, np.maximum(np.abs(n1 - 1), np.abs(n2 - 1)), 0.0))
+        raise FrameDegenerateError(f"input length outside (1/2, 2) at grid point {idx}")
+    dot_abs = np.abs(dots)
+    if np.any(dot_abs >= PROJECTION_DOT_MAX):
+        idx = _worst_point(dot_abs)
+        raise FrameDegenerateError(
+            f"|u1.u2| = {float(np.max(dot_abs)):.5f} >= 2^-5 at grid point {idx}"
+        )
+    proj = u1 - (dots / n2**2) * u2
+    return proj / _norms(proj)
+
+
+def projection_frame(s: SphereField, qprime: np.ndarray | None) -> Frame:
+    """Frame with v = N[qprime, s] pointwise and w = s x v; a None
+    ``qprime`` means ``default_qprime(s.q)``.
+
+    Valid whenever |s(x) . qprime| < 2^-5 everywhere, which holds for small
+    perturbations of the base point when qprime is orthogonal to it.  The
+    result is exactly periodic by construction.
+    """
+    if qprime is None:
+        qprime = default_qprime(s.q)
+    qprime = np.asarray(qprime, dtype=float)
+    qp_field = np.broadcast_to(qprime.reshape((3,) + (1,) * s.grid.d), s.values.shape)
+    v = project_n(qp_field, s.values)
+    return Frame(s, v, _cross(s.values, v))
 
 
 def energy_full_spectrum(s: SphereField) -> float:

@@ -16,9 +16,9 @@ from spheremap.evolution import (
     run,
     step_rk4_projected,
 )
-from spheremap.gauge import a_from_psi, derive_psi
-from spheremap.geometry import SphereField, coulomb_fix, projection_frame, renormalize
-from spheremap.initial_data import InitialDataSpec, generate_initial, tilted_qprime
+from spheremap.gauge import a_from_psi
+from spheremap.geometry import SphereField, renormalize
+from spheremap.initial_data import InitialDataSpec, generate_initial
 from spheremap.spectral import Grid, inv_gradient_riesz, riesz
 
 from reference import gronwall_probe
@@ -56,7 +56,7 @@ def test_criterion_1_gauge_identity_refinement():
             grid = Grid(d=d, n=n)
             spec = InitialDataSpec(amplitude=0.05, seed=1)
             s0 = generate_initial(spec, grid)
-            suites[n] = sm.gauge_identity_suite(sm.coulomb_slice(s0, tilted_qprime(spec)))
+            suites[n] = sm.gauge_identity_suite(sm.coulomb_slice(s0))
             worst_div = max(worst_div, suites[n]["div_a"])
         for key in keys:
             worst_ratio = min(worst_ratio, suites[n_lo][key] / suites[n_hi][key])
@@ -102,8 +102,7 @@ def test_criterion_4_frame_bound_ratio_stability():
         for eps in (0.02, 0.05, 0.1):
             spec = InitialDataSpec(amplitude=eps, seed=1)
             s0 = generate_initial(spec, grid)
-            qp = np.cross(np.asarray(spec.q, float), spec.resolved_u())
-            ratios.append(frame_bound_ratio(sm.coulomb_slice(s0, qp)))
+            ratios.append(frame_bound_ratio(sm.coulomb_slice(s0)))
         worst_spread = max(worst_spread, (max(ratios) - min(ratios)) / np.mean(ratios))
     report(
         "criterion 4 (linear-bound ratio stability)",
@@ -204,11 +203,7 @@ def test_criterion_8_integrator_orders():
     e2 = np.max(np.abs(evolve_sphere(s0, dt / 2, 64).values - ref.values))
     sphere_ratio = e1 / e2
 
-    spec = InitialDataSpec(amplitude=0.15, seed=1)
-    s0m = generate_initial(spec, grid)
-    qp = np.cross(np.asarray(spec.q, float), spec.resolved_u())
-    frame0, _, _ = coulomb_fix(projection_frame(s0m, qp))
-    psi0 = derive_psi(frame0, grid.rfft(s0m.values))
+    psi0 = sm.coulomb_slice(generate_initial(InitialDataSpec(amplitude=0.15, seed=1), grid)).psi
 
     def evolve_fields(psi, step, n):
         for _ in range(n):

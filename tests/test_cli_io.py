@@ -2,6 +2,8 @@
 
 import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 import zlib
 from dataclasses import fields
@@ -19,6 +21,7 @@ from spheremap.cli_io import (
     save_snapshot,
 )
 from spheremap.diagnostics import DiagnosticsRow, critical_norm
+from spheremap.evolution import rk4_update
 from spheremap.gauge import coulomb_slice
 from spheremap.initial_data import InitialDataSpec, generate_initial
 from spheremap.spectral import Grid
@@ -303,6 +306,9 @@ class TestParseConfig:
     def test_unknown_key_rejected(self, config_file):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config(config_file, overrides=["time.stepz=5"])
+        # the frame direction is no longer a setting: a stale config says so
+        with pytest.raises(ConfigError, match="unknown key 'qprime' in section \\[run\\]"):
+            parse_config(config_file, overrides=["run.qprime=1,0,0"])
 
     def test_unknown_section_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
@@ -333,12 +339,10 @@ class TestParseConfig:
             overrides=[
                 "initial.q=0,1,0",
                 "initial.u=0,0,1",
-                "run.qprime=1,0,0",
             ],
         )
         assert config.initial.q == (0.0, 1.0, 0.0)
         assert config.initial.u == (0.0, 0.0, 1.0)
-        assert np.allclose(config.resolved_qprime(), [1.0, 0.0, 0.0])
 
     def test_bad_triple(self, config_file):
         with pytest.raises(ConfigError, match="three"):
@@ -381,8 +385,6 @@ class TestCliRun:
             ("initial.width=inf", "width = inf"),
             ("initial.q=nan,0,1", "[initial] q = 'nan,0,1': expected three finite numbers"),
             ("initial.u=nan,0,0", "[initial] u = 'nan,0,0': expected three finite numbers"),
-            ("run.qprime=nan,0,0", "[run] qprime = 'nan,0,0': expected three finite numbers"),
-            ("run.qprime=0,inf,0", "[run] qprime = '0,inf,0': expected three finite numbers"),
         ],
     )
     def test_bad_value_rejected_before_any_output(
@@ -390,29 +392,6 @@ class TestCliRun:
     ):
         out = tmp_path / "bad"
         rc = cli_main(["run", "--config", config_file, "--out", str(out), "--override", override])
-        assert rc == 2
-        assert not out.exists()
-        assert cause in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "qprime, cause",
-        [
-            ("0,0,0", "qprime = (0.0, 0.0, 0.0) has length 0, outside (1/2, 2)"),
-            ("3,0,0", "qprime = (3.0, 0.0, 0.0) has length 3, outside (1/2, 2)"),
-            ("1e-9,0,0", "qprime = (1e-09, 0.0, 0.0) has length 1e-09, outside (1/2, 2)"),
-        ],
-        ids=["zero", "long", "short"],
-    )
-    def test_qprime_of_bad_length_rejected_by_name(
-        self, config_file, tmp_path, capsys, monkeypatch, qprime, cause
-    ):
-        def no_data(*args, **kwargs):
-            raise AssertionError("initial data built before qprime was checked")
-
-        monkeypatch.setattr("spheremap.evolution.generate_initial", no_data)
-        out = tmp_path / "bad"
-        rc = cli_main(["run", "--config", config_file, "--out", str(out),
-                       "--override", f"run.qprime={qprime}"])
         assert rc == 2
         assert not out.exists()
         assert cause in capsys.readouterr().err
@@ -443,27 +422,24 @@ class TestCliRun:
         assert not out.exists()
         assert cause in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "overrides, cause",
-        [
-            (["run.qprime=0,0,1"], "q' = (0.0, 0.0, 1.0) (run.qprime): |u1.u2| = 1.00000"),
-            (["initial.amplitude=0.5"],
-             "q' = (0.5000000000000001, 0.8660254037844387, 0.0) (tilted from initial.u): "
-             "|u1.u2| = 0.12370"),
-        ],
-        ids=["run.qprime", "tilted"],
-    )
-    def test_inadmissible_initial_frame_names_its_direction(
-        self, config_file, tmp_path, capsys, overrides, cause
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_antipodal_initial_data_rejected_before_any_step(
+        self, config_file, tmp_path, capsys, monkeypatch, d
     ):
+        # a bump of amplitude 2 pi reaches s = -q at the centre point, where
+        # no transport frame, so no Coulomb slice, exists
+        def no_step(*args, **kwargs):
+            raise AssertionError("stepped data with no Coulomb slice")
+
+        monkeypatch.setattr("spheremap.evolution.rk4_update", no_step)
         out = tmp_path / "bad"
-        argv = ["run", "--config", config_file, "--out", str(out)]
-        for item in overrides:
-            argv += ["--override", item]
-        assert cli_main(argv) == 2
+        rc = cli_main(["run", "--config", config_file, "--out", str(out),
+                       "--override", f"grid.d={d}", "--override", "grid.n=8",
+                       "--override", "initial.amplitude=6.283185307179586"])
+        assert rc == 2
         assert not out.exists()
-        err = capsys.readouterr().err
-        assert "no frame of the initial data along " + cause in err
+        point = ", ".join(["4"] * d)
+        assert f"1 + s.q = 0.000e+00 at grid point ({point})" in capsys.readouterr().err
 
     def test_negative_dt_steps_backwards(self, config_file, tmp_path):
         # the flow is time-reversible, so a stable negative step is legal
@@ -474,21 +450,57 @@ class TestCliRun:
         lines = (out / "diagnostics.csv").read_text().splitlines()
         assert float(lines[-1].split(",")[0]) == pytest.approx(-0.004)
 
-    def test_inadmissible_frame_is_a_recorded_abort(self, tmp_path, capsys):
-        # the amplitude carries s out of |s . q'| < 2^-5 before step 400
+    def test_inadmissible_frame_is_a_recorded_abort(self, config_file, tmp_path, capsys,
+                                                    monkeypatch):
+        # from step 3 on the step puts s = -q at one point, where the
+        # transport frame does not exist
+        calls = {"n": 0}
+
+        def antipodal_update(s, dt, work):
+            calls["n"] += 1
+            raw = rk4_update(s, dt, work)
+            if calls["n"] >= 3:
+                raw[:, 5, 7] = -s.q
+            return raw
+
+        monkeypatch.setattr("spheremap.evolution.rk4_update", antipodal_update)
         out = tmp_path / "o"
-        rc = cli_main(
-            ["run", "--config", REFERENCE_CONFIG, "--out", str(out),
-             "--override", "initial.amplitude=0.1", "--override", "time.steps=400",
-             "--override", "grid.n=16"]
-        )
+        rc = cli_main(["run", "--config", config_file, "--out", str(out),
+                       "--override", "run.cadence=1"])
         assert rc == 3
         err = capsys.readouterr().err
-        assert "run aborted: step " in err
-        assert "FrameDegenerateError" in err and "grid point" in err
-        assert (out / "diagnostics.csv").exists()
-        last = int(err.split("run aborted: step ", 1)[1].split(",", 1)[0])
-        assert (out / f"snapshot_{last:08d}.bin").exists()
+        assert "run aborted: step 3, t = " in err
+        assert "FrameDegenerateError" in err
+        assert "1 + s.q = 0.000e+00 at grid point (5, 7)" in err
+        lines = (out / "diagnostics.csv").read_text().splitlines()
+        assert len(lines) == 1 + 3  # t = 0 and the two completed steps
+        assert (out / "snapshot_00000002.bin").exists()
+        assert (out / "snapshot_00000003.bin").exists()
+
+    @pytest.mark.parametrize(
+        "config, overrides",
+        [
+            (REFERENCE_CONFIG, ["initial.amplitude=0.1", "time.steps=400", "grid.n=16"]),
+            (None, ["initial.kind=stereographic-pullback", "initial.amplitude=0.02",
+                    "grid.n=32"]),
+            (None, ["initial.kind=stereographic-pullback", "initial.amplitude=0.02",
+                    "grid.d=4", "grid.n=8"]),
+        ],
+        ids=["bump-0.1-n16-400-steps", "stereographic-d2-n32", "stereographic-d4-n8"],
+    )
+    def test_data_past_the_old_projection_frame_complete(
+        self, config_file, tmp_path, config, overrides
+    ):
+        # each of these left |s . q'| < 2^-5, where the projection frame
+        # that slices were once built from exists
+        out = tmp_path / "o"
+        argv = ["run", "--config", config or config_file, "--out", str(out)]
+        for item in overrides:
+            argv += ["--override", item]
+        assert cli_main(argv) == 0
+        lines = (out / "diagnostics.csv").read_text().splitlines()
+        assert len(lines) > 2
+        assert np.all(np.isfinite(np.loadtxt(lines[1:], delimiter=",")))
 
 
 class TestCliVerify:
@@ -503,7 +515,7 @@ class TestCliVerify:
         for key, text in values.items():
             assert abs(float(text)) < 1e-12, key
 
-    @pytest.mark.parametrize("flag", ["--q", "--qprime"])
+    @pytest.mark.parametrize("flag", ["--q"])
     def test_non_finite_flag_rejected(self, tmp_path, capsys, flag):
         g = Grid(d=2, n=16)
         path = str(tmp_path / "q.bin")
@@ -518,14 +530,13 @@ class TestCliVerify:
         assert cli_main(["verify", path, "--q", "0,0,2"]) == 2
         assert "--q '0,0,2': a base point must be a unit vector, length 2" in capsys.readouterr().err
 
-    def test_qprime_parallel_to_the_map_rejected(self, tmp_path, capsys):
+    def test_map_through_the_antipode_rejected(self, tmp_path, capsys):
         g = Grid(d=2, n=16)
         path = str(tmp_path / "q.bin")
-        save_snapshot(generate_initial(InitialDataSpec(amplitude=0.0), g).values, g, 0.0, path)
-        assert cli_main(["verify", path, "--qprime", "0,0,1"]) == 2
-        err = capsys.readouterr().err
-        assert "--qprime '0,0,1': no projection frame of the snapshot" in err
-        assert "|u1.u2| = 1.00000 >= 2^-5" in err
+        s = generate_initial(InitialDataSpec(amplitude=2.0 * np.pi), g)
+        save_snapshot(s.values, g, 0.0, path)
+        assert cli_main(["verify", path, "--q", "0,0,1"]) == 2
+        assert "1 + s.q = 0.000e+00 at grid point (8, 8)" in capsys.readouterr().err
 
 
 class TestCliNorms:
@@ -572,9 +583,9 @@ class TestCliNorms:
         assert cli_main(["run", "--config", config_file]) == 0
         grids = []
 
-        def recording_slice(s, *args, **kwargs):
+        def recording_slice(s):
             grids.append(s.grid)
-            return coulomb_slice(s, *args, **kwargs)
+            return coulomb_slice(s)
 
         monkeypatch.setattr("spheremap.cli_io.coulomb_slice", recording_slice)
         rc = cli_main(["norms", "--dir", str(tmp_path / "out"), "--observable", "psi1",
@@ -638,13 +649,14 @@ class TestCliNorms:
             tracemalloc.stop()
 
     def test_psi1_record_keeps_one_component_per_snapshot(self, tmp_path, capsys):
-        # each added snapshot costs its own values (3 real components) and
-        # one complex psi_1 row, not the d = 4 components of its psi stack
+        # each added snapshot costs one complex psi_1 row, not the d = 4
+        # components of its psi stack, nor its values (3 real components):
+        # a snapshot is dropped once its row is filled
         grid = Grid(d=4, n=8)
         values = generate_initial(InitialDataSpec(amplitude=0.02), grid).values
         peaks = {count: self._norms_peak_bytes(tmp_path, count, grid, values) for count in (3, 9)}
         component = np.empty(grid.shape, dtype=complex).nbytes
-        per_snapshot = (peaks[9] - peaks[3]) / 6 - values.nbytes
+        per_snapshot = (peaks[9] - peaks[3]) / 6
         assert per_snapshot < 2 * component, (peaks, per_snapshot / component)
 
 
@@ -685,3 +697,32 @@ class TestCliSweep:
                             "res_cross,div_a,frame_ratio")
         assert [line.split(",")[0] for line in lines[1:]] == [
             "geodesic-bump", "band-limited-random"]
+
+    def test_failing_value_named(self, config_file, capsys):
+        # the second value puts s = -q at the centre point
+        rc = cli_main(["sweep", "--config", config_file, "--vary",
+                       "initial.amplitude=0.02,6.283185307179586"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error: initial.amplitude = 6.283185307179586: " in err
+        assert "at grid point (8, 8)" in err
+
+    @pytest.mark.parametrize("d, n", [(2, 16), (3, 12), (4, 8)])
+    def test_random_data_amplitude_sweep(self, config_file, capsys, d, n):
+        rc = cli_main(["sweep", "--config", config_file, "--vary",
+                       "initial.amplitude=0.01,0.02,0.04",
+                       "--override", "initial.kind=band-limited-random",
+                       "--override", f"grid.d={d}", "--override", f"grid.n={n}"])
+        assert rc == 0
+        assert capsys.readouterr().out.count("frame_ratio=") == 3
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_the_cli_quietly(self):
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-m", "spheremap", "--help"], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0
+        assert done.stderr == ""
+        assert "usage: spheremap" in done.stdout

@@ -20,11 +20,17 @@ from spheremap.diagnostics import (
 )
 from spheremap.evolution import default_dt
 from spheremap.gauge import coulomb_slice, derive_psi
-from spheremap.geometry import SphereField, projection_frame, renormalize
-from spheremap.initial_data import InitialDataSpec, generate_initial, tilted_qprime
+from spheremap.geometry import SphereField, coulomb_fix, renormalize, transport_frame
+from spheremap.initial_data import InitialDataSpec, generate_initial
 from spheremap.spectral import Grid, l2_norm
 
-from reference import critical_norm_full_spectrum, energy_full_spectrum, gronwall_probe
+from reference import (
+    critical_norm_full_spectrum,
+    energy_full_spectrum,
+    gronwall_probe,
+    projection_frame,
+    slice_with_spectra,
+)
 
 Q = np.array([0.0, 0.0, 1.0])
 U = np.array([1.0, 0.0, 0.0])
@@ -80,7 +86,7 @@ class TestEnergy:
         g = Grid(d=2, n=32)
         spec = InitialDataSpec(amplitude=0.05)
         s = generate_initial(spec, g)
-        frame = projection_frame(s, tilted_qprime(spec))
+        frame = transport_frame(s)
         psi = derive_psi(frame, spectrum(s))
         psi_mass = sum(l2_norm(g, psi[m]) ** 2 for m in range(g.d))
         assert psi_mass == pytest.approx(energy(s, spectrum(s)), rel=1e-10)
@@ -160,31 +166,32 @@ class TestFrameBoundRatio:
         for eps in (0.02, 0.05, 0.1):
             spec = InitialDataSpec(amplitude=eps)
             s = generate_initial(spec, g)
-            qp = np.cross(np.asarray(spec.q, float), spec.resolved_u())
-            ratios.append(frame_bound_ratio(coulomb_slice(s, qp)))
+            ratios.append(frame_bound_ratio(coulomb_slice(s)))
         spread = (max(ratios) - min(ratios)) / np.mean(ratios)
         assert spread < 0.2
 
     @pytest.mark.parametrize("d,n", [(2, 32), (3, 16), (4, 8)])
     def test_independent_of_frame_direction(self, d, n):
         # the Coulomb gauge is unique up to one constant rotation, which no
-        # norm of psi sees
+        # norm of psi sees: the slices of the reference projection frame
+        # along two directions give the package's ratio
         spec = InitialDataSpec(kind="band-limited-random", amplitude=0.02)
         s = generate_initial(spec, Grid(d=d, n=n))
         q, u = np.asarray(spec.q, float), spec.resolved_u()
-        ratios = [frame_bound_ratio(coulomb_slice(s, qp))
-                  for qp in (tilted_qprime(spec), 0.8 * u + 0.6 * np.cross(q, u))]
-        assert ratios[0] > 0
-        assert ratios[1] == pytest.approx(ratios[0], rel=1e-10)
+        ratio = frame_bound_ratio(coulomb_slice(s))
+        assert ratio > 0
+        for qp in (0.5 * u + np.sqrt(3.0) / 2.0 * np.cross(q, u), 0.8 * u + 0.6 * np.cross(q, u)):
+            frame, conn, _ = coulomb_fix(projection_frame(s, qp))
+            sl = slice_with_spectra(frame, conn.a, derive_psi(frame, spectrum(s)))
+            assert frame_bound_ratio(sl) == pytest.approx(ratio, rel=1e-10)
 
     def test_rotation_equivariance(self):
         g = Grid(d=2, n=16)
         spec = InitialDataSpec(amplitude=0.05)
         s = generate_initial(spec, g)
-        qp = tilted_qprime(spec)
         rot = rotation_matrix()
-        assert frame_bound_ratio(coulomb_slice(rotate_field(s, rot), rot @ qp)) == pytest.approx(
-            frame_bound_ratio(coulomb_slice(s, qp)), rel=1e-10
+        assert frame_bound_ratio(coulomb_slice(rotate_field(s, rot))) == pytest.approx(
+            frame_bound_ratio(coulomb_slice(s)), rel=1e-10
         )
 
 
@@ -344,7 +351,7 @@ class TestDiagnosticsRow:
         g = Grid(d=2, n=16)
         spec = InitialDataSpec(amplitude=0.05)
         s = generate_initial(spec, g)
-        row = diagnostics_row(0.5, coulomb_slice(s, tilted_qprime(spec)), 1e-9)
+        row = diagnostics_row(0.5, coulomb_slice(s), 1e-9)
         assert row.t == 0.5
         assert row.energy > 0
         assert row.div_a < 1e-10

@@ -19,8 +19,8 @@ from spheremap.evolution import (
 )
 from spheremap.cli_io import gauge_identity_suite
 from spheremap.diagnostics import diagnostics_row
-from spheremap.gauge import coulomb_slice, derive_psi, msm_nonlinearity
-from spheremap.geometry import SphereField, coulomb_fix, flow_rhs, projection_frame
+from spheremap.gauge import coulomb_slice, msm_nonlinearity
+from spheremap.geometry import SphereField, flow_rhs
 from spheremap.initial_data import InitialDataSpec, generate_initial
 from spheremap.spectral import Grid
 
@@ -163,8 +163,7 @@ SLICE_TRANSFORMS = ["rfft", "irfft", "rfft", "irfft", "rfft", "irfft"]
 
 
 def bump_psi(grid):
-    s = bump_field(grid)
-    return derive_psi(coulomb_fix(projection_frame(s, (0.0, 1.0, 0.0)))[0], grid.rfft(s.values))
+    return coulomb_slice(bump_field(grid)).psi
 
 
 class TestTransformCount:
@@ -199,7 +198,7 @@ class TestTransformCount:
         # the energy and the critical norm read the slice's spectrum of s
         s = bump_field(Grid(d=d, n=n))
         transform_calls.clear()
-        sl = coulomb_slice(s, (0.0, 1.0, 0.0))
+        sl = coulomb_slice(s)
         assert transform_calls == SLICE_TRANSFORMS
         transform_calls.clear()
         sl.residuals()
@@ -214,7 +213,7 @@ class TestTransformCount:
         # (fft/ifft of T psi, rfft of the products, irfft of a)
         s = bump_field(Grid(d=d, n=n))
         transform_calls.clear()
-        sl = coulomb_slice(s, (0.0, 1.0, 0.0))
+        sl = coulomb_slice(s)
         assert transform_calls == SLICE_TRANSFORMS
         transform_calls.clear()
         gauge_identity_suite(sl)
@@ -242,11 +241,7 @@ class TestEvolveMsm:
 
     def test_richardson_order(self):
         g = Grid(d=2, n=16)
-        spec = InitialDataSpec(amplitude=0.15)
-        s0 = generate_initial(spec, g)
-        qp = np.cross(Q, spec.resolved_u())
-        frame0, _, _ = coulomb_fix(projection_frame(s0, qp))
-        psi0 = derive_psi(frame0, g.rfft(s0.values))
+        psi0 = coulomb_slice(generate_initial(InitialDataSpec(amplitude=0.15), g)).psi
         dt = default_dt(g)
 
         def msm_evolve(psi, step, n):

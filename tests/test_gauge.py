@@ -16,10 +16,10 @@ from spheremap.geometry import (
     connection_of,
     coulomb_fix,
     flow_rhs,
-    projection_frame,
     rotate_frame,
+    transport_frame,
 )
-from spheremap.initial_data import InitialDataSpec, generate_initial, tilted_qprime
+from spheremap.initial_data import KINDS, InitialDataSpec, generate_initial
 from spheremap.evolution import default_dt, evolve_msm
 from spheremap.spectral import (
     Grid,
@@ -37,11 +37,11 @@ from reference import (
     gauge_spectra_by_pairs,
     nonlinearity_by_pairs,
     partial_derivative,
+    projection_frame,
     slice_with_spectra,
 )
 
 Q = np.array([0.0, 0.0, 1.0])
-U = np.array([1.0, 0.0, 0.0])
 
 
 def coords(grid):
@@ -60,14 +60,14 @@ def spectrum(s):
 def residuals_without_frame(grid, psi, a):
     """Slice residuals of fields that come without a frame: the compatibility
     and curvature residuals never read it, so the constant map's frame serves."""
-    return slice_with_spectra(projection_frame(constant_field(grid), U), a, psi).residuals()
+    return slice_with_spectra(transport_frame(constant_field(grid)), a, psi).residuals()
 
 
 def small_data_gauge(n=32, eps=0.05, d=2):
     grid = Grid(d=d, n=n)
     spec = InitialDataSpec(amplitude=eps)
     s = generate_initial(spec, grid)
-    frame, conn, _ = coulomb_fix(projection_frame(s, tilted_qprime(spec)))
+    frame, conn, _ = coulomb_fix(transport_frame(s))
     return grid, frame, conn, derive_psi(frame, spectrum(s))
 
 
@@ -88,7 +88,7 @@ def random_band_limited_psi(grid, seed, max_mode=1):
 class TestDerivePsi:
     def test_constant_map_gives_zero(self):
         g = Grid(d=2, n=8)
-        frame = projection_frame(constant_field(g), U)
+        frame = transport_frame(constant_field(g))
         assert np.max(np.abs(derive_psi(frame, spectrum(frame.s)))) < 1e-14
 
     def test_magnitude_matches_gradient(self):
@@ -111,7 +111,7 @@ class TestDerivePsi:
         eps = 1e-3
         spec = InitialDataSpec(amplitude=eps, profile="cosine", u=(1.0, 0.0, 0.0))
         s = generate_initial(spec, g)
-        frame = projection_frame(s, np.array([0.0, 1.0, 0.0]))
+        frame = transport_frame(s)
         psi = derive_psi(frame, spectrum(s))
         x1 = coords(g)[0]
         assert np.max(np.abs(np.abs(psi[0]) - eps * np.abs(np.sin(x1)))) < 1e-9
@@ -215,7 +215,7 @@ class TestResiduals:
 
     def test_psi0_constant_map(self):
         g = Grid(d=2, n=8)
-        frame = projection_frame(constant_field(g), U)
+        frame = transport_frame(constant_field(g))
         psi = derive_psi(frame, spectrum(frame.s))
         a = np.zeros((2,) + g.shape)
         assert slice_with_spectra(frame, a, psi).residuals()["res_psi0"] < 1e-14
@@ -317,7 +317,7 @@ class TestResidualKernelMatchesReference:
     def test_random_band_limited_fields(self, d, n):
         g = Grid(d=d, n=n)
         spec = InitialDataSpec(amplitude=0.05)
-        frame = projection_frame(generate_initial(spec, g), tilted_qprime(spec))
+        frame = transport_frame(generate_initial(spec, g))
         psi = random_band_limited_psi(g, seed=10 * d + n, max_mode=2)
         a = random_band_limited_psi(g, seed=10 * d + n + 1, max_mode=2).real
         res = slice_with_spectra(frame, a, psi).residuals()
@@ -587,8 +587,24 @@ class TestCoulombSlice:
         grid = Grid(d=2, n=16)
         spec = InitialDataSpec(amplitude=0.05)
         s = generate_initial(spec, grid)
-        sl = coulomb_slice(s, tilted_qprime(spec))
+        sl = coulomb_slice(s)
         assert isinstance(sl, CoulombSlice)
         assert l2_norm(grid, divergence(grid, sl.a)) < 1e-10
         assert not np.iscomplexobj(sl.a)
         assert np.array_equal(sl.psi, derive_psi(sl.frame, spectrum(s)))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("d, n, tol", [(2, 32, 1e-11), (3, 16, 1e-7), (4, 12, 1e-7)])
+    def test_psi_of_the_projection_frame_up_to_a_constant_phase(self, kind, d, n, tol):
+        # the Coulomb gauge is unique up to one constant rotation; the two
+        # frames differ by a non-constant one, which the spectral Coulomb
+        # solve removes only to truncation accuracy
+        amplitude = 0.01 if kind == "stereographic-pullback" else 0.02
+        s = generate_initial(InitialDataSpec(kind=kind, amplitude=amplitude), Grid(d=d, n=n))
+        psi = coulomb_slice(s).psi
+        qp = np.array([0.5, np.sqrt(3.0) / 2.0, 0.0])  # |s . q'| < 2^-5 on these data
+        reference = derive_psi(coulomb_fix(projection_frame(s, qp))[0], spectrum(s))
+        phase = np.vdot(psi, reference)
+        phase /= abs(phase)
+        err = np.max(np.abs(reference - phase * psi)) / np.max(np.abs(reference))
+        assert err <= tol

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spheremap.geometry import (
-    PROJECTION_DOT_MAX,
     BlowupSuspectedError,
     _cross,
     Frame,
@@ -15,18 +14,26 @@ from spheremap.geometry import (
     connection_of,
     coulomb_fix,
     default_qprime,
-    project_n,
-    projection_frame,
     renormalize,
     rotate_frame,
+    transport_frame,
 )
-from spheremap.initial_data import KINDS, InitialDataSpec, generate_initial, tilted_qprime
+from spheremap.initial_data import KINDS, InitialDataSpec, generate_initial
 from spheremap.spectral import Grid, l2_norm
 
-from reference import divergence, partial_derivative, poisson_zero_mean
+from reference import (
+    PROJECTION_DOT_MAX,
+    divergence,
+    partial_derivative,
+    poisson_zero_mean,
+    project_n,
+    projection_frame,
+)
 
 Q = np.array([0.0, 0.0, 1.0])
 U = np.array([1.0, 0.0, 0.0])
+# the transport frame's direction for Q: U tilted 60 degrees towards Q x U
+QP = np.array([0.5, np.sqrt(3.0) / 2.0, 0.0])
 
 
 def coords(grid):
@@ -66,6 +73,7 @@ class TestSphereField:
 
 
 class TestProjectN:
+    # the building block of the reference projection frame
     def test_already_orthogonal(self):
         out = project_n(np.array([1.0, 0, 0]), np.array([0.0, 0, 1.0]))
         assert np.allclose(out, [1.0, 0, 0], atol=1e-15)
@@ -126,6 +134,9 @@ class TestCross:
 
 
 class TestProjectionFrame:
+    # the reference frame of tests/reference.py, admissible only while
+    # |s . q'| < 2^-5; the package's psi must match its Coulomb-fixed psi
+
     def test_constant_map(self):
         g = Grid(d=2, n=8)
         frame = projection_frame(constant_field(g), U)
@@ -154,11 +165,10 @@ class TestProjectionFrame:
         g = Grid(d=2, n=16)
         spec = InitialDataSpec(amplitude=0.05)
         s = generate_initial(spec, g)
-        qp = tilted_qprime(spec)
-        frame = projection_frame(s, qp)
+        frame = projection_frame(s, QP)
         shift = (3, -5)
         rolled = SphereField(g, np.roll(s.values, shift, axis=(1, 2)), q=s.q)
-        frame_rolled = projection_frame(rolled, qp)
+        frame_rolled = projection_frame(rolled, QP)
         assert np.array_equal(frame_rolled.v, np.roll(frame.v, shift, axis=(1, 2)))
         assert np.array_equal(frame_rolled.w, np.roll(frame.w, shift, axis=(1, 2)))
 
@@ -187,10 +197,59 @@ class TestProjectionFrame:
                 projection_frame(s, qp)
 
 
+class TestTransportFrame:
+    def test_constant_map(self):
+        g = Grid(d=2, n=8)
+        frame = transport_frame(constant_field(g))
+        assert np.allclose(frame.v, QP.reshape(3, 1, 1), atol=1e-15)
+        assert np.allclose(frame.w, np.cross(Q, QP).reshape(3, 1, 1), atol=1e-15)
+
+    def test_direction_is_tilted_off_the_default_transverse_direction(self):
+        # along default_qprime(q) itself a bump's frame has an exactly zero connection
+        q = np.array([1.0, 2.0, 2.0]) / 3.0
+        e = default_qprime(q)
+        g = Grid(d=2, n=8)
+        v = transport_frame(constant_field(g, q)).v[:, 0, 0]
+        assert v @ q == pytest.approx(0.0, abs=1e-15)
+        assert v @ e == pytest.approx(0.5, abs=1e-15)
+        assert v @ np.cross(q, e) == pytest.approx(np.sqrt(3.0) / 2.0, abs=1e-15)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.sampled_from([2, 3, 4]),
+        n=st.sampled_from([8, 10, 12]),
+        kind=st.sampled_from(KINDS),
+        amplitude=st.floats(0.0, 0.4),
+        seed=st.integers(0, 2**16),
+    )
+    def test_random_data_always_has_a_frame(self, d, n, kind, amplitude, seed):
+        g = Grid(d=d, n=n)
+        s = generate_initial(InitialDataSpec(kind=kind, amplitude=amplitude, seed=seed), g)
+        assert transport_frame(s).max_defect() <= 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_antipode_of_the_base_point_named(self, d):
+        # a bump of amplitude 2 pi puts s = -q exactly at the centre point
+        s = generate_initial(InitialDataSpec(amplitude=2.0 * np.pi), Grid(d=d, n=8))
+        point = "(" + ", ".join(["4"] * d) + ")"
+        with pytest.raises(FrameDegenerateError) as err:
+            transport_frame(s)
+        assert f"1 + s.q = 0.000e+00 at grid point {point}" in str(err.value)
+
+    def test_translation_equivariance(self):
+        g = Grid(d=2, n=16)
+        s = generate_initial(InitialDataSpec(amplitude=0.05), g)
+        frame = transport_frame(s)
+        shift = (3, -5)
+        rolled = transport_frame(SphereField(g, np.roll(s.values, shift, axis=(1, 2)), q=s.q))
+        assert np.array_equal(rolled.v, np.roll(frame.v, shift, axis=(1, 2)))
+        assert np.array_equal(rolled.w, np.roll(frame.w, shift, axis=(1, 2)))
+
+
 class TestConnection:
     def test_constant_frame_flat(self):
         g = Grid(d=2, n=8)
-        frame = projection_frame(constant_field(g), U)
+        frame = transport_frame(constant_field(g))
         conn = connection_of(frame)
         assert np.max(np.abs(conn.a)) < 1e-14
 
@@ -200,7 +259,7 @@ class TestConnection:
         g = Grid(d=2, n=32)
         spec = InitialDataSpec(amplitude=0.01)
         s = generate_initial(spec, g)
-        frame = projection_frame(s, tilted_qprime(spec))
+        frame = transport_frame(s)
         for m in (1, 2):
             dv_w = np.sum(
                 partial_derivative(g, frame.v, m) * frame.w,
@@ -216,7 +275,7 @@ class TestConnection:
         g = Grid(d=2, n=32)
         spec = InitialDataSpec(amplitude=0.05)
         s = generate_initial(spec, g)
-        frame = projection_frame(s, tilted_qprime(spec))
+        frame = transport_frame(s)
         a = connection_of(frame).a
         x1, x2 = coords(g)
         chi = 0.05 * np.cos(x1) * np.sin(x2)
@@ -232,7 +291,7 @@ class TestCoulombFix:
         g = Grid(d=2, n=16)
         spec = InitialDataSpec(amplitude=0.05)
         s = generate_initial(spec, g)
-        fixed, conn, _ = coulomb_fix(projection_frame(s, tilted_qprime(spec)))
+        fixed, conn, _ = coulomb_fix(transport_frame(s))
         refixed, conn2, chi2 = coulomb_fix(fixed)
         assert np.max(np.abs(chi2)) < 1e-8
         assert np.max(np.abs(refixed.v - fixed.v)) < 1e-8
@@ -242,7 +301,7 @@ class TestCoulombFix:
         g = Grid(d=2, n=32)
         spec = InitialDataSpec(amplitude=0.05)
         s = generate_initial(spec, g)
-        fixed, _, _ = coulomb_fix(projection_frame(s, tilted_qprime(spec)))
+        fixed, _, _ = coulomb_fix(transport_frame(s))
         x1, x2 = coords(g)
         chi0 = 0.02 * (np.cos(x1) + np.sin(2 * x2) * np.cos(x1))  # zero mean, non-harmonic
         rotated = rotate_frame(fixed, chi0)
@@ -253,7 +312,7 @@ class TestCoulombFix:
         g = Grid(d=2, n=16)
         spec = InitialDataSpec(amplitude=0.05)
         s = generate_initial(spec, g)
-        frame = projection_frame(s, tilted_qprime(spec))
+        frame = transport_frame(s)
         div_before = l2_norm(g, divergence(g, connection_of(frame).a))
         _, conn, _ = coulomb_fix(frame)
         div_after = l2_norm(g, divergence(g, conn.a))
@@ -264,7 +323,7 @@ class TestCoulombFix:
     def test_four_transforms_match_per_axis_solve(self, transform_calls, d, n):
         g = Grid(d=d, n=n)
         spec = InitialDataSpec(amplitude=0.05)
-        frame = projection_frame(generate_initial(spec, g), tilted_qprime(spec))
+        frame = transport_frame(generate_initial(spec, g))
         transform_calls.clear()
         _, conn, chi = coulomb_fix(frame)
         assert transform_calls == ["rfft", "irfft"] * 2
@@ -280,7 +339,7 @@ class TestCoulombFix:
         g = Grid(d=2, n=16)
         spec = InitialDataSpec(amplitude=0.05)
         s = generate_initial(spec, g)
-        _, _, chi = coulomb_fix(projection_frame(s, tilted_qprime(spec)))
+        _, _, chi = coulomb_fix(transport_frame(s))
         assert abs(chi.mean()) < 1e-14
 
 
@@ -318,7 +377,7 @@ class TestFrameValidation:
     def test_nan_frame_rejected(self, which):
         # a NaN in v fails every check; one in w fails only the later ones
         g = Grid(d=2, n=8)
-        frame = projection_frame(constant_field(g), U)
+        frame = transport_frame(constant_field(g))
         v, w = frame.v.copy(), frame.w.copy()
         (v if which == "v" else w)[1, 2, 3] = np.nan
         with pytest.raises(ValueError, match="orthonormality defect nan"):
