@@ -314,7 +314,7 @@ def gauge_identity_suite(sl: CoulombSlice) -> dict:
 
     Returns compatibility, curvature and psi_0 residuals, the divergence of
     the Coulomb connection, and the L2 mismatch between the connection
-    recovered from psi alone and the frame connection: 11 transforms.
+    recovered from psi alone and the frame connection: 10 transforms.
     """
     grid = sl.frame.grid
     suite = sl.residuals()
@@ -412,14 +412,21 @@ def _cmd_sweep(args) -> int:
     if len(swept) < 2:
         raise ConfigError("--vary needs at least two values")
 
-    rows = []
-    suites = []
+    configs = []  # every value's config is checked before the first slice
     for value in swept:
         try:
-            config = parse_config(args.config, list(args.override) + [f"{target}={value}"],
-                                  out_dir=None, seed=args.seed)
+            configs.append(parse_config(args.config, list(args.override) + [f"{target}={value}"],
+                                        out_dir=None, seed=args.seed))
+        except ValueError as exc:
+            raise ConfigError(f"{target} = {value}: {exc}") from exc
+
+    rows = []
+    suites = []
+    for value, config in zip(swept, configs):
+        try:
             sl = coulomb_slice(generate_initial(config.initial, config.grid))
-        except ValueError as exc:  # a config, data or frame error of this value
+        except ValueError as exc:  # a data or frame error of this value
+            _emit_sweep(args.out, target, suites, rows)
             raise ConfigError(f"{target} = {value}: {exc}") from exc
         suite = gauge_identity_suite(sl)
         ratio = frame_bound_ratio(sl)
@@ -433,12 +440,17 @@ def _cmd_sweep(args) -> int:
             if cur[key] > 0:
                 print(f"ratio[{key}] {v_prev}->{v_cur} = {_fmt(prev[key] / cur[key])}")
 
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        header = [target, *suites[0], "frame_ratio"]
-        emit_series_csv(header, rows, os.path.join(args.out, "sweep.csv"))
-        print(f"summary written to {os.path.join(args.out, 'sweep.csv')}")
+    _emit_sweep(args.out, target, suites, rows)
     return 0
+
+
+def _emit_sweep(out: str | None, target: str, suites: list, rows: list) -> None:
+    """Write the rows computed so far to ``out``/sweep.csv, if any and ``out`` is set."""
+    if out and rows:
+        os.makedirs(out, exist_ok=True)
+        header = [target, *suites[0], "frame_ratio"]
+        emit_series_csv(header, rows, os.path.join(out, "sweep.csv"))
+        print(f"summary written to {os.path.join(out, 'sweep.csv')}")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -111,7 +111,7 @@ def diagnostics_row(t: float, sl: CoulombSlice, unit_violation: float) -> Diagno
     """Assemble the full monitored row for one Coulomb time slice: the
     conserved quantities of its map beside its structural-identity residuals.
     The energy and the critical norm read the slice's spectrum of s, so a
-    row issues only the 7 transforms of the residuals.
+    row issues only the 6 transforms of the residuals.
     """
     s = sl.frame.s
     return DiagnosticsRow(

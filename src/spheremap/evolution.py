@@ -7,7 +7,8 @@ Two integrators are provided:
   2 / |xi_max|^2 sits inside RK4's imaginary-axis stability interval
   (about 2.83) for the spectral Laplacian's eigenvalues -|xi|^2.  Every
   stage evaluates the flow through ``geometry.flow_rhs``, in work arrays
-  that ``run`` keeps for all its steps.
+  that ``run`` keeps for all its steps; its Laplacian is d real matrix
+  products, so a step issues no transform.
 * ``evolve_msm``: one integrating-factor RK4 step of the derived-field
   system (i d_t + Laplacian) psi_m = N_m(Psi); the linear phase
   exp(-i dt |xi|^2) is applied exactly, RK4 handles the nonlinearity.

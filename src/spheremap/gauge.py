@@ -35,8 +35,9 @@ frame-derived data they decay spectrally under grid refinement.  The
 residuals are computed in Fourier space from the slice's spectra, every
 (m, l) pair from one batched product stack, with the covariant derivative
 D_m f = d_m f + i T(T a_m T f) and T the 2/3 mask; the compatibility,
-curvature and div a norms are taken by Parseval from their spectra.  That
-is 7 transforms per slice at every d.
+curvature and div a norms are taken by Parseval from their spectra; d_t s
+comes from ``flow_rhs`` without a transform.  That is 6 transforms per
+slice at every d.
 """
 
 from __future__ import annotations
@@ -248,10 +249,9 @@ class CoulombSlice:
         with D_m f = d_m f + i T(T a_m T f), T the 2/3 mask and
         psi_0 = (d_t s).v + i (d_t s).w for the flow's d_t s = s x Laplacian s.
         Every multiplier acts in Fourier space and every (m, l) pair shares
-        one batched transform per stage; d_t s is ``flow_rhs`` on the
-        slice's spectrum of s, and the div a, compatibility and curvature
-        norms are taken by Parseval from their spectra: 7 transforms at
-        every d.
+        one batched transform per stage; d_t s is ``flow_rhs``, which
+        issues none, and the div a, compatibility and curvature norms are
+        taken by Parseval from their spectra: 6 transforms at every d.
         """
         grid = self.frame.grid
         pairs = _pairs(grid.d).asym
@@ -260,7 +260,7 @@ class CoulombSlice:
         compat = plancherel_mass(grid, cov_hat[:-1], half=False)
         curl_div = plancherel_mass(
             grid, _curvature_spectra(grid, self.psi, self.a_hat, pairs), half=True)
-        dts = flow_rhs(grid, self.frame.s.values, self.s_hat)
+        dts = flow_rhs(grid, self.frame.s.values)
         psi0 = np.sum(dts * self.frame.v, axis=0) + 1j * np.sum(dts * self.frame.w, axis=0)
         return {
             "div_a": float(np.sqrt(curl_div[-1])),

@@ -9,7 +9,8 @@ two directions q' differ by one constant rotation, which no phase-invariant
 output sees.  ``coulomb_fix`` rotates a frame so that the connection
 coefficients a_m = (d_m v) . w become divergence free.  ``flow_rhs`` is
 the one evaluation of the flow velocity s x Laplacian(s), for the
-integrator and the identities alike.
+integrator and the identities alike; its Laplacian is ``real_laplacian``,
+d products with the grid's second-derivative matrix and no transform.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Grid, gradient_hat
+from .spectral import Grid, gradient_hat, real_laplacian
 
 __all__ = [
     "FrameDegenerateError",
@@ -281,34 +282,25 @@ def renormalize(grid: Grid, u: np.ndarray, q: np.ndarray) -> SphereField:
 
 
 class _FlowWork:
-    """Arrays ``flow_rhs`` writes into: the half spectrum, the Laplacian,
-    one cross-product component and the result ``slope``."""
+    """Arrays ``flow_rhs`` writes into: the Laplacian, the scratch of its
+    per-axis products, one cross-product component and the result ``slope``."""
 
     def __init__(self, grid: Grid) -> None:
         shape = (3,) + grid.shape
-        self.spectrum = np.empty(shape[:-1] + (grid.n // 2 + 1,), dtype=complex)
         self.lap = np.empty(shape)
+        self.scratch = np.empty(shape)
         self.component = np.empty(grid.shape)
         self.slope = np.empty(shape)
 
 
-def flow_rhs(
-    grid: Grid,
-    values: np.ndarray,
-    values_hat: np.ndarray | None = None,
-    work: _FlowWork | None = None,
-) -> np.ndarray:
+def flow_rhs(grid: Grid, values: np.ndarray, work: _FlowWork | None = None) -> np.ndarray:
     """Flow velocity s x Laplacian(s) of an R^3 field; pointwise orthogonal to s.
 
-    The Laplacian of the whole (3, n, ..., n) stack is one rfft/irfft pair;
-    a caller that holds the half spectrum ``values_hat`` of ``values``
-    passes it and saves the rfft (it is left as it was).  The result is
-    ``work.slope``; without ``work`` the arrays are allocated for this call.
+    The Laplacian of the whole (3, n, ..., n) stack is ``real_laplacian``:
+    d matrix products and no transform.  The result is ``work.slope``;
+    without ``work`` the arrays are allocated for this call.
     """
     if work is None:
         work = _FlowWork(grid)
-    if values_hat is None:
-        values_hat = grid.rfft(values, out=work.spectrum)
-    np.multiply(grid.symbol("laplacian", half=True), values_hat, out=work.spectrum)
-    grid.irfft(work.spectrum, out=work.lap)
+    real_laplacian(grid, values, out=work.lap, scratch=work.scratch)
     return _cross(values, work.lap, out=work.slope, tmp=work.component)

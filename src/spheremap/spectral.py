@@ -11,6 +11,12 @@ Conventions:
   real fields and act on real input through the half spectrum
   (``Grid.rfft`` / ``Grid.irfft``); complex input goes through the full
   ``Grid.fft`` / ``Grid.ifft``.
+* The one exception is the flow's Laplacian, ``real_laplacian``: the
+  symbol -|xi|^2 is a sum of one-axis symbols, so it is d products with
+  the real n x n matrix F^-1 diag(-k^2) F (Trefethen, *Spectral Methods in
+  MATLAB*, ch. 3), cached per grid, built on first use from one inverse
+  transform of -k^2.  On the lines of n <= 64 points used here the d
+  products cost less than the 2d passes of the rfft/irfft round trip.
 * The four ``Grid`` transforms give the bits of ``np.fft.fftn``,
   ``ifftn``, ``rfftn`` and ``irfftn`` but call the 1-D ``np.fft``
   transforms themselves, in numpy's axis order: on the small grids used
@@ -59,6 +65,7 @@ __all__ = [
     "plancherel_mass",
     "dealias",
     "gradient_hat",
+    "real_laplacian",
 ]
 
 # Plateau and support radii of the smooth radial cutoff eta0.
@@ -222,6 +229,23 @@ class Grid:
         return np.fft.irfft(fhat, n=self.n, axis=-1, out=out)
 
     @cached_property
+    def _second_derivative(self) -> np.ndarray:
+        """d^2/dx^2 on one axis as the real n x n matrix F^-1 diag(-k^2) F.
+
+        A circulant: entry (i, j) is c[i - j mod n], with c one inverse
+        transform of the symbol -k^2, made exactly even (c[j] = c[n - j]) so
+        that the matrix is exactly symmetric.  Built on first use, so a
+        grid that never evaluates the flow holds none.
+        """
+        n = self.n
+        c = np.fft.irfft(-self._freq_1d[: n // 2 + 1] ** 2, n=n)
+        c[1:] = 0.5 * (c[1:] + c[:0:-1])
+        # row n - 1 - i of the windows of (c[n-1], ..., c[1], c[0], ..., c[n-1])
+        # is c[|i - j|], j = 0..n-1: one n x n copy and no index arrays
+        even = np.concatenate([c[:0:-1], c])
+        return np.lib.stride_tricks.sliding_window_view(even, n)[::-1].copy()
+
+    @cached_property
     def _symbols(self) -> dict:
         return {}
 
@@ -294,6 +318,43 @@ def gradient_hat(
         out = np.empty((grid.d,) + fhat.shape, dtype=complex)
     for m in range(grid.d):
         np.multiply(grid.symbol("partial_derivative", m + 1, half=half), fhat, out=out[m])
+    return out
+
+
+def real_laplacian(
+    grid: Grid, f: np.ndarray, out: np.ndarray, scratch: np.ndarray
+) -> np.ndarray:
+    """Spectral Laplacian of a real stack (..., n, ..., n), written into ``out``.
+
+    The multiplier -|xi|^2 is the sum over the axes of -xi_m^2, so the
+    Laplacian is the sum of the grid's second-derivative matrix applied
+    along each axis: d real ``np.matmul`` calls, axis by axis, and no
+    transform.  It equals the half-spectrum path to roundoff (about 1e-15
+    relative); a constant maps to roundoff, not to 0.  On lines of
+    n <= 64 points the d products cost less than the rfft/irfft round trip.
+    They grow as n^(d+1) against the transforms' n^d log n: at d = 2,
+    n = 256, a size no config uses, one measurement found them slower
+    (4.5 against 3.1 ms), another faster (3.4 against 4.8 ms, one BLAS
+    thread).  From d = 2, n = 128 on OpenBLAS may run a product on two
+    threads.  ``out`` and ``scratch`` are C-contiguous real arrays of the
+    shape of ``f``; every product writes into a view of one of them.
+    """
+    d, n = grid.d, grid.n
+    for buffer in (out, scratch):
+        if buffer.shape != f.shape or not buffer.flags.c_contiguous:
+            raise ValueError("out and scratch must be C-contiguous arrays of the field's shape")
+    d2 = grid._second_derivative
+    lead = f.size // n**d
+    for m in range(d):
+        # axis m has rows = lead n^m index tuples before it and after = n^(d-1-m) behind it
+        target = out if m == 0 else scratch
+        rows, after = lead * n**m, n ** (d - 1 - m)
+        if after == 1:
+            np.matmul(f.reshape(rows, n), d2, out=target.reshape(rows, n))  # d2 is symmetric
+        else:
+            np.matmul(d2, f.reshape(rows, n, after), out=target.reshape(rows, n, after))
+        if m:
+            out += scratch
     return out
 
 

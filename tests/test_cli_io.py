@@ -707,6 +707,26 @@ class TestCliSweep:
         assert "error: initial.amplitude = 6.283185307179586: " in err
         assert "at grid point (8, 8)" in err
 
+    def test_bad_value_rejected_before_any_slice(self, config_file, capsys):
+        rc = cli_main(["sweep", "--config", config_file, "--vary",
+                       "initial.amplitude=0.02,abc"])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error: initial.amplitude = abc: " in err
+
+    def test_rows_before_a_failing_value_written(self, config_file, tmp_path, capsys):
+        out_dir = tmp_path / "swout"
+        rc = cli_main(["sweep", "--config", config_file, "--vary",
+                       "initial.amplitude=0.02,6.283185307179586",
+                       "--override", "grid.n=16", "--out", str(out_dir)])
+        assert rc == 2
+        assert "error: initial.amplitude = 6.283185307179586: " in capsys.readouterr().err
+        lines = (out_dir / "sweep.csv").read_text().splitlines()
+        assert lines[0] == ("initial.amplitude,res_compatibility,res_curvature,res_psi0,"
+                            "res_cross,div_a,frame_ratio")
+        assert [float(line.split(",")[0]) for line in lines[1:]] == [0.02]
+
     @pytest.mark.parametrize("d, n", [(2, 16), (3, 12), (4, 8)])
     def test_random_data_amplitude_sweep(self, config_file, capsys, d, n):
         rc = cli_main(["sweep", "--config", config_file, "--vary",

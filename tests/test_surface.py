@@ -17,6 +17,7 @@ import pytest
 
 import spheremap
 import spheremap.geometry as geometry
+import spheremap.spectral as spectral
 from spheremap.evolution import SimConfig, run
 from spheremap.initial_data import InitialDataSpec
 from spheremap.spectral import Grid
@@ -92,6 +93,26 @@ def test_import_loads_no_second_spectral_backend():
     done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "", "import spheremap loaded " + done.stdout.strip()
+
+
+def test_config_setup_loads_no_scipy_and_builds_no_matrix():
+    """Parsing a config, the start-up that perfbench's ``setup_s`` times,
+    imports no scipy and leaves the grid's second-derivative matrix for the
+    first flow evaluation to build."""
+    root = Path(spheremap.__file__).resolve().parents[2]
+    # the overrides of perfbench's monitor-d4 workload
+    overrides = ["grid.d=4", "grid.n=12", "initial.amplitude=0.02", "initial.width=0.8",
+                 "time.steps=100", "run.cadence=10", "run.snapshot_every=10"]
+    code = (
+        "import sys, spheremap; "
+        f"config = spheremap.parse_config({str(root / 'configs' / 'run-d2.ini')!r}, {overrides!r}); "
+        "print(config.grid.d, config.grid.n, '_second_derivative' in vars(config.grid), "
+        "[m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    )
+    done = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": str(root / "src")},
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["4", "12", "False", "[]"], done.stdout
 
 
 def test_declared_numpy_floor_has_transforms_with_out():
@@ -220,28 +241,26 @@ def test_every_default_is_both_passed_and_left_out_in_src():
 
 
 def test_run_evaluates_the_flow_only_through_flow_rhs(monkeypatch):
-    """4 calls per RK4 step and 1 per diagnostics row; each call looks up
-    the Laplacian symbol once, and nothing else in a run does."""
-    calls = {"flow_rhs": 0, "laplacian": 0}
-    real_rhs, real_symbol = geometry.flow_rhs, Grid.symbol
+    """4 calls per RK4 step and 1 per diagnostics row; each call applies
+    ``real_laplacian`` once, and nothing else in a run does."""
+    real = {"flow_rhs": geometry.flow_rhs, "real_laplacian": spectral.real_laplacian}
+    calls = dict.fromkeys(real, 0)
 
-    def counting_rhs(*args, **kwargs):
-        calls["flow_rhs"] += 1
-        return real_rhs(*args, **kwargs)
-
-    def counting_symbol(self, name, *args, **kwargs):
-        calls["laplacian"] += name == "laplacian"
-        return real_symbol(self, name, *args, **kwargs)
+    def counting(function):
+        def wrapper(*args, **kwargs):
+            calls[function] += 1
+            return real[function](*args, **kwargs)
+        return wrapper
 
     for name, module in list(sys.modules.items()):
         if name.startswith("spheremap"):
             for attr, value in list(vars(module).items()):
-                if value is real_rhs:
-                    monkeypatch.setattr(module, attr, counting_rhs)
-    monkeypatch.setattr(Grid, "symbol", counting_symbol)
+                for function, original in real.items():
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counting(function))
     steps = 6
     record = run(SimConfig(grid=Grid(d=2, n=16), initial=InitialDataSpec(amplitude=0.05),
                            steps=steps, cadence=2))
     assert len(record.rows) == 4
     assert calls["flow_rhs"] == 4 * steps + len(record.rows)
-    assert calls["laplacian"] == calls["flow_rhs"]
+    assert calls["real_laplacian"] == calls["flow_rhs"]
