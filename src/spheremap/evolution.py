@@ -3,7 +3,9 @@
 Two integrators are provided:
 
 * ``step_rk4_projected``: classical RK4 on the sphere flow followed by a
-  pointwise renormalization back to the unit sphere.  The default time step
+  pointwise renormalization back to the unit sphere, which also returns the
+  raw step's unit violation from the same lengths; ``run`` advances through
+  it and nothing else.  The default time step
   2 / |xi_max|^2 sits inside RK4's imaginary-axis stability interval
   (about 2.83) for the spectral Laplacian's eigenvalues -|xi|^2.  Every
   stage evaluates the flow through ``geometry.flow_rhs``, in work arrays
@@ -87,17 +89,14 @@ class _Rk4Work(_FlowWork):
         self.total = np.empty((3,) + grid.shape)    # k1 + 2 k2 + 2 k3 + k4 so far
 
 
-def rk4_update(s: SphereField, dt: float, work: _Rk4Work | None = None) -> np.ndarray:
+def rk4_update(s: SphereField, dt: float, work: _Rk4Work) -> np.ndarray:
     """One classical RK4 step of the flow, before renormalization.
 
     y + (dt/6) (k1 + 2 k2 + 2 k3 + k4) with k_i = ``flow_rhs`` at the
-    stages, summed in that order in the arrays of ``work`` (``run`` keeps
-    one for all its steps; without it they are allocated for this call).
-    The result is a new array.
+    stages, summed in that order in the arrays of ``work``, which one
+    trajectory keeps for all its steps.  The result is a new array.
     """
     grid, y = s.grid, s.values
-    if work is None:
-        work = _Rk4Work(grid)
     stage, slope, total = work.stage, work.slope, work.total
     np.copyto(total, flow_rhs(grid, y, work=work))
     for c, weight in ((0.5 * dt, 2.0), (0.5 * dt, 2.0), (dt, 1.0)):
@@ -107,9 +106,13 @@ def rk4_update(s: SphereField, dt: float, work: _Rk4Work | None = None) -> np.nd
     return y + np.multiply(dt / 6.0, total, out=total)
 
 
-def step_rk4_projected(s: SphereField, dt: float) -> SphereField:
-    """RK4 step followed by pointwise projection back to the sphere."""
-    return renormalize(s.grid, rk4_update(s, dt), q=s.q)
+def step_rk4_projected(s: SphereField, dt: float, work: _Rk4Work) -> tuple:
+    """One projected step: ``rk4_update``, then ``renormalize`` back to the sphere.
+
+    Returns (SphereField, violation), where violation = max| |raw| - 1 | of
+    the raw RK4 result before projection, from the lengths it is divided by.
+    """
+    return renormalize(s.grid, rk4_update(s, dt, work), s.q)
 
 
 def evolve_msm(grid: Grid, psi: np.ndarray, dt: float, nonlinear: bool = True) -> np.ndarray:
@@ -237,9 +240,7 @@ def run(config: SimConfig) -> TrajectoryRecord:
         tick = k % config.cadence == 0 or k == config.steps
         sl = None
         try:
-            raw = rk4_update(s, dt, work)
-            violation = float(np.max(np.abs(np.sqrt(np.sum(raw * raw, axis=0)) - 1.0)))
-            s = renormalize(grid, raw, q=s.q)
+            s, violation = step_rk4_projected(s, dt, work)
             last_step = k
             if tick:
                 sl = coulomb_slice(s)

@@ -264,21 +264,22 @@ def coulomb_fix(frame: Frame) -> tuple:
     return rotate_frame(frame, chi), Connection(grid, a + chi_grad[1:], a_hat), chi
 
 
-def renormalize(grid: Grid, u: np.ndarray, q: np.ndarray) -> SphereField:
+def renormalize(grid: Grid, u: np.ndarray, q: np.ndarray) -> tuple:
     """Project an R^3 field back to the unit sphere pointwise, with base point q.
 
-    Raises BlowupSuspectedError when any pointwise length leaves [1/2, 2].
+    Returns (SphereField, violation), where violation = max| |u| - 1 | is
+    read off the same pointwise lengths that the projection divides by.
+    Raises BlowupSuspectedError, naming the worst grid point and its |u|,
+    when any length leaves [1/2, 2]; a NaN or infinite length fails too.
     """
     u = np.asarray(u, dtype=float)
     lengths = _norms(u)
-    if not np.all(np.isfinite(u)) or np.any(lengths < 0.5) or np.any(lengths > 2.0):
-        bad = np.where(np.isfinite(lengths), np.abs(lengths - 1.0), np.inf)
-        idx = _worst_point(bad)
+    if not np.all((lengths >= 0.5) & (lengths <= 2.0)):
+        idx = _worst_point(np.where(np.isfinite(lengths), np.abs(lengths - 1.0), np.inf))
         raise BlowupSuspectedError(
-            f"field length left [1/2, 2] at grid point {idx} "
-            f"(|u| = {float(lengths[idx]) if np.all(np.isfinite(lengths)) else float('nan'):.4f})"
+            f"field length left [1/2, 2] at grid point {idx} (|u| = {float(lengths[idx]):.4f})"
         )
-    return SphereField(grid, u / lengths, q)
+    return SphereField(grid, u / lengths, q), float(np.max(np.abs(lengths - 1.0)))
 
 
 class _FlowWork:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from spheremap.evolution import default_dt, step_rk4_projected
+from spheremap.evolution import _Rk4Work, default_dt, step_rk4_projected
 from spheremap.gauge import CoulombSlice
 from spheremap.geometry import (
     Frame,
@@ -279,9 +279,10 @@ def gronwall_probe(
     sa, sb = s0a, s0b
     times = [0.0]
     norms = [_h1_norm(grid, s0b.values - s0a.values)]
+    work_a, work_b = _Rk4Work(grid), _Rk4Work(grid)
     for k in range(1, nsteps + 1):
-        sa = step_rk4_projected(sa, step)
-        sb = step_rk4_projected(sb, step)
+        sa = step_rk4_projected(sa, step, work_a)[0]
+        sb = step_rk4_projected(sb, step, work_b)[0]
         if identical and not np.array_equal(sa.values, sb.values):
             identical = False
         times.append(abs(k * step))

@@ -11,6 +11,7 @@ import spheremap as sm
 from spheremap.diagnostics import energy, frame_bound_ratio
 from spheremap.evolution import (
     SimConfig,
+    _Rk4Work,
     default_dt,
     evolve_msm,
     run,
@@ -119,16 +120,18 @@ def test_criterion_5_scaling_symmetry():
     sa = generate_initial(spec, grid_a)
     sb = SphereField(grid_b, sa.values.copy(), q=sa.q)
     dta = default_dt(grid_a)
+    work_a, work_b = _Rk4Work(grid_a), _Rk4Work(grid_b)
     mismatch = 0.0
     for _ in range(5):
         for _ in range(8):
-            sa = step_rk4_projected(sa, dta)
-            sb = step_rk4_projected(sb, dta / 4)
+            sa = step_rk4_projected(sa, dta, work_a)[0]
+            sb = step_rk4_projected(sb, dta / 4, work_b)[0]
         mismatch = max(mismatch, float(np.max(np.abs(sa.values - sb.values))))
 
     def evolve(s, dt, n):
+        work = _Rk4Work(grid_a)
         for _ in range(n):
-            s = step_rk4_projected(s, dt)
+            s = step_rk4_projected(s, dt, work)[0]
         return s
 
     ref = evolve(generate_initial(spec, grid_a), dta / 2, 80)
@@ -153,7 +156,7 @@ def test_criterion_6_uniqueness_and_gronwall_rates():
 
     def perturbed(delta):
         direction = delta * np.cos(x2) * np.array([1.0, 0.0, 0.0]).reshape(3, 1, 1)
-        return renormalize(grid, base.values + direction, q=base.q)
+        return renormalize(grid, base.values + direction, q=base.q)[0]
 
     r1 = gronwall_probe(base, perturbed(1e-6), T)
     r2 = gronwall_probe(base, perturbed(1e-7), T)
@@ -194,8 +197,9 @@ def test_criterion_8_integrator_orders():
     s0 = generate_initial(InitialDataSpec(amplitude=0.1, seed=1), grid)
 
     def evolve_sphere(s, step, n):
+        work = _Rk4Work(grid)
         for _ in range(n):
-            s = step_rk4_projected(s, step)
+            s = step_rk4_projected(s, step, work)[0]
         return s
 
     ref = evolve_sphere(s0, dt / 8, 256)

@@ -203,7 +203,7 @@ class TestGronwallProbe:
 
     def perturbed(self, delta):
         u = self.base.values + delta * np.cos(self.x2) * np.array([1.0, 0, 0]).reshape(3, 1, 1)
-        return renormalize(self.grid, u, q=self.base.q)
+        return renormalize(self.grid, u, q=self.base.q)[0]
 
     def test_identical_data_bitwise(self):
         T = 16 * default_dt(self.grid)

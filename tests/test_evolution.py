@@ -43,8 +43,9 @@ def bump_field(grid, eps=0.05, **kw):
 
 
 def evolve(s, dt, nsteps):
+    work = evo._Rk4Work(s.grid)
     for _ in range(nsteps):
-        s = step_rk4_projected(s, dt)
+        s = step_rk4_projected(s, dt, work)[0]
     return s
 
 
@@ -87,7 +88,7 @@ class TestStepRk4Projected:
     def test_fixed_point(self):
         g = Grid(d=2, n=8)
         s = constant_field(g)
-        out = step_rk4_projected(s, default_dt(g))
+        out, _ = step_rk4_projected(s, default_dt(g), evo._Rk4Work(g))
         assert np.array_equal(out.values, s.values)
 
     def test_richardson_order(self):
@@ -103,17 +104,18 @@ class TestStepRk4Projected:
         g = Grid(d=2, n=64)
         s = bump_field(g, eps=0.05)
         dt = default_dt(g)
+        work = evo._Rk4Work(g)
         worst = 0.0
         for _ in range(10):
-            raw = rk4_update(s, dt)
-            worst = max(worst, float(np.max(np.abs(np.sqrt(np.sum(raw**2, axis=0)) - 1))))
-            s = step_rk4_projected(s, dt)
+            s, violation = step_rk4_projected(s, dt, work)
+            worst = max(worst, violation)
         assert worst <= 1e-6
 
     @pytest.mark.parametrize("d, n", [(2, 16), (3, 8), (4, 8)])
     def test_rk4_update_has_the_bits_of_the_plain_formula(self, d, n):
         g = Grid(d=d, n=n)
         s = bump_field(g, eps=0.3)
+        work = evo._Rk4Work(g)
         for dt in (default_dt(g), -0.5 * default_dt(g)):
             y = s.values
             k1 = flow_rhs(g, y)
@@ -121,13 +123,16 @@ class TestStepRk4Projected:
             k3 = flow_rhs(g, y + 0.5 * dt * k2)
             k4 = flow_rhs(g, y + dt * k3)
             plain = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            assert np.array_equal(rk4_update(s, dt), plain)
+            assert np.array_equal(rk4_update(s, dt, work), plain)
 
     def test_rk4_update_allocates_only_its_result(self):
-        # run() passes one set of work arrays to every step
+        # run() passes one set of work arrays to every step; the first step
+        # on a grid builds its second-derivative matrix, so it is taken
+        # before tracing
         g = Grid(d=2, n=32)
         s = bump_field(g)
         work = evo._Rk4Work(g)
+        rk4_update(s, default_dt(g), work)
         tracemalloc.start()
         try:
             for _ in range(10):
@@ -142,9 +147,9 @@ class TestStepRk4Projected:
         s0 = bump_field(g, eps=0.1)
         dt = default_dt(g)
         # single-step truncation error, estimated by step halving
-        fine = step_rk4_projected(step_rk4_projected(s0, dt / 2), dt / 2)
-        tau = np.max(np.abs(step_rk4_projected(s0, dt).values - fine.values))
-        back = step_rk4_projected(step_rk4_projected(s0, dt), -dt)
+        fine = evolve(s0, dt / 2, 2)
+        tau = np.max(np.abs(evolve(s0, dt, 1).values - fine.values))
+        back = evolve(evolve(s0, dt, 1), -dt, 1)
         assert np.max(np.abs(back.values - s0.values)) <= 10 * tau
 
 
@@ -173,8 +178,9 @@ class TestTransformCount:
         # each stage's Laplacian is d matrix products (real_laplacian), so
         # the step issues no transform; the name keeps the test's id
         s = bump_field(Grid(d=d, n=n))
+        work = evo._Rk4Work(s.grid)
         transform_calls.clear()
-        rk4_update(s, default_dt(s.grid))
+        rk4_update(s, default_dt(s.grid), work)
         assert transform_calls == []
 
     @pytest.mark.parametrize("d, n", [(2, 16), (3, 8), (4, 8)])
@@ -283,11 +289,12 @@ class TestScalingSymmetry:
         sa = bump_field(g_a, eps=0.05)
         sb = SphereField(g_b, sa.values.copy(), q=sa.q)
         dta = default_dt(g_a)
+        work_a, work_b = evo._Rk4Work(g_a), evo._Rk4Work(g_b)
         worst = 0.0
         for _ in range(5):
             for _ in range(8):
-                sa = step_rk4_projected(sa, dta)
-                sb = step_rk4_projected(sb, dta / 4)
+                sa = step_rk4_projected(sa, dta, work_a)[0]
+                sb = step_rk4_projected(sb, dta / 4, work_b)[0]
             worst = max(worst, float(np.max(np.abs(sa.values - sb.values))))
         # measured truncation error of run A at one matched time
         ref = evolve(bump_field(g_a, eps=0.05), dta / 2, 80)
@@ -335,6 +342,21 @@ class TestRun:
         assert [row.t for row in record.rows] == pytest.approx(
             [0.0] + [k * config.resolved_dt() for k in (2, 4, 6, 8)]
         )
+
+    def test_unit_violation_is_that_of_the_raw_step(self):
+        # each row's cell is max| |raw| - 1 | of the unprojected RK4 result
+        # that led to it, recomputed here from the previous row's state
+        g = Grid(d=2, n=16)
+        config = SimConfig(grid=g, initial=InitialDataSpec(amplitude=0.05), steps=6, cadence=1,
+                           snapshot_every=1)
+        record = run(config)
+        assert len(record.rows) == len(record.snapshots) == 7
+        work = evo._Rk4Work(g)
+        for (_, before), row in zip(record.snapshots, record.rows[1:]):
+            raw = rk4_update(before, config.resolved_dt(), work)
+            expected = float(np.max(np.abs(np.sqrt(np.sum(raw * raw, axis=0)) - 1.0)))
+            assert row.unit_violation == expected
+            assert row.unit_violation > 0.0
 
     def test_determinism(self):
         g = Grid(d=2, n=16)

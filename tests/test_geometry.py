@@ -347,20 +347,33 @@ class TestRenormalize:
     def test_unit_field_unchanged(self):
         g = Grid(d=2, n=8)
         s = constant_field(g)
-        out = renormalize(g, s.values, q=Q)
+        out, _ = renormalize(g, s.values, q=Q)
         assert np.array_equal(out.values, s.values)
 
     def test_scaled_field_projected(self):
         g = Grid(d=2, n=8)
         s = constant_field(g)
-        out = renormalize(g, 1.1 * s.values, q=Q)
+        u = 1.1 * s.values
+        out, violation = renormalize(g, u, q=Q)
         assert np.max(np.abs(out.values - s.values)) < 1e-15
+        assert violation == np.max(np.abs(np.sqrt(np.sum(u * u, axis=0)) - 1))
 
     def test_zero_point_is_blowup(self):
         g = Grid(d=2, n=8)
         values = np.broadcast_to(Q.reshape(3, 1, 1), (3,) + g.shape).copy()
         values[:, 1, 1] = 0.0
-        with pytest.raises(BlowupSuspectedError):
+        with pytest.raises(BlowupSuspectedError, match=r"point \(1, 1\) \(\|u\| = 0\.0000\)"):
+            renormalize(g, values, q=Q)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_point_is_blowup(self, bad):
+        # a NaN or infinite length fails the same [1/2, 2] test as a zero
+        # one, and the message prints it (a new test: parametrizing the one
+        # above would change its id)
+        g = Grid(d=2, n=8)
+        values = np.broadcast_to(Q.reshape(3, 1, 1), (3,) + g.shape).copy()
+        values[:, 1, 1] = bad
+        with pytest.raises(BlowupSuspectedError, match=rf"point \(1, 1\) \(\|u\| = {bad}\)"):
             renormalize(g, values, q=Q)
 
 

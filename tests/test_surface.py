@@ -133,7 +133,6 @@ UNREFERENCED_PUBLIC = {
     "a0_from_psi": "perfbench's install test deletes it to check how a missing name is reported",
     "riesz": "criterion 10 checks it against a closed form",
     "inv_gradient_riesz": "criterion 10 checks it against a closed form",
-    "step_rk4_projected": "criteria 5, 6 and 8 step with it",
 }
 
 
