@@ -115,17 +115,15 @@ def step_rk4_projected(s: SphereField, dt: float, work: _Rk4Work) -> tuple:
     return renormalize(s.grid, rk4_update(s, dt, work), s.q)
 
 
-def evolve_msm(grid: Grid, psi: np.ndarray, dt: float, nonlinear: bool = True) -> np.ndarray:
+def evolve_msm(grid: Grid, psi: np.ndarray, dt: float) -> np.ndarray:
     """One integrating-factor RK4 step of the derived-field system.
 
-    With the nonlinearity frozen (``nonlinear=False``) the step reduces to
-    the exact free propagator.  The phases exp(-i dt |xi|^2 / 2) and their
-    square come from the grid's symbol cache, built once per ``dt``.
+    The phases exp(-i dt |xi|^2 / 2) and their square, the exact free
+    propagator over half and whole steps, come from the grid's symbol
+    cache, built once per ``dt``.
     """
     psi_hat = grid.fft(psi)
     half, full = grid.symbol("free_phases", dt, half=False)
-    if not nonlinear:
-        return grid.ifft(full * psi_hat)
 
     def nhat(ph):
         # spectrum of -i N(Psi); the stages never leave Fourier space

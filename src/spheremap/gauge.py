@@ -21,7 +21,10 @@ once in physical space from the truncated fields, each multiplier (including
 R_l R_l' fused into the one symbol -xi_l xi_l' / |xi|^2) acts in Fourier
 space, and the cross term's operands are the untruncated psi.  It issues six
 batched transforms at every d; ``a_from_psi`` and ``a0_from_psi`` are
-physical-space wrappers over the same product spectra.
+physical-space wrappers over the same product spectra.  Every sum over
+pairs of spatial indices (l <= l' or m < l) is a plain loop over the pairs
+in lexicographic order, as ``itertools`` lists them; the pair order lives
+in this module alone.
 
 ``coulomb_slice`` is the one place a time slice is analysed: Coulomb-fixed
 transport frame, connection and psi, in 6 transforms, with the half spectra
@@ -43,7 +46,7 @@ slice at every d.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
@@ -85,62 +88,37 @@ def derive_psi(frame: Frame, s_hat: np.ndarray) -> np.ndarray:
     return np.sum(ds * frame.v, axis=1) + 1j * np.sum(ds * frame.w, axis=1)
 
 
-class _Pairs:
-    """Index tables of the pairs of spatial indices 0..d-1.
-
-    ``sym`` lists l <= l' and ``asym`` m < l, both in lexicographic order.
-    Row k of ``other`` lists the indices other than k in order, j below k
-    and j + 1 from k on, and ``pair[k, j]`` is the ``asym`` position of
-    {k, other[k, j]}: walking row k visits the pairs that contain k in
-    ``asym`` order.
-    """
-
-    def __init__(self, d: int) -> None:
-        self.sym = [(l, lp) for l in range(d) for lp in range(l, d)]
-        self.asym = [(m, l) for m in range(d) for l in range(m + 1, d)]
-        self.other = np.array([[l for l in range(d) if l != k] for k in range(d)])
-        self.pair = np.array(
-            [[self.asym.index((min(k, l), max(k, l))) for l in row] for k, row in enumerate(self.other)]
-        )
-
-
-@cache
-def _pairs(d: int) -> _Pairs:
-    return _Pairs(d)
-
-
 def _gauge_spectra(grid: Grid, p: np.ndarray, psi: np.ndarray | None = None) -> tuple:
     """Truncated half spectra (ac_hat, a0_hat) from p = T psi.
 
     One rfft of the real products Re(p_l conj p_l') (l <= l'), Im(p_m conj
     p_l) (m < l) and, when ``psi`` is given, Im(psi_m conj psi_l) (m < l)
-    formed from the untruncated psi; then the 2/3 mask T and the stacked
-    pair symbols:
+    formed from the untruncated psi; then the 2/3 mask T and a loop over
+    the pairs of spatial indices:
 
         a_m = sum_{l != m} (i xi_l / |xi|^2) Im(p_m conj p_l)
         a0  = sum_l (R_l R_l + 1/2) Re(p_l conj p_l)
               + 2 sum_{l < l'} R_l R_l' Re(p_l conj p_l')
 
-    with R_l R_l' the fused symbol -xi_l xi_l' / |xi|^2.  The d rows of
-    a_hat are followed in ``ac_hat`` by the cross spectra Im(psi_m conj
-    psi_l), none without ``psi``.  Each sum runs in pair order from zero,
-    as a loop over the pairs would.
+    with R_l R_l' the fused symbol -xi_l xi_l' / |xi|^2 and each pair's
+    weight the symbol ``potential_pair``.  The d rows of a_hat are followed
+    in ``ac_hat`` by the cross spectra Im(psi_m conj psi_l), none without
+    ``psi``.  Every sum starts from zero and runs in pair order.
     """
     d = grid.d
-    pairs = _pairs(d)
-    nsym, nasym = len(pairs.sym), len(pairs.asym)
+    sym = list(combinations_with_replacement(range(d), 2))
+    asym = list(combinations(range(d), 2))
+    nsym, nasym = len(sym), len(asym)
     ncross = 0 if psi is None else nasym
     # filled in place: a list of products plus np.stack would hold them twice.
     # One product per pair, as written: the imaginary part of a complex
     # product can change in the last bit with the order of its operands, and
     # numpy's temporary elision computes x * conj(y) as conj(y) * x on fields
     # of 256 KiB and more; a stacked product would give other bits there.
-    # The pair symbols below are real or purely imaginary, so their products
-    # have the same bits in either order and can be stacked.
     rows = np.empty((nsym + nasym + ncross,) + grid.shape)
-    for k, (l, lp) in enumerate(pairs.sym):
+    for k, (l, lp) in enumerate(sym):
         rows[k] = (p[l] * np.conj(p[lp])).real
-    for k, (m, l) in enumerate(pairs.asym, start=nsym):
+    for k, (m, l) in enumerate(asym, start=nsym):
         rows[k] = (p[m] * np.conj(p[l])).imag
         if psi is not None:
             rows[k + nasym] = (psi[m] * np.conj(psi[l])).imag
@@ -148,14 +126,14 @@ def _gauge_spectra(grid: Grid, p: np.ndarray, psi: np.ndarray | None = None) -> 
     spec *= grid.symbol("dealias", half=True)
 
     ac_hat = np.zeros((d + ncross,) + spec.shape[1:], dtype=complex)
-    terms = grid.symbol("connection_pairs", half=True) * spec[nsym + pairs.pair]
-    for j in range(d - 1):
-        # rows k <= j take the pair (k, j + 1), rows k > j the pair (j, k),
-        # whose Im(p_j conj p_k) is -Im(p_k conj p_j)
-        ac_hat[: j + 1] += terms[: j + 1, j]
-        ac_hat[j + 1: d] -= terms[j + 1:, j]
+    inv_grad = [grid.symbol("inv_gradient_riesz", l + 1, half=True) for l in range(d)]
+    for (m, l), im in zip(asym, spec[nsym:]):
+        ac_hat[m] += inv_grad[l] * im
+        ac_hat[l] -= inv_grad[m] * im
     ac_hat[d:] = spec[nsym + nasym:]
-    a0_hat = np.sum(grid.symbol("potential_pairs", half=True) * spec[:nsym], axis=0, initial=0)
+    a0_hat = np.zeros(spec.shape[1:], dtype=complex)
+    for (l, lp), re in zip(sym, spec):
+        a0_hat += grid.symbol("potential_pair", l + 1, lp + 1, half=True) * re
     return ac_hat, a0_hat
 
 
@@ -179,15 +157,14 @@ def a0_from_psi(grid: Grid, psi: np.ndarray) -> np.ndarray:
     return grid.irfft(a0_hat)
 
 
-def _covariant_spectra(
-    grid: Grid, psi_hat: np.ndarray, a_hat: np.ndarray, pairs: list
-) -> np.ndarray:
-    """Full spectra of D_l psi_m - D_m psi_l for each (m, l) in ``pairs``,
-    then of sum_m D_m psi_m, from the full spectrum of psi and the half
-    spectrum of a.  D_m f = d_m f + i T(T a_m T f), so each row is the
-    derivative part plus i T of one product row.
+def _covariant_spectra(grid: Grid, psi_hat: np.ndarray, a_hat: np.ndarray) -> np.ndarray:
+    """Full spectra of D_l psi_m - D_m psi_l for each pair m < l, then of
+    sum_m D_m psi_m, from the full spectrum of psi and the half spectrum of
+    a.  D_m f = d_m f + i T(T a_m T f), so each row is the derivative part
+    plus i T of one product row.
     """
     d = grid.d
+    pairs = list(combinations(range(d), 2))
     mask = grid.symbol("dealias", half=False)
     tpsi = grid.ifft(mask * psi_hat)
     ta = grid.irfft(grid.symbol("dealias", half=True) * a_hat)
@@ -209,12 +186,11 @@ def _covariant_spectra(
     return out
 
 
-def _curvature_spectra(
-    grid: Grid, psi: np.ndarray, a_hat: np.ndarray, pairs: list
-) -> np.ndarray:
+def _curvature_spectra(grid: Grid, psi: np.ndarray, a_hat: np.ndarray) -> np.ndarray:
     """Half spectra of d_l a_m - d_m a_l - T Im(psi_l conj psi_m) for each
-    (m, l) in ``pairs``, then of div a = sum_m d_m a_m.
+    pair m < l, then of div a = sum_m d_m a_m.
     """
+    pairs = list(combinations(range(grid.d), 2))
     src = np.empty((len(pairs),) + grid.shape)
     for k, (m, l) in enumerate(pairs):
         src[k] = (psi[l] * np.conj(psi[m])).imag
@@ -254,12 +230,10 @@ class CoulombSlice:
         taken by Parseval from their spectra: 6 transforms at every d.
         """
         grid = self.frame.grid
-        pairs = _pairs(grid.d).asym
         psi_hat = grid.fft(self.psi)
-        cov_hat = _covariant_spectra(grid, psi_hat, self.a_hat, pairs)
+        cov_hat = _covariant_spectra(grid, psi_hat, self.a_hat)
         compat = plancherel_mass(grid, cov_hat[:-1], half=False)
-        curl_div = plancherel_mass(
-            grid, _curvature_spectra(grid, self.psi, self.a_hat, pairs), half=True)
+        curl_div = plancherel_mass(grid, _curvature_spectra(grid, self.psi, self.a_hat), half=True)
         dts = flow_rhs(grid, self.frame.s.values)
         psi0 = np.sum(dts * self.frame.v, axis=0) + 1j * np.sum(dts * self.frame.w, axis=0)
         return {
@@ -296,8 +270,7 @@ def msm_nonlinearity(grid: Grid, psi_hat: np.ndarray) -> np.ndarray:
     every d: ifft of (p, d_l p_m, psi), rfft of the products, irfft of
     (a, cross), rfft of sum_l a_l^2, irfft of the potential, fft of N.
     The transformed stacks are filled in place, and the sums over index
-    pairs (a, a0 and the cross term) are a few vectorized operations with
-    the stacked pair symbols, run in the order of a loop over the pairs.
+    pairs (a, a0 and the cross term) are loops over the pairs.
     """
     d = grid.d
     mask = grid.symbol("dealias", half=False)
@@ -318,12 +291,9 @@ def msm_nonlinearity(grid: Grid, psi_hat: np.ndarray) -> np.ndarray:
 
     out = potential * p
     out -= 2j * np.sum(a[:, None] * dp, axis=0)
-    # c = Im(psi_m conj psi_l) adds i c p_m to N_l and -i c p_l to N_m; row k
-    # of ``terms`` holds the pairs that contain k, in pair order
-    pairs = _pairs(d)
-    terms = (1j * cross)[pairs.pair] * p[pairs.other]
-    for j in range(d - 1):
-        out[j + 1:] += terms[j + 1:, j]
-        out[: j + 1] -= terms[: j + 1, j]
+    # c = Im(psi_m conj psi_l) adds i c p_m to N_l and -i c p_l to N_m
+    for c, (m, l) in zip(1j * cross, combinations(range(d), 2)):
+        out[l] += c * p[m]
+        out[m] -= c * p[l]
     grid.fft(out, out=out)
     return np.multiply(mask, out, out=out)

@@ -20,8 +20,9 @@ Conventions:
 * The four ``Grid`` transforms give the bits of ``np.fft.fftn``,
   ``ifftn``, ``rfftn`` and ``irfftn`` but call the 1-D ``np.fft``
   transforms themselves, in numpy's axis order: on the small grids used
-  here the n-D wrappers cost more than a pass.  Each takes an optional
-  ``out`` array; after the first pass the others run in place.
+  here the n-D wrappers cost more than a pass.  The first pass writes a
+  new array, or for ``fft`` and ``ifft`` an optional ``out`` array, and
+  the others run in place there; no transform overwrites its input.
 * At d = 4 the axis -2 pass of a half spectrum (``rfft``'s first complex
   pass, ``irfft``'s last) runs on a contiguous transposed copy: in place,
   numpy runs it as n^2 strided loops of n/2 + 1 lines, which cost about
@@ -32,9 +33,9 @@ Conventions:
   ``Grid.symbol``); Fourier-space kernels such as the gauge nonlinearity
   and the Coulomb solve multiply the same cached symbols, with
   ``gradient_hat`` stacking all d first-derivative spectra for one inverse
-  transform.  Stacked symbols serve a whole stack of spectra in one
-  product: the gauge pair symbols of ``msm_nonlinearity`` and
-  ``a_from_psi``, and the integrating-factor phases of ``evolve_msm``.
+  transform.  The one stacked symbol is ``free_phases``, the half- and
+  full-step integrating-factor phases of ``evolve_msm``; the gauge kernels
+  sum over index pairs in loops, one per-axis or per-pair symbol at a time.
 * The dual lattice is xi in (2*pi/L) * {-n/2, ..., n/2 - 1}^d.
 * Fourier coefficients are normalized so that Plancherel holds against the
   continuum L2 integral over the torus:
@@ -193,15 +194,15 @@ class Grid:
             fhat = out = np.fft.ifft(fhat, axis=axis, out=out)
         return out
 
-    def rfft(self, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def rfft(self, f: np.ndarray) -> np.ndarray:
         """Half spectrum of real data: the last axis keeps modes 0..n/2.
 
         ``np.fft.rfftn`` bit for bit: a real transform of the last axis into
-        ``out`` (a new array if None), then complex ones of the other axes,
-        backwards and in place there.  At d = 4 the axis -2 pass runs on
-        contiguous lines (``_pass_on_lines``).
+        a new array, then complex ones of the other axes, backwards and in
+        place there.  At d = 4 the axis -2 pass runs on contiguous lines
+        (``_pass_on_lines``).
         """
-        out = np.fft.rfft(f, axis=-1, out=out)
+        out = np.fft.rfft(f, axis=-1)
         for axis in range(-2, -self.d - 1, -1):
             if axis == -2 and self.d == 4:
                 _pass_on_lines(np.fft.fft, out)
@@ -209,24 +210,22 @@ class Grid:
                 np.fft.fft(out, axis=axis, out=out)
         return out
 
-    def irfft(self, fhat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def irfft(self, fhat: np.ndarray) -> np.ndarray:
         """Real field from a half spectrum produced by ``rfft``.
 
         ``np.fft.irfftn`` bit for bit: complex inverse transforms of the
-        leading axes in its order, then a real one of the last axis into
-        ``out`` (a new array if None).  With ``out`` the complex passes run
-        in place, so ``fhat`` is overwritten; without it they run in one
-        new array and ``fhat`` is left as it was.  At d = 4 the axis -2 pass
-        runs on contiguous lines (``_pass_on_lines``), in ``work``: the
-        passes of axes -4 and -3 come first and have set it.
+        leading axes in its order, the first into a new array and the others
+        in place there, then a real one of the last axis; ``fhat`` is left
+        as it was.  At d = 4 the axis -2 pass runs on contiguous lines
+        (``_pass_on_lines``).
         """
-        work = fhat if out is not None else None
-        for axis in range(-self.d, -1):  # the order of np.fft.irfftn
+        work = np.fft.ifft(fhat, axis=-self.d)
+        for axis in range(-self.d + 1, -1):  # the order of np.fft.irfftn
             if axis == -2 and self.d == 4:
                 _pass_on_lines(np.fft.ifft, work)
             else:
-                fhat = work = np.fft.ifft(fhat, axis=axis, out=work)
-        return np.fft.irfft(fhat, n=self.n, axis=-1, out=out)
+                np.fft.ifft(work, axis=axis, out=work)
+        return np.fft.irfft(work, n=self.n, axis=-1)
 
     @cached_property
     def _second_derivative(self) -> np.ndarray:
@@ -372,10 +371,6 @@ def _safe_power(k: np.ndarray, order: float) -> np.ndarray:
     return out
 
 
-def _inv_gradient_riesz(g: Grid, axis: int) -> np.ndarray:
-    return 1j * g.freq_d(axis) * _safe_inverse(g.k_squared)
-
-
 def _riesz_pair(g: Grid, l: int, lp: int) -> np.ndarray:
     """R_l R_l' fused: (i xi_l / |xi|) (i xi_l' / |xi|)."""
     return -g.freq_d(l) * g.freq_d(lp) * _safe_inverse(g.k_squared)
@@ -389,26 +384,19 @@ def _free_phases(g: Grid, dt: float) -> np.ndarray:
 
 # Fourier symbols by name: builder(grid, *args) returns the symbol in FFT
 # ordering, broadcastable to grid.shape or stacked on leading axes;
-# ``Grid.symbol`` caches it.  The stacked gauge symbols index the pairs of
-# spatial indices 0..d-1 the way ``gauge`` does: row k, column j of
-# ``connection_pairs`` is i xi_l / |xi|^2 for l the j-th index other than k;
-# ``potential_pairs`` runs over l <= l' in order, with R_l R_l + 1/2 on the
-# diagonal and 2 R_l R_l' off it.
+# ``Grid.symbol`` caches it.
 _SYMBOLS = {
     "partial_derivative": lambda g, axis: 1j * g.freq_d(axis),
-    "laplacian": lambda g: -g.k_squared,
     "riesz": lambda g, axis: 1j * g.freq_d(axis) * _safe_inverse(g.k_abs),
     # |xi|^power, 0 at xi = 0: the weights of the energy, the critical norm
     # and the frame-bound ratio
     "frequency_power": lambda g, power: _safe_power(g.k_abs, power),
-    "inv_gradient_riesz": _inv_gradient_riesz,
-    "connection_pairs": lambda g: np.array(
-        [[_inv_gradient_riesz(g, l + 1) for l in range(g.d) if l != k] for k in range(g.d)]
+    "inv_gradient_riesz": lambda g, axis: 1j * g.freq_d(axis) * _safe_inverse(g.k_squared),
+    # weight of Re(p_l conj p_l') in a0 for the axes l <= l': R_l R_l + 1/2
+    # on the diagonal, 2 R_l R_l' off it
+    "potential_pair": lambda g, l, lp: (
+        _riesz_pair(g, l, lp) + 0.5 if l == lp else 2.0 * _riesz_pair(g, l, lp)
     ),
-    "potential_pairs": lambda g: np.array([
-        _riesz_pair(g, l + 1, lp + 1) + 0.5 if l == lp else 2.0 * _riesz_pair(g, l + 1, lp + 1)
-        for l in range(g.d) for lp in range(l, g.d)
-    ]),
     "dealias": lambda g: g.dealias_mask,
     # zero-mean inverse of the derivative-frequency Laplacian
     "poisson_zero_mean": lambda g: _safe_inverse(-g.k_squared_d),

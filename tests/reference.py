@@ -46,8 +46,11 @@ def partial_derivative(grid: Grid, f: np.ndarray, axis: int) -> np.ndarray:
 
 
 def laplacian(grid: Grid, f: np.ndarray) -> np.ndarray:
-    """Spectral Laplacian: multiplier -|xi|^2."""
-    return _apply_symbol(grid, f, "laplacian")
+    """Spectral Laplacian: multiplier -|xi|^2, built here from ``grid.k_squared``."""
+    f = grid._check_field(f)
+    if np.iscomplexobj(f):
+        return grid.ifft(-grid.k_squared * grid.fft(f))
+    return grid.irfft(-grid.k_squared[..., : grid.n // 2 + 1] * grid.rfft(f))
 
 
 def sobolev_norm(grid: Grid, f: np.ndarray, sigma: float, homogeneous: bool = False) -> float:

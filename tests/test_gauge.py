@@ -1,5 +1,7 @@
 """Tests for the derived fields, their identities, and the NLS nonlinearity."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -561,7 +563,8 @@ class TestFourierKernelMatchesComposition:
 
 
 class TestStackedPairSumsKeepTheBits:
-    """The stacked pair symbols and sums give the bits of the loop over pairs,
+    """The kernels' pair sums, over product rows transformed as one stack,
+    give the bits of the oracles that transform and sum one pair at a time,
     also on fields of 2^14 points and more, where numpy reuses temporaries."""
 
     @pytest.mark.parametrize("d, n", [(2, 16), (3, 8), (4, 8), (4, 12)])
@@ -580,6 +583,35 @@ class TestStackedPairSumsKeepTheBits:
         for got, expected in pairs:
             assert got.shape == expected.shape
             assert got.tobytes() == expected.tobytes()
+
+
+def peak_fields(grid, kernel, arg):
+    """Peak memory of one ``kernel(grid, arg)`` call, after a first call has
+    built the grid's symbols, in complex fields of n^d points."""
+    kernel(grid, arg)
+    tracemalloc.start()
+    try:
+        kernel(grid, arg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (16 * grid.n**grid.d)
+
+
+class TestPairSumTemporaries:
+    """The pair sums add one pair's term at a time: no temporary holds the
+    operands of all d(d - 1) pairs."""
+
+    @pytest.mark.parametrize("d, n, bound", [(3, 16, 19.0), (4, 12, 34.0)])
+    def test_a_from_psi(self, d, n, bound):
+        g = Grid(d=d, n=n)
+        assert peak_fields(g, a_from_psi, random_full_spectrum_psi(g, seed=d)) < bound
+
+    @pytest.mark.parametrize("d, n, bound", [(3, 16, 39.0), (4, 12, 64.0)])
+    def test_msm_nonlinearity(self, d, n, bound):
+        g = Grid(d=d, n=n)
+        psi_hat = g.fft(random_full_spectrum_psi(g, seed=d))
+        assert peak_fields(g, msm_nonlinearity, psi_hat) < bound
 
 
 class TestCoulombSlice:

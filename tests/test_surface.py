@@ -116,7 +116,7 @@ def test_config_setup_loads_no_scipy_and_builds_no_matrix():
 
 
 def test_declared_numpy_floor_has_transforms_with_out():
-    """Every ``Grid`` transform passes ``out=`` to ``np.fft``, which numpy
+    """The ``Grid`` transforms pass ``out=`` to ``np.fft``, which numpy
     accepts from 2.0 on; an older numpy raises TypeError on the first one."""
     tomllib = pytest.importorskip("tomllib")
     root = Path(__file__).resolve().parents[1]
@@ -194,35 +194,47 @@ def test_every_module_level_name_is_read_in_src():
 # Defaults of module-level functions that src/ does not both pass and leave
 # out, and why each stays.
 ONE_SIDED_DEFAULTS = {
-    "evolve_msm.nonlinear": "criterion 10 and test_free_phase check the exact free propagator "
-                            "through it",
     "cli_main.argv": "the console script passes none; perfbench and the CLI tests pass argv",
     "parse_config.out_dir": "perfbench/run.py times parse_config(path, overrides) for setup_s",
     "parse_config.seed": "perfbench/run.py times parse_config(path, overrides) for setup_s",
 }
 
 
-def test_every_default_is_both_passed_and_left_out_in_src():
-    """A default that every ``src/`` call passes is not needed, and one that
-    no ``src/`` call passes is a second code path that only tests take."""
-    trees = _src_trees()
+def _through_numpy(func: ast.expr) -> bool:
+    """Whether a called attribute chain starts at ``np``, as ``np.fft.rfft`` does."""
+    while isinstance(func, ast.Attribute):
+        func = func.value
+    return isinstance(func, ast.Name) and func.id == "np"
+
+
+def _default_uses(trees: dict, functions: list, methods: bool) -> dict:
+    """Map "function.parameter" to how the ``src/`` calls of ``functions``
+    use that parameter's default: a subset of {"passed", "left out"}.
+
+    A method's calls are the attribute calls of its name, its positional
+    indices count from after ``self``, and calls through ``np.`` are not
+    its calls; a module-level function's calls are those of its name.
+    """
     optional = {}  # "function.parameter" -> positional index, None if keyword-only
-    for tree in trees.values():
-        for node in tree.body:
-            if isinstance(node, ast.FunctionDef):
-                args = node.args
-                positional = args.posonlyargs + args.args
-                first = len(positional) - len(args.defaults)
-                for index, arg in enumerate(positional[first:], start=first):
-                    optional[f"{node.name}.{arg.arg}"] = index
-                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
-                    if default is not None:
-                        optional[f"{node.name}.{arg.arg}"] = None
+    for node in functions:
+        args = node.args
+        positional = (args.posonlyargs + args.args)[1 if methods else 0:]
+        first = len(positional) - len(args.defaults)
+        for index, arg in enumerate(positional[first:], start=first):
+            optional[f"{node.name}.{arg.arg}"] = index
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                optional[f"{node.name}.{arg.arg}"] = None
     uses = {key: set() for key in optional}
     for tree in trees.values():
         for call in (node for node in ast.walk(tree) if isinstance(node, ast.Call)):
             func = call.func
-            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if methods:
+                if not isinstance(func, ast.Attribute) or _through_numpy(func):
+                    continue
+                called = func.attr
+            else:
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
             keywords = {kw.arg for kw in call.keywords}
             if None in keywords or any(isinstance(a, ast.Starred) for a in call.args):
                 continue  # *args / **kwargs: which parameters it fills is unknown here
@@ -231,12 +243,38 @@ def test_every_default_is_both_passed_and_left_out_in_src():
                 if function == called:
                     passed = parameter in keywords or (index is not None and index < len(call.args))
                     uses[key].add("passed" if passed else "left out")
-    one_sided = sorted(f"{key} ({', '.join(uses[key]) or 'never called'})"
-                       for key in optional
-                       if len(uses[key]) < 2 and key not in ONE_SIDED_DEFAULTS)
+    return uses
+
+
+def _one_sided(uses: dict, allowed: dict) -> list:
+    return sorted(f"{key} ({', '.join(used) or 'never called'})"
+                  for key, used in uses.items() if len(used) < 2 and key not in allowed)
+
+
+def test_every_default_is_both_passed_and_left_out_in_src():
+    """A default that every ``src/`` call passes is not needed, and one that
+    no ``src/`` call passes is a second code path that only tests take."""
+    trees = _src_trees()
+    functions = [node for tree in trees.values() for node in tree.body
+                 if isinstance(node, ast.FunctionDef)]
+    uses = _default_uses(trees, functions, methods=False)
+    one_sided = _one_sided(uses, ONE_SIDED_DEFAULTS)
     assert not one_sided, "defaults not both passed and left out in src/: " + ", ".join(one_sided)
-    stale = sorted(key for key in ONE_SIDED_DEFAULTS if key not in optional or len(uses[key]) == 2)
+    stale = sorted(key for key in ONE_SIDED_DEFAULTS if key not in uses or len(uses[key]) == 2)
     assert not stale, "allowlisted but no default or used both ways: " + ", ".join(stale)
+
+
+def test_every_method_default_is_both_passed_and_left_out_in_src():
+    """The rule above for the methods of ``src/`` classes, such as the
+    ``out`` of the ``Grid`` transforms; it has no allowlist."""
+    trees = _src_trees()
+    methods = [node for tree in trees.values() for cls in tree.body
+               if isinstance(cls, ast.ClassDef)
+               for node in cls.body if isinstance(node, ast.FunctionDef)]
+    uses = _default_uses(trees, methods, methods=True)
+    assert "fft.out" in uses  # the rule sees the Grid transforms
+    one_sided = _one_sided(uses, {})
+    assert not one_sided, "method defaults not both passed and left out in src/: " + ", ".join(one_sided)
 
 
 def test_run_evaluates_the_flow_only_through_flow_rhs(monkeypatch):
