@@ -314,7 +314,8 @@ def gauge_identity_suite(sl: CoulombSlice) -> dict:
 
     Returns compatibility, curvature and psi_0 residuals, the divergence of
     the Coulomb connection, and the L2 mismatch between the connection
-    recovered from psi alone and the frame connection: 10 transforms.
+    recovered from psi alone and the frame connection: 4 transforms, all
+    for the connection recovered from psi (``a_from_psi``).
     """
     grid = sl.frame.grid
     suite = sl.residuals()

@@ -7,9 +7,11 @@ critical norm are Plancherel sums over the half spectrum of the real map s
 (``plancherel_mass``): columns 0 and n/2 of the last axis count once, every
 other column twice for its conjugate partner.  Every analysis here reads a
 Coulomb slice it is given: a diagnostics row takes that spectrum from the
-slice, so these two cells cost no transform, and ``frame_bound_ratio``
-takes psi from it, so the ratio costs one fft and does not depend on the
-frame direction q'.
+slice, so these two cells cost no transform, and its residual cells are
+products with the grid's per-axis matrices, so a row issues none;
+``frame_bound_ratio`` takes psi from the slice, so the ratio costs one fft
+(its |xi|^(d-2) weight is not separable) and does not depend on the frame
+direction q'.
 """
 
 from __future__ import annotations
@@ -110,8 +112,9 @@ def frame_bound_ratio(sl: CoulombSlice) -> float:
 def diagnostics_row(t: float, sl: CoulombSlice, unit_violation: float) -> DiagnosticsRow:
     """Assemble the full monitored row for one Coulomb time slice: the
     conserved quantities of its map beside its structural-identity residuals.
-    The energy and the critical norm read the slice's spectrum of s, so a
-    row issues only the 6 transforms of the residuals.
+    The energy and the critical norm read the slice's spectrum of s and the
+    residuals take their derivatives and masks by per-axis products, so a
+    row issues no transform.
     """
     s = sl.frame.s
     return DiagnosticsRow(

@@ -27,20 +27,22 @@ in lexicographic order, as ``itertools`` lists them; the pair order lives
 in this module alone.
 
 ``coulomb_slice`` is the one place a time slice is analysed: Coulomb-fixed
-transport frame, connection and psi, in 6 transforms, with the half spectra
-of s and of the fixed connection that building them takes.  The diagnostics
-row, the frame-bound ratio and the gauge identity suite read a slice built
-here; none of them builds a frame of its own.
+transport frame, connection and psi, in 3 transforms (the rfft of s, and
+the Coulomb fix's rfft of a and irfft of chi and its gradient), with the
+half spectra of s and of the fixed connection that building them takes.
+The d_m v of the connection and the d_m s of psi are products with the
+grid's per-axis derivative matrix.  The diagnostics row, the frame-bound
+ratio and the gauge identity suite read a slice built here; none of them
+builds a frame of its own.
 ``CoulombSlice.residuals`` quantifies, in L2, how well the structural
 identities (derivative compatibility, connection curvature, and the
 time-slice relation for psi_0) hold for the discretely computed fields; for
 frame-derived data they decay spectrally under grid refinement.  The
-residuals are computed in Fourier space from the slice's spectra, every
-(m, l) pair from one batched product stack, with the covariant derivative
-D_m f = d_m f + i T(T a_m T f) and T the 2/3 mask; the compatibility,
-curvature and div a norms are taken by Parseval from their spectra; d_t s
-comes from ``flow_rhs`` without a transform.  That is 6 transforms per
-slice at every d.
+residuals are formed in physical space, with the covariant derivative
+D_m f = d_m f + i T(T a_m T f), T the 2/3 mask: every d_m and T is a
+product with the grid's per-axis matrices, the norms are quadrature sums,
+d_t s comes from ``flow_rhs`` and div a is a Plancherel sum on the slice's
+half spectrum of a.  A row issues no transform.
 """
 
 from __future__ import annotations
@@ -64,6 +66,8 @@ from .spectral import (
     gradient_hat,
     l2_norm,
     plancherel_mass,
+    real_dealias,
+    real_derivative,
 )
 
 __all__ = [
@@ -76,16 +80,19 @@ __all__ = [
 ]
 
 
-def derive_psi(frame: Frame, s_hat: np.ndarray) -> np.ndarray:
+def derive_psi(frame: Frame) -> np.ndarray:
     """Frame coordinates psi_m = (d_m s).v + i (d_m s).w of the map's gradient.
 
     Pointwise |psi_m| = |d_m s| since (v, w) is an orthonormal basis of the
-    tangent plane.  One irfft of all d_m s, from the half spectrum ``s_hat``
-    of s.
+    tangent plane.  Each d_m s is one product with the grid's derivative
+    matrix (``real_derivative``): no transform.
     """
     grid = frame.grid
-    ds = grid.irfft(gradient_hat(grid, s_hat, half=True))
-    return np.sum(ds * frame.v, axis=1) + 1j * np.sum(ds * frame.w, axis=1)
+    psi = np.empty((grid.d,) + grid.shape, dtype=complex)
+    for m in range(grid.d):
+        ds = real_derivative(grid, frame.s.values, m + 1)
+        psi[m] = np.sum(ds * frame.v, axis=0) + 1j * np.sum(ds * frame.w, axis=0)
+    return psi
 
 
 def _gauge_spectra(grid: Grid, p: np.ndarray, psi: np.ndarray | None = None) -> tuple:
@@ -157,53 +164,6 @@ def a0_from_psi(grid: Grid, psi: np.ndarray) -> np.ndarray:
     return grid.irfft(a0_hat)
 
 
-def _covariant_spectra(grid: Grid, psi_hat: np.ndarray, a_hat: np.ndarray) -> np.ndarray:
-    """Full spectra of D_l psi_m - D_m psi_l for each pair m < l, then of
-    sum_m D_m psi_m, from the full spectrum of psi and the half spectrum of
-    a.  D_m f = d_m f + i T(T a_m T f), so each row is the derivative part
-    plus i T of one product row.
-    """
-    d = grid.d
-    pairs = list(combinations(range(d), 2))
-    mask = grid.symbol("dealias", half=False)
-    tpsi = grid.ifft(mask * psi_hat)
-    ta = grid.irfft(grid.symbol("dealias", half=True) * a_hat)
-    # filled in place: a list of products plus np.stack would hold them twice
-    prod = np.empty((len(pairs) + 1,) + grid.shape, dtype=complex)
-    for k, (m, l) in enumerate(pairs):
-        np.multiply(ta[l], tpsi[m], out=prod[k])
-        prod[k] -= ta[m] * tpsi[l]
-    np.multiply(ta[0], tpsi[0], out=prod[-1])
-    for m in range(1, d):
-        prod[-1] += ta[m] * tpsi[m]
-    out = grid.fft(prod)
-    out *= 1j * mask
-    dx = [grid.symbol("partial_derivative", m + 1, half=False) for m in range(d)]
-    for k, (m, l) in enumerate(pairs):
-        out[k] += dx[l] * psi_hat[m] - dx[m] * psi_hat[l]
-    for m in range(d):
-        out[-1] += dx[m] * psi_hat[m]
-    return out
-
-
-def _curvature_spectra(grid: Grid, psi: np.ndarray, a_hat: np.ndarray) -> np.ndarray:
-    """Half spectra of d_l a_m - d_m a_l - T Im(psi_l conj psi_m) for each
-    pair m < l, then of div a = sum_m d_m a_m.
-    """
-    pairs = list(combinations(range(grid.d), 2))
-    src = np.empty((len(pairs),) + grid.shape)
-    for k, (m, l) in enumerate(pairs):
-        src[k] = (psi[l] * np.conj(psi[m])).imag
-    src_hat = grid.rfft(src)
-    src_hat *= grid.symbol("dealias", half=True)
-    dx = [grid.symbol("partial_derivative", m + 1, half=True) for m in range(grid.d)]
-    out = np.empty((len(pairs) + 1,) + src_hat.shape[1:], dtype=complex)
-    for k, (m, l) in enumerate(pairs):
-        out[k] = dx[l] * a_hat[m] - dx[m] * a_hat[l] - src_hat[k]
-    out[-1] = sum(dx[m] * a_hat[m] for m in range(grid.d))
-    return out
-
-
 @dataclass(frozen=True)
 class CoulombSlice:
     """One time slice in the Coulomb gauge: fixed frame, connection a, psi,
@@ -224,23 +184,45 @@ class CoulombSlice:
 
         with D_m f = d_m f + i T(T a_m T f), T the 2/3 mask and
         psi_0 = (d_t s).v + i (d_t s).w for the flow's d_t s = s x Laplacian s.
-        Every multiplier acts in Fourier space and every (m, l) pair shares
-        one batched transform per stage; d_t s is ``flow_rhs``, which
-        issues none, and the div a, compatibility and curvature norms are
-        taken by Parseval from their spectra: 6 transforms at every d.
+        Every d_m and every T is a product with the grid's per-axis matrices
+        (``real_derivative``, ``real_dealias``) on the real stacks
+        (Re psi_m, Im psi_m, a_m), one pair (m, l) at a time so that no more
+        than a few fields are held, d_t s is ``flow_rhs`` and the three norms
+        are quadrature sums (``l2_norm``): no transform.  div a stays a
+        Plancherel sum on the slice's half spectrum of a, so it reads the
+        divergence that ``coulomb_fix`` cancelled to multiplier exactness.
         """
         grid = self.frame.grid
-        psi_hat = grid.fft(self.psi)
-        cov_hat = _covariant_spectra(grid, psi_hat, self.a_hat)
-        compat = plancherel_mass(grid, cov_hat[:-1], half=False)
-        curl_div = plancherel_mass(grid, _curvature_spectra(grid, self.psi, self.a_hat), half=True)
+        d, psi = grid.d, self.psi
+        # the per-axis matrices are real: (Re psi_m, Im psi_m, a_m) for each m
+        fields = np.stack([psi.real, psi.imag, self.a], axis=1)
+        tre, tim, ta = np.moveaxis(real_dealias(grid, fields), 1, 0)
+        compat, curvature = [], []
+        for m, l in combinations(range(d), 2):
+            # Re and Im of T a_l T psi_m - T a_m T psi_l, then T Im(psi_l conj psi_m)
+            t_re, t_im, t_src = real_dealias(grid, np.stack([
+                ta[l] * tre[m] - ta[m] * tre[l],
+                ta[l] * tim[m] - ta[m] * tim[l],
+                (psi[l] * np.conj(psi[m])).imag,
+            ]))
+            curl = real_derivative(grid, fields[m], l + 1) - real_derivative(grid, fields[l], m + 1)
+            # D_l psi_m - D_m psi_l = d_l psi_m - d_m psi_l + i T(...), whose
+            # norm is that of its real and imaginary parts
+            compat.append(np.hypot(l2_norm(grid, curl[0] - t_im), l2_norm(grid, curl[1] + t_re)))
+            curvature.append(l2_norm(grid, curl[2] - t_src))
+        # sum_m D_m psi_m = sum_m d_m psi_m + i T(sum_m T a_m T psi_m)
+        div = sum(real_derivative(grid, fields[m, :2], m + 1) for m in range(d))
+        t_re, t_im = real_dealias(grid, np.stack([np.sum(ta * tre, axis=0), np.sum(ta * tim, axis=0)]))
+        covariant_div = (div[0] - t_im) + 1j * (div[1] + t_re)
         dts = flow_rhs(grid, self.frame.s.values)
         psi0 = np.sum(dts * self.frame.v, axis=0) + 1j * np.sum(dts * self.frame.w, axis=0)
+        dx = [grid.symbol("partial_derivative", m + 1, half=True) for m in range(d)]
+        div_a_hat = sum(dx[m] * self.a_hat[m] for m in range(d))
         return {
-            "div_a": float(np.sqrt(curl_div[-1])),
-            "res_compatibility": float(np.sqrt(np.max(compat))),
-            "res_curvature": float(np.sqrt(np.max(curl_div[:-1]))),
-            "res_psi0": l2_norm(grid, psi0 - 1j * grid.ifft(cov_hat[-1])),
+            "div_a": float(np.sqrt(plancherel_mass(grid, div_a_hat, half=True))),
+            "res_compatibility": float(max(compat)),
+            "res_curvature": max(curvature),
+            "res_psi0": l2_norm(grid, psi0 - 1j * covariant_div),
         }
 
 
@@ -251,8 +233,7 @@ def coulomb_slice(s: SphereField) -> CoulombSlice:
     Raises FrameDegenerateError where s comes (nearly) antipodal to s.q.
     """
     frame, conn, _ = coulomb_fix(transport_frame(s))
-    s_hat = s.grid.rfft(s.values)
-    return CoulombSlice(frame, conn.a, derive_psi(frame, s_hat), s_hat, conn.a_hat)
+    return CoulombSlice(frame, conn.a, derive_psi(frame), s.grid.rfft(s.values), conn.a_hat)
 
 
 def msm_nonlinearity(grid: Grid, psi_hat: np.ndarray) -> np.ndarray:

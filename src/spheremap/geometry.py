@@ -9,8 +9,11 @@ two directions q' differ by one constant rotation, which no phase-invariant
 output sees.  ``coulomb_fix`` rotates a frame so that the connection
 coefficients a_m = (d_m v) . w become divergence free.  ``flow_rhs`` is
 the one evaluation of the flow velocity s x Laplacian(s), for the
-integrator and the identities alike; its Laplacian is ``real_laplacian``,
-d products with the grid's second-derivative matrix and no transform.
+integrator and the identities alike.  The separable operators are products
+with the grid's per-axis matrices and issue no transform: the flow's
+Laplacian (``real_laplacian``) and the d_m v of the connection
+(``real_derivative``).  The Coulomb fix's Poisson solve is not separable
+and stays in Fourier space: a fix issues 2 transforms.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Grid, gradient_hat, real_laplacian
+from .spectral import Grid, gradient_hat, real_derivative, real_laplacian
 
 __all__ = [
     "FrameDegenerateError",
@@ -218,13 +221,16 @@ def transport_frame(s: SphereField) -> Frame:
 
 
 def connection_of(frame: Frame) -> Connection:
-    """Connection coefficients a_m = (d_m v) . w, computed spectrally.
+    """Connection coefficients a_m = (d_m v) . w.
 
-    One rfft of the (3, n, ..., n) field v and one irfft of all d_m v.
+    Each d_m v of the (3, n, ..., n) field v is one product with the grid's
+    derivative matrix (``real_derivative``): no transform.
     """
     grid = frame.grid
-    dv = grid.irfft(gradient_hat(grid, grid.rfft(frame.v), half=True))
-    return Connection(grid, np.sum(dv * frame.w, axis=1))
+    a = np.empty((grid.d,) + grid.shape)
+    for m in range(grid.d):
+        a[m] = np.sum(real_derivative(grid, frame.v, m + 1) * frame.w, axis=0)
+    return Connection(grid, a)
 
 
 def rotate_frame(frame: Frame, chi: np.ndarray) -> Frame:
@@ -247,7 +253,8 @@ def coulomb_fix(frame: Frame) -> tuple:
     frame with ``connection_of`` agrees up to spectral truncation.  The
     zero-mean normalization fixes the otherwise free constant rotation per
     time slice.  The divergence, the Poisson solve and d_m chi are taken in
-    Fourier space: one rfft of a and one irfft of (chi, d_1 chi, ..., d_d chi).
+    Fourier space, since the Poisson inverse is not a per-axis matrix: one
+    rfft of a and one irfft of (chi, d_1 chi, ..., d_d chi).
     The fixed connection carries its half spectrum rfft(a) + i xi chi_hat,
     equal to the rfft of its values up to roundoff.
     """

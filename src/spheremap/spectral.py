@@ -1,8 +1,8 @@
 """Discrete Fourier analysis on the periodic torus [0, L)^d.
 
-All operators act on uniformly sampled fields via the FFT, so derivatives
-and Riesz-type multipliers are exact on the resolved frequency lattice.
-Conventions:
+All operators act on uniformly sampled fields as Fourier multipliers, so
+derivatives and Riesz-type multipliers are exact on the resolved frequency
+lattice.  Conventions:
 
 * Every operator acts on the last d axes and is batched over any leading
   axes, so a (3, n, ..., n) stack is transformed in one call.
@@ -11,12 +11,21 @@ Conventions:
   real fields and act on real input through the half spectrum
   (``Grid.rfft`` / ``Grid.irfft``); complex input goes through the full
   ``Grid.fft`` / ``Grid.ifft``.
-* The one exception is the flow's Laplacian, ``real_laplacian``: the
-  symbol -|xi|^2 is a sum of one-axis symbols, so it is d products with
-  the real n x n matrix F^-1 diag(-k^2) F (Trefethen, *Spectral Methods in
-  MATLAB*, ch. 3), cached per grid, built on first use from one inverse
-  transform of -k^2.  On the lines of n <= 64 points used here the d
-  products cost less than the 2d passes of the rfft/irfft round trip.
+* The separable-multiplier rule: a multiplier that is a sum or a product of
+  one-axis symbols acts along each axis as the real n x n circulant
+  F^-1 diag(sigma) F (Trefethen, *Spectral Methods in MATLAB*, ch. 3), so
+  on a real field whose spectrum is not needed afterwards it is d matrix
+  products and no transform, in the tensor-product form of Lynch, Rice and
+  Thomas (1964): the flow's Laplacian ``real_laplacian`` (a sum), the first
+  derivative ``real_derivative`` and the 2/3 mask ``real_dealias`` (a
+  product).  The grid caches each matrix with its transpose, built on first
+  use from one inverse transform of its one-axis symbol.  On the lines of
+  n <= 64 points used here a Coulomb slice and a diagnostics row take less
+  time this way than through transforms, most at d = 4 (about 2.5 and 1.7
+  times less at n = 12).  What is not separable stays on the FFT: the
+  Poisson inverse, the Riesz-type symbols, the |xi|^sigma weights and the
+  Fourier-space kernels (``msm_nonlinearity``, ``a_from_psi``) that keep
+  spectra between steps.
 * The four ``Grid`` transforms give the bits of ``np.fft.fftn``,
   ``ifftn``, ``rfftn`` and ``irfftn`` but call the 1-D ``np.fft``
   transforms themselves, in numpy's axis order: on the small grids used
@@ -67,6 +76,8 @@ __all__ = [
     "dealias",
     "gradient_hat",
     "real_laplacian",
+    "real_derivative",
+    "real_dealias",
 ]
 
 # Plateau and support radii of the smooth radial cutoff eta0.
@@ -168,12 +179,16 @@ class Grid:
         return self.along(axis, self.spacing * np.arange(self.n))
 
     @cached_property
+    def _keep_1d(self) -> np.ndarray:
+        # 2/3 rule on one axis: integer modes |m| < n/3, in FFT ordering
+        return np.abs(np.fft.fftfreq(self.n, d=1.0 / self.n)) < self.n / 3.0
+
+    @cached_property
     def dealias_mask(self) -> np.ndarray:
         """2/3-rule mask: keep integer modes with |m| < n/3 on every axis."""
-        keep_1d = np.abs(np.fft.fftfreq(self.n, d=1.0 / self.n)) < self.n / 3.0
         mask = np.ones(self.shape, dtype=bool)
         for m in range(1, self.d + 1):
-            mask &= self.along(m, keep_1d)
+            mask &= self.along(m, self._keep_1d)
         return mask
 
     def fft(self, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -227,22 +242,30 @@ class Grid:
                 np.fft.ifft(work, axis=axis, out=work)
         return np.fft.irfft(work, n=self.n, axis=-1)
 
-    @cached_property
-    def _second_derivative(self) -> np.ndarray:
-        """d^2/dx^2 on one axis as the real n x n matrix F^-1 diag(-k^2) F.
+    # The per-axis operator cache: each separable multiplier acts along one
+    # axis as a real n x n circulant F^-1 diag(sigma) F, held with its
+    # transpose (the operand of a product along the last axis) as two
+    # C-contiguous arrays.  Each is built on first use, so a grid that never
+    # takes a product holds none, and read as a plain attribute, so a call
+    # builds no cache key.
 
-        A circulant: entry (i, j) is c[i - j mod n], with c one inverse
-        transform of the symbol -k^2, made exactly even (c[j] = c[n - j]) so
-        that the matrix is exactly symmetric.  Built on first use, so a
-        grid that never evaluates the flow holds none.
-        """
-        n = self.n
-        c = np.fft.irfft(-self._freq_1d[: n // 2 + 1] ** 2, n=n)
-        c[1:] = 0.5 * (c[1:] + c[:0:-1])
-        # row n - 1 - i of the windows of (c[n-1], ..., c[1], c[0], ..., c[n-1])
-        # is c[|i - j|], j = 0..n-1: one n x n copy and no index arrays
-        even = np.concatenate([c[:0:-1], c])
-        return np.lib.stride_tricks.sliding_window_view(even, n)[::-1].copy()
+    @cached_property
+    def _second_derivative(self) -> tuple:
+        """d^2/dx^2 on one axis, the symbol -k^2: exactly symmetric."""
+        return _circulant(-self._freq_1d[: self.n // 2 + 1] ** 2, parity=1.0)
+
+    @cached_property
+    def _first_derivative(self) -> tuple:
+        """d/dx on one axis, the symbol i k with the Nyquist mode zeroed
+        (``freq_d``): exactly antisymmetric.  An odd symbol's Nyquist value
+        has no real circulant (the inverse transform reads only the real
+        part of that bin), so keeping it builds the same matrix."""
+        return _circulant(1j * self._freq_1d_odd[: self.n // 2 + 1], parity=-1.0)
+
+    @cached_property
+    def _dealias_matrix(self) -> tuple:
+        """The 2/3 mask on one axis: an exactly symmetric projector."""
+        return _circulant(self._keep_1d[: self.n // 2 + 1].astype(float), parity=1.0)
 
     @cached_property
     def _symbols(self) -> dict:
@@ -285,6 +308,16 @@ def _pass_on_lines(transform, x: np.ndarray) -> None:
     numpy cannot merge the axes on either side of axis -2 into one loop;
     transposed, the same 1-D transforms of the same lines (so the same
     bits) run as one.  The module docstring says where the two copies pay.
+    With a slice's derivatives and a row's masks taken by products, its
+    d = 4 users are the slice's three half-spectrum transforms, a_from_psi
+    and msm_nonlinearity.  Measured at (4, 12) in 10 fresh processes
+    (medians of 16 alternating rounds, 2-vCPU host), running every pass in
+    place instead was slower in 8 of 10 for ``coulomb_slice`` (about 9.35
+    against 9.1 ms), in 8 of 10 for ``gauge_identity_suite`` (19.9 against
+    19.6 ms) and in 10 of 10 for ``msm_nonlinearity`` (39 against 34 ms).
+    Timed alone on a repeated stack, the in-place ``rfft`` was faster (0.76
+    against 1.0 ms for 3 fields), so the copies stay on the in-context
+    evidence.
     """
     lines = np.ascontiguousarray(np.moveaxis(x, -2, -1))
     transform(lines, axis=-1, out=lines)
@@ -320,6 +353,51 @@ def gradient_hat(
     return out
 
 
+def _circulant(half_symbol: np.ndarray, parity: float) -> tuple:
+    """The real n x n matrix F^-1 diag(sigma) F of a one-axis symbol sigma
+    that is even (``parity`` 1) or odd (-1) in k, and its transpose.
+
+    ``half_symbol`` holds sigma at k = 0..n/2.  A circulant: entry (i, j) is
+    c[i - j mod n], with c one inverse transform of sigma, made exactly even
+    or odd (c[j] = parity c[n - j]) so that the matrix is exactly symmetric
+    or antisymmetric.
+    """
+    n = 2 * (len(half_symbol) - 1)
+    c = np.fft.irfft(half_symbol, n=n)
+    c[1:] = 0.5 * (c[1:] + parity * c[:0:-1])
+    if parity < 0:
+        c[0] = 0.0
+    # window n - 1 - i of (c[n-1], ..., c[0], c[n-1], ..., c[1]) is
+    # c[i - j mod n], j = 0..n-1: one n x n copy and no index arrays
+    ext = np.concatenate([c[1:], c])[::-1]
+    matrix = np.lib.stride_tricks.sliding_window_view(ext, n)[::-1].copy()
+    return matrix, (matrix if parity > 0 else np.ascontiguousarray(matrix.T))
+
+
+def _along_axis(grid: Grid, operator: tuple, f: np.ndarray, m: int, out: np.ndarray) -> None:
+    """One per-axis matrix applied along axis m (0-based) of the last d axes
+    of the real stack ``f``, written into ``out``.
+
+    ``operator`` is a (matrix, transpose) pair of the grid's operator cache;
+    ``f`` and ``out`` are C-contiguous real arrays of one shape.  One
+    ``np.matmul``: along the last axis each field's rows times the
+    transpose, along any other the matrix times each (n, n^(d-1-m)) block.
+    So every product inside it is at most n^(d+1) multiply-adds: at (2, 64),
+    (3, 24) and (4, 12) under the 2^20 from which OpenBLAS runs a real
+    product on two threads (complex ones sooner, so none is issued).  In
+    some fresh processes on a busy 2-core host the two-thread route ran
+    about 100 times slower for seconds at a time.
+    """
+    matrix, transpose = operator
+    n, d = grid.n, grid.d
+    after = n ** (d - 1 - m)
+    if after == 1:
+        fields = f.size // n**d
+        np.matmul(f.reshape(fields, -1, n), transpose, out=out.reshape(fields, -1, n))
+    else:
+        np.matmul(matrix, f.reshape(-1, n, after), out=out.reshape(-1, n, after))
+
+
 def real_laplacian(
     grid: Grid, f: np.ndarray, out: np.ndarray, scratch: np.ndarray
 ) -> np.ndarray:
@@ -338,22 +416,43 @@ def real_laplacian(
     threads.  ``out`` and ``scratch`` are C-contiguous real arrays of the
     shape of ``f``; every product writes into a view of one of them.
     """
-    d, n = grid.d, grid.n
     for buffer in (out, scratch):
         if buffer.shape != f.shape or not buffer.flags.c_contiguous:
             raise ValueError("out and scratch must be C-contiguous arrays of the field's shape")
     d2 = grid._second_derivative
-    lead = f.size // n**d
-    for m in range(d):
-        # axis m has rows = lead n^m index tuples before it and after = n^(d-1-m) behind it
-        target = out if m == 0 else scratch
-        rows, after = lead * n**m, n ** (d - 1 - m)
-        if after == 1:
-            np.matmul(f.reshape(rows, n), d2, out=target.reshape(rows, n))  # d2 is symmetric
-        else:
-            np.matmul(d2, f.reshape(rows, n, after), out=target.reshape(rows, n, after))
+    for m in range(grid.d):
+        _along_axis(grid, d2, f, m, out if m == 0 else scratch)
         if m:
             out += scratch
+    return out
+
+
+def real_derivative(grid: Grid, f: np.ndarray, axis: int) -> np.ndarray:
+    """d/dx_axis (1-based) of a real stack (..., n, ..., n): one product with
+    the grid's derivative matrix and no transform.
+
+    The multiplier i xi_axis of ``gradient_hat``, Nyquist zeroed, to roundoff.
+    """
+    grid._check_axis(axis)
+    f = np.ascontiguousarray(f)
+    out = np.empty(f.shape)
+    _along_axis(grid, grid._first_derivative, f, axis - 1, out)
+    return out
+
+
+def real_dealias(grid: Grid, f: np.ndarray) -> np.ndarray:
+    """The 2/3 rule of ``dealias`` on a real stack (..., n, ..., n), as the
+    product of the one-axis masks: d products with the grid's mask matrix,
+    one axis after the other, and no transform.  ``dealias`` to roundoff.
+    """
+    d = grid.d
+    f = np.ascontiguousarray(f)
+    out, scratch = np.empty(f.shape), np.empty(f.shape)
+    for m in range(d):
+        # alternate between the two arrays so that the last product lands in out
+        target = out if (d - 1 - m) % 2 == 0 else scratch
+        _along_axis(grid, grid._dealias_matrix, f, m, target)
+        f = target
     return out
 
 

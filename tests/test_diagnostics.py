@@ -87,7 +87,7 @@ class TestEnergy:
         spec = InitialDataSpec(amplitude=0.05)
         s = generate_initial(spec, g)
         frame = transport_frame(s)
-        psi = derive_psi(frame, spectrum(s))
+        psi = derive_psi(frame)
         psi_mass = sum(l2_norm(g, psi[m]) ** 2 for m in range(g.d))
         assert psi_mass == pytest.approx(energy(s, spectrum(s)), rel=1e-10)
 
@@ -182,7 +182,7 @@ class TestFrameBoundRatio:
         assert ratio > 0
         for qp in (0.5 * u + np.sqrt(3.0) / 2.0 * np.cross(q, u), 0.8 * u + 0.6 * np.cross(q, u)):
             frame, conn, _ = coulomb_fix(projection_frame(s, qp))
-            sl = slice_with_spectra(frame, conn.a, derive_psi(frame, spectrum(s)))
+            sl = slice_with_spectra(frame, conn.a, derive_psi(frame))
             assert frame_bound_ratio(sl) == pytest.approx(ratio, rel=1e-10)
 
     def test_rotation_equivariance(self):

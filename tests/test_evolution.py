@@ -157,15 +157,14 @@ class TestStepRk4Projected:
 # rfft of sum a_l^2, irfft of the potential, fft of N
 MSM_KERNEL_TRANSFORMS = ["ifft", "rfft", "irfft", "rfft", "irfft", "fft"]
 
-# fft of psi, ifft of T psi, irfft of T a, fft of the products, rfft of the
-# curvature sources, ifft of sum_m D_m psi_m; the slice holds the spectra of
-# s and a, d_t s takes none, and the compatibility, curvature and div a
-# norms are taken by Parseval
-RESIDUAL_TRANSFORMS = ["fft", "ifft", "irfft", "fft", "rfft", "ifft"]
+# every derivative and 2/3 mask of the residuals is a product with the grid's
+# per-axis matrices, d_t s is flow_rhs, and div a is a Plancherel sum on the
+# slice's spectrum of a
+RESIDUAL_TRANSFORMS = []
 
-# connection_of (rfft of v, irfft of d_m v), coulomb_fix (rfft of a, irfft of
-# chi and d_m chi), rfft of s, derive_psi (irfft of d_m s)
-SLICE_TRANSFORMS = ["rfft", "irfft", "rfft", "irfft", "rfft", "irfft"]
+# coulomb_fix (rfft of a, irfft of chi and d_m chi), rfft of s; connection_of
+# and derive_psi take their derivatives by products
+SLICE_TRANSFORMS = ["rfft", "irfft", "rfft"]
 
 
 def bump_psi(grid):
@@ -174,9 +173,8 @@ def bump_psi(grid):
 
 class TestTransformCount:
     @pytest.mark.parametrize("d, n", [(2, 16), (3, 8), (4, 8)])
-    def test_rk4_update_issues_eight_transforms(self, transform_calls, d, n):
-        # each stage's Laplacian is d matrix products (real_laplacian), so
-        # the step issues no transform; the name keeps the test's id
+    def test_rk4_update_issues_no_transform(self, transform_calls, d, n):
+        # each stage's Laplacian is d matrix products (real_laplacian)
         s = bump_field(Grid(d=d, n=n))
         work = evo._Rk4Work(s.grid)
         transform_calls.clear()
@@ -202,9 +200,8 @@ class TestTransformCount:
         assert len(transform_calls) == 26
 
     @pytest.mark.parametrize("d, n", [(2, 16), (3, 8), (4, 8)])
-    def test_slice_residuals_issue_seven_transforms(self, transform_calls, d, n):
-        # the energy and the critical norm read the slice's spectrum of s;
-        # the residuals are 6 transforms (the name keeps the test's id)
+    def test_slice_issues_three_transforms_and_its_row_none(self, transform_calls, d, n):
+        # the energy and the critical norm read the slice's spectrum of s
         s = bump_field(Grid(d=d, n=n))
         transform_calls.clear()
         sl = coulomb_slice(s)
@@ -217,10 +214,9 @@ class TestTransformCount:
         assert transform_calls == RESIDUAL_TRANSFORMS
 
     @pytest.mark.parametrize("d, n", [(2, 16), (3, 8), (4, 8)])
-    def test_gauge_identity_suite_issues_17_transforms(self, transform_calls, d, n):
+    def test_gauge_identity_suite_issues_seven_transforms(self, transform_calls, d, n):
         # the slice, then the suite on it: the residuals and a_from_psi
-        # (fft/ifft of T psi, rfft of the products, irfft of a); 16 in all
-        # (the name keeps the test's id)
+        # (fft/ifft of T psi, rfft of the products, irfft of a)
         s = bump_field(Grid(d=d, n=n))
         transform_calls.clear()
         sl = coulomb_slice(s)
@@ -229,7 +225,7 @@ class TestTransformCount:
         gauge_identity_suite(sl)
         a_from_psi = ["fft", "ifft", "rfft", "irfft"]
         assert transform_calls == RESIDUAL_TRANSFORMS + a_from_psi
-        assert len(SLICE_TRANSFORMS + transform_calls) == 16
+        assert len(SLICE_TRANSFORMS + transform_calls) == 7
 
 
 class TestEvolveMsm:

@@ -97,22 +97,26 @@ def test_import_loads_no_second_spectral_backend():
 
 def test_config_setup_loads_no_scipy_and_builds_no_matrix():
     """Parsing a config, the start-up that perfbench's ``setup_s`` times,
-    imports no scipy and leaves the grid's second-derivative matrix for the
-    first flow evaluation to build."""
+    imports no package beyond numpy and spheremap, parsing itself imports no
+    module, and the grid holds no cached array: its per-axis matrices are
+    left for the first product to build."""
     root = Path(spheremap.__file__).resolve().parents[2]
     # the overrides of perfbench's monitor-d4 workload
     overrides = ["grid.d=4", "grid.n=12", "initial.amplitude=0.02", "initial.width=0.8",
                  "time.steps=100", "run.cadence=10", "run.snapshot_every=10"]
     code = (
-        "import sys, spheremap; "
+        "import sys; before = set(sys.modules); import spheremap; imported = set(sys.modules); "
         f"config = spheremap.parse_config({str(root / 'configs' / 'run-d2.ini')!r}, {overrides!r}); "
-        "print(config.grid.d, config.grid.n, '_second_derivative' in vars(config.grid), "
-        "[m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        "print(config.grid.d, config.grid.n, sorted(vars(config.grid)), "
+        "sorted({m.split('.')[0] for m in imported - before} - set(sys.stdlib_module_names)), "
+        "sorted(set(sys.modules) - imported))"
     )
     done = subprocess.run([sys.executable, "-c", code],
                           env={**os.environ, "PYTHONPATH": str(root / "src")},
                           capture_output=True, text=True, check=True)
-    assert done.stdout.split() == ["4", "12", "False", "[]"], done.stdout
+    assert done.stdout.split() == [
+        "4", "12", "['d',", "'length',", "'n']", "['numpy',", "'spheremap']", "[]",
+    ], done.stdout
 
 
 def test_declared_numpy_floor_has_transforms_with_out():
