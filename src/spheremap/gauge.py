@@ -228,7 +228,7 @@ class CoulombSlice:
 
 def coulomb_slice(s: SphereField) -> CoulombSlice:
     """Coulomb-fixed transport frame of s, its connection and psi, with the
-    half spectra of s and of the connection: 6 transforms.
+    half spectra of s and of the connection: 3 transforms.
 
     Raises FrameDegenerateError where s comes (nearly) antipodal to s.q.
     """

@@ -52,8 +52,11 @@ class InitialDataSpec:
             raise ValueError(f"unknown profile {self.profile!r}; choose from {PROFILES}")
         if not (np.isfinite(self.amplitude) and self.amplitude >= 0):
             raise ValueError(f"amplitude = {self.amplitude} must be finite and >= 0")
-        if self.width is not None and not (np.isfinite(self.width) and self.width > 0):
-            raise ValueError(f"width = {self.width} must be finite and positive")
+        # the bump divides by 2 * width**2: it must neither underflow to 0 nor
+        # overflow (w * w gives inf where w**2 raises OverflowError)
+        w = self.width
+        if w is not None and not (w > 0 and 0 < 2.0 * (w * w) < np.inf):
+            raise ValueError(f"width = {w} must be positive, with 2 * width**2 finite and non-zero")
         if self.mode_cutoff < 1:
             raise ValueError(f"mode_cutoff = {self.mode_cutoff} must be >= 1")
         if self.seed < 0:

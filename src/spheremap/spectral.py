@@ -31,13 +31,8 @@ lattice.  Conventions:
   transforms themselves, in numpy's axis order: on the small grids used
   here the n-D wrappers cost more than a pass.  The first pass writes a
   new array, or for ``fft`` and ``ifft`` an optional ``out`` array, and
-  the others run in place there; no transform overwrites its input.
-* At d = 4 the axis -2 pass of a half spectrum (``rfft``'s first complex
-  pass, ``irfft``'s last) runs on a contiguous transposed copy: in place,
-  numpy runs it as n^2 strided loops of n/2 + 1 lines, which cost about
-  twice a pass of the other axes.  The rule follows from the layout: on
-  full spectra and at d = 2, 3 every pass stays in place, where it is as
-  fast or faster.
+  the others run in place there, at every d; no transform overwrites its
+  input.
 * Every symbol is built once per grid by name (``_SYMBOLS``, cached by
   ``Grid.symbol``); Fourier-space kernels such as the gauge nonlinearity
   and the Coulomb solve multiply the same cached symbols, with
@@ -214,15 +209,11 @@ class Grid:
 
         ``np.fft.rfftn`` bit for bit: a real transform of the last axis into
         a new array, then complex ones of the other axes, backwards and in
-        place there.  At d = 4 the axis -2 pass runs on contiguous lines
-        (``_pass_on_lines``).
+        place there.
         """
         out = np.fft.rfft(f, axis=-1)
         for axis in range(-2, -self.d - 1, -1):
-            if axis == -2 and self.d == 4:
-                _pass_on_lines(np.fft.fft, out)
-            else:
-                np.fft.fft(out, axis=axis, out=out)
+            np.fft.fft(out, axis=axis, out=out)
         return out
 
     def irfft(self, fhat: np.ndarray) -> np.ndarray:
@@ -231,15 +222,11 @@ class Grid:
         ``np.fft.irfftn`` bit for bit: complex inverse transforms of the
         leading axes in its order, the first into a new array and the others
         in place there, then a real one of the last axis; ``fhat`` is left
-        as it was.  At d = 4 the axis -2 pass runs on contiguous lines
-        (``_pass_on_lines``).
+        as it was.
         """
         work = np.fft.ifft(fhat, axis=-self.d)
         for axis in range(-self.d + 1, -1):  # the order of np.fft.irfftn
-            if axis == -2 and self.d == 4:
-                _pass_on_lines(np.fft.ifft, work)
-            else:
-                np.fft.ifft(work, axis=axis, out=work)
+            np.fft.ifft(work, axis=axis, out=work)
         return np.fft.irfft(work, n=self.n, axis=-1)
 
     # The per-axis operator cache: each separable multiplier acts along one
@@ -300,28 +287,6 @@ class Grid:
         if f.shape[-self.d:] != self.shape:
             raise ValueError(f"field shape {f.shape} does not end with grid shape {self.shape}")
         return f
-
-
-def _pass_on_lines(transform, x: np.ndarray) -> None:
-    """``transform(x, axis=-2, out=x)`` on a contiguous copy with that axis last.
-
-    numpy cannot merge the axes on either side of axis -2 into one loop;
-    transposed, the same 1-D transforms of the same lines (so the same
-    bits) run as one.  The module docstring says where the two copies pay.
-    With a slice's derivatives and a row's masks taken by products, its
-    d = 4 users are the slice's three half-spectrum transforms, a_from_psi
-    and msm_nonlinearity.  Measured at (4, 12) in 10 fresh processes
-    (medians of 16 alternating rounds, 2-vCPU host), running every pass in
-    place instead was slower in 8 of 10 for ``coulomb_slice`` (about 9.35
-    against 9.1 ms), in 8 of 10 for ``gauge_identity_suite`` (19.9 against
-    19.6 ms) and in 10 of 10 for ``msm_nonlinearity`` (39 against 34 ms).
-    Timed alone on a repeated stack, the in-place ``rfft`` was faster (0.76
-    against 1.0 ms for 3 fields), so the copies stay on the in-context
-    evidence.
-    """
-    lines = np.ascontiguousarray(np.moveaxis(x, -2, -1))
-    transform(lines, axis=-1, out=lines)
-    np.copyto(x, np.moveaxis(lines, -1, -2))
 
 
 def _apply_symbol(grid: Grid, f: np.ndarray, name: str, *args) -> np.ndarray:

@@ -383,6 +383,8 @@ class TestCliRun:
             ("time.dt=-1", "violates the stability bound"),
             ("initial.amplitude=nan", "amplitude = nan"),
             ("initial.width=inf", "width = inf"),
+            ("initial.width=1e-300", "width = 1e-300"),
+            ("initial.width=1e200", "width = 1e+200"),
             ("initial.q=nan,0,1", "[initial] q = 'nan,0,1': expected three finite numbers"),
             ("initial.u=nan,0,0", "[initial] u = 'nan,0,0': expected three finite numbers"),
         ],

@@ -1,5 +1,7 @@
 """Tests for the torus Fourier-analysis toolbox."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -431,9 +433,9 @@ class TestTransformsMatchNumpy:
     """The Grid transforms give the bits of numpy's n-D transforms.
 
     Inputs are contiguous or every other row of the first grid axis of a
-    larger array.  The examples pin d = 4, n = 12 with the (4, 3) stack that
-    the connection and ``derive_psi`` transform, whose half-spectrum axis -2
-    pass runs on transposed lines.
+    larger array.  The examples pin d = 4, n = 12, the grid of the d = 4
+    runs, with a (4, 3) stack: real and complex input, with and without
+    ``out``.
     """
 
     @settings(max_examples=80, deadline=None)
@@ -487,6 +489,22 @@ class TestTransformsMatchNumpy:
             assert got.dtype == expected.dtype and got.shape == expected.shape
             assert got.tobytes() == expected.tobytes(), method.__name__
             assert arg.tobytes() == before.tobytes(), f"{method.__name__} modified its input"
+
+
+@pytest.mark.parametrize("d, n", [(2, 64), (3, 24), (4, 12)])
+def test_rfft_peak_memory_is_its_result(d, n):
+    """Every pass of ``Grid.rfft`` after the first runs in place, so the
+    call allocates its result and nothing of that size besides."""
+    g = Grid(d=d, n=n)
+    f = np.random.default_rng(0).normal(size=(3,) + g.shape)
+    g.rfft(f)  # first-call set-up is not the transform's
+    tracemalloc.start()
+    try:
+        out = g.rfft(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * out.nbytes
 
 
 class TestDealiasing:

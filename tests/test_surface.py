@@ -1,6 +1,6 @@
 """The package's public surface: each module's ``__all__`` names what it
-defines, every public definition, module-level name and default parameter
-is used in ``src/``, and a run evaluates the flow through its one
+defines, every top-level definition, module-level name and default
+parameter is used in ``src/``, and a run evaluates the flow through its one
 right-hand side."""
 
 import ast
@@ -159,16 +159,16 @@ def _names_read(trees: dict) -> set:
 
 
 def test_every_public_definition_is_referenced_in_src():
-    """A public top-level function or class that no code in ``src/`` reads
-    is test-only surface; it belongs in ``tests/reference.py``."""
+    """A top-level function or class that no code in ``src/`` reads is
+    dead: a private one is a helper left behind, a public one test-only
+    surface that belongs in ``tests/reference.py``."""
     trees = _src_trees()
     defined = {node.name: name for name, tree in trees.items() for node in tree.body
-               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-               and not node.name.startswith("_")}
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     referenced = _names_read(trees)
     unused = sorted(f"{defined[name]}:{name}" for name in set(defined) - referenced
                     if name not in UNREFERENCED_PUBLIC)
-    assert not unused, "public definitions with no reference in src/: " + ", ".join(unused)
+    assert not unused, "definitions with no reference in src/: " + ", ".join(unused)
     stale = sorted(name for name in UNREFERENCED_PUBLIC
                    if name not in defined or name in referenced)
     assert not stale, "allowlisted but defined nowhere or referenced: " + ", ".join(stale)
