@@ -16,7 +16,6 @@ from .spectral import (
 )
 from .geometry import (
     BlowupSuspectedError,
-    Connection,
     Frame,
     FrameDegenerateError,
     SphereField,

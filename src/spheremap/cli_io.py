@@ -320,7 +320,7 @@ def gauge_identity_suite(sl: CoulombSlice) -> dict:
     grid = sl.frame.grid
     suite = sl.residuals()
     div_a = suite.pop("div_a")
-    a_psi = a_from_psi(grid, sl.psi).a
+    a_psi = a_from_psi(grid, sl.psi)
     cross = np.sqrt(sum(l2_norm(grid, a_psi[m] - sl.a[m]) ** 2 for m in range(grid.d)))
     return {**suite, "res_cross": float(cross), "div_a": div_a}
 

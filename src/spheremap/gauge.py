@@ -26,10 +26,12 @@ pairs of spatial indices (l <= l' or m < l) is a plain loop over the pairs
 in lexicographic order, as ``itertools`` lists them; the pair order lives
 in this module alone.
 
-``coulomb_slice`` is the one place a time slice is analysed: Coulomb-fixed
-transport frame, connection and psi, in 3 transforms (the rfft of s, and
-the Coulomb fix's rfft of a and irfft of chi and its gradient), with the
-half spectra of s and of the fixed connection that building them takes.
+``coulomb_slice`` is the one place a time slice is analysed: the transport
+pair rotated into the Coulomb gauge and checked once as the slice's one
+frame, the connection (a plain array) and psi, in 3 transforms (the rfft
+of s, and the Coulomb fix's rfft of a and irfft of chi and its gradient),
+with the half spectra of s and of the fixed connection that building them
+takes.
 The d_m v of the connection and the d_m s of psi are products with the
 grid's per-axis derivative matrix.  The diagnostics row, the frame-bound
 ratio and the gauge identity suite read a slice built here; none of them
@@ -53,7 +55,6 @@ from itertools import combinations, combinations_with_replacement
 import numpy as np
 
 from .geometry import (
-    Connection,
     Frame,
     SphereField,
     coulomb_fix,
@@ -144,7 +145,7 @@ def _gauge_spectra(grid: Grid, p: np.ndarray, psi: np.ndarray | None = None) -> 
     return ac_hat, a0_hat
 
 
-def a_from_psi(grid: Grid, psi: np.ndarray) -> Connection:
+def a_from_psi(grid: Grid, psi: np.ndarray) -> np.ndarray:
     """Coulomb connection recovered from psi alone.
 
     a_m = |nabla|^-1 sum_l R_l Im(psi_m conj(psi_l)), implemented as the
@@ -152,7 +153,7 @@ def a_from_psi(grid: Grid, psi: np.ndarray) -> Connection:
     is divergence free by the antisymmetry of Im(psi_m conj(psi_l)).
     """
     a_hat, _ = _gauge_spectra(grid, dealias(grid, psi))
-    return Connection(grid, grid.irfft(a_hat))
+    return grid.irfft(a_hat)
 
 
 def a0_from_psi(grid: Grid, psi: np.ndarray) -> np.ndarray:
@@ -228,12 +229,13 @@ class CoulombSlice:
 
 def coulomb_slice(s: SphereField) -> CoulombSlice:
     """Coulomb-fixed transport frame of s, its connection and psi, with the
-    half spectra of s and of the connection: 3 transforms.
+    half spectra of s and of the connection: 3 transforms and one frame check.
 
-    Raises FrameDegenerateError where s comes (nearly) antipodal to s.q.
+    Raises FrameDegenerateError where s comes (nearly) antipodal to s.q, and
+    ValueError where the connection is not finite.
     """
-    frame, conn, _ = coulomb_fix(transport_frame(s))
-    return CoulombSlice(frame, conn.a, derive_psi(frame), s.grid.rfft(s.values), conn.a_hat)
+    frame, a, a_hat = coulomb_fix(s, *transport_frame(s))
+    return CoulombSlice(frame, a, derive_psi(frame), s.grid.rfft(s.values), a_hat)
 
 
 def msm_nonlinearity(grid: Grid, psi_hat: np.ndarray) -> np.ndarray:

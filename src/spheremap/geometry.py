@@ -1,19 +1,21 @@
 """Sphere-valued fields, orthonormal frames and Coulomb gauge fixing.
 
 A frame is a triple (s, v, w) of mutually orthonormal R^3 fields with
-w = s x v, so (v, w) spans the tangent plane of the sphere at s.  Frames are
-built by carrying one fixed direction q' orthogonal to the base point q to
-each s(x) along the great circle from q (``transport_frame``, a pointwise
-expression, so always periodic); that works wherever s(x) != -q.  Frames of
-two directions q' differ by one constant rotation, which no phase-invariant
-output sees.  ``coulomb_fix`` rotates a frame so that the connection
-coefficients a_m = (d_m v) . w become divergence free.  ``flow_rhs`` is
-the one evaluation of the flow velocity s x Laplacian(s), for the
-integrator and the identities alike.  The separable operators are products
-with the grid's per-axis matrices and issue no transform: the flow's
-Laplacian (``real_laplacian``) and the d_m v of the connection
-(``real_derivative``).  The Coulomb fix's Poisson solve is not separable
-and stays in Fourier space: a fix issues 2 transforms.
+w = s x v, so (v, w) spans the tangent plane of the sphere at s.  The
+tangent pair is built by carrying one fixed direction q' orthogonal to the
+base point q to each s(x) along the great circle from q
+(``transport_frame``, a pointwise expression, so always periodic); that
+works wherever s(x) != -q.  Pairs of two directions q' differ by one
+constant rotation, which no phase-invariant output sees.  ``coulomb_fix``
+rotates the pair so that the connection coefficients a_m = (d_m v) . w
+(``connection_of``, a plain array) become divergence free, and builds the
+slice's one ``Frame`` from the rotated pair: the one orthonormality check
+of a time slice.  ``flow_rhs`` is the one evaluation of the flow velocity
+s x Laplacian(s), for the integrator and the identities alike.  The
+separable operators are products with the grid's per-axis matrices and
+issue no transform: the flow's Laplacian (``real_laplacian``) and the d_m v
+of the connection (``real_derivative``).  The Coulomb fix's Poisson solve is
+not separable and stays in Fourier space: a fix issues 2 transforms.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ __all__ = [
     "BlowupSuspectedError",
     "SphereField",
     "Frame",
-    "Connection",
     "default_qprime",
     "transport_frame",
     "connection_of",
@@ -153,27 +154,6 @@ class Frame:
         return self.s.grid
 
 
-@dataclass(frozen=True)
-class Connection:
-    """Real connection coefficients a_m = (d_m v) . w, shape (d, n, ..., n).
-
-    ``a_hat`` is their half spectrum when the code that built them has it
-    (``coulomb_fix``), else None.
-    """
-
-    grid: Grid
-    a: np.ndarray
-    a_hat: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        a = np.asarray(self.a, dtype=float)
-        object.__setattr__(self, "a", a)
-        if a.shape != (self.grid.d,) + self.grid.shape:
-            raise ValueError(f"connection shape {a.shape} != ({self.grid.d},)+{self.grid.shape}")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("connection contains non-finite values")
-
-
 def default_qprime(q: np.ndarray) -> np.ndarray:
     """Deterministic unit reference direction orthogonal to q.
 
@@ -190,15 +170,17 @@ def default_qprime(q: np.ndarray) -> np.ndarray:
     raise ValueError("no standard basis vector transverse to q")  # unreachable for unit q
 
 
-def transport_frame(s: SphereField) -> Frame:
-    """Frame that carries a fixed direction q' to s(x) along the great
-    circle from the base point q:
+def transport_frame(s: SphereField) -> tuple:
+    """Tangent pair (v, w) that carries a fixed direction q' to s(x) along
+    the great circle from the base point q:
 
         v = q' - (s.q') / (1 + s.q) (q + s),   w = s x v,
 
     the image of q' under the rotation about q x s that takes q to s.  It is
     unit and tangent wherever s != -q; raises FrameDegenerateError, naming
     the grid point and its 1 + s.q, where s comes within _ANTIPODE_MIN of it.
+    The pair is not checked here: ``coulomb_fix`` checks the frame it
+    rotates it into.
     q' = (e + sqrt(3) q x e) / 2 with e = ``default_qprime(q)``, the default
     transverse direction u of the initial data.  Along e itself the frame of
     a geodesic bump lies in the bump's plane, its connection is exactly 0 in
@@ -217,49 +199,49 @@ def transport_frame(s: SphereField) -> Frame:
             f"at grid point {idx}"
         )
     v = qpb - (_dot(s.values, qpb) / denom) * (qb + s.values)
-    return Frame(s, v, _cross(s.values, v))
+    return v, _cross(s.values, v)
 
 
-def connection_of(frame: Frame) -> Connection:
-    """Connection coefficients a_m = (d_m v) . w.
+def connection_of(grid: Grid, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Connection coefficients a_m = (d_m v) . w, shape (d, n, ..., n).
 
     Each d_m v of the (3, n, ..., n) field v is one product with the grid's
     derivative matrix (``real_derivative``): no transform.
     """
-    grid = frame.grid
     a = np.empty((grid.d,) + grid.shape)
     for m in range(grid.d):
-        a[m] = np.sum(real_derivative(grid, frame.v, m + 1) * frame.w, axis=0)
-    return Connection(grid, a)
+        a[m] = np.sum(real_derivative(grid, v, m + 1) * w, axis=0)
+    return a
 
 
-def rotate_frame(frame: Frame, chi: np.ndarray) -> Frame:
-    """Rotate the tangent pair by the angle field chi:
+def rotate_frame(s: SphereField, v: np.ndarray, w: np.ndarray, chi: np.ndarray) -> Frame:
+    """Frame of the tangent pair rotated by the angle field chi:
     v' = cos(chi) v + sin(chi) w,  w' = -sin(chi) v + cos(chi) w.
     """
     c, sn = np.cos(chi), np.sin(chi)
-    v = c * frame.v + sn * frame.w
-    w = -sn * frame.v + c * frame.w
-    return Frame(frame.s, v, w)
+    return Frame(s, c * v + sn * w, -sn * v + c * w)
 
 
-def coulomb_fix(frame: Frame) -> tuple:
-    """Rotate a frame into the Coulomb gauge sum_m d_m a_m = 0.
+def coulomb_fix(s: SphereField, v: np.ndarray, w: np.ndarray) -> tuple:
+    """Rotate the tangent pair (v, w) of s into the Coulomb gauge
+    sum_m d_m a_m = 0.
 
     Solves Laplacian(chi) = -div a for the zero-mean rotation angle chi and
-    returns (rotated frame, fixed connection, chi).  The connection is
-    updated by the gauge-covariance rule a'_m = a_m + d_m chi, which is
-    divergence free to multiplier exactness; recomputing it from the rotated
-    frame with ``connection_of`` agrees up to spectral truncation.  The
-    zero-mean normalization fixes the otherwise free constant rotation per
-    time slice.  The divergence, the Poisson solve and d_m chi are taken in
-    Fourier space, since the Poisson inverse is not a per-axis matrix: one
-    rfft of a and one irfft of (chi, d_1 chi, ..., d_d chi).
-    The fixed connection carries its half spectrum rfft(a) + i xi chi_hat,
-    equal to the rfft of its values up to roundoff.
+    returns (frame, a, a_hat): the slice's one ``Frame``, built from the
+    rotated pair and checked there, the fixed connection and its half
+    spectrum.  The connection is updated by the gauge-covariance rule
+    a'_m = a_m + d_m chi, which is divergence free to multiplier exactness;
+    recomputing it from the rotated pair with ``connection_of`` agrees up to
+    spectral truncation.  Raises ValueError before building the frame when
+    the connection is not finite.  The zero-mean normalization fixes the
+    otherwise free constant rotation per time slice.  The divergence, the
+    Poisson solve and d_m chi are taken in Fourier space, since the Poisson
+    inverse is not a per-axis matrix: one rfft of a and one irfft of
+    (chi, d_1 chi, ..., d_d chi).  The half spectrum a_hat is
+    rfft(a) + i xi chi_hat, equal to the rfft of a' up to roundoff.
     """
-    grid = frame.grid
-    a = connection_of(frame).a
+    grid = s.grid
+    a = connection_of(grid, v, w)
     a_hat = grid.rfft(a)
     div_hat = sum(grid.symbol("partial_derivative", m, half=True) * a_hat[m - 1]
                   for m in range(1, grid.d + 1))
@@ -267,8 +249,10 @@ def coulomb_fix(frame: Frame) -> tuple:
     chi_grad_hat = np.concatenate([chi_hat[None], gradient_hat(grid, chi_hat, half=True)])
     chi_grad = grid.irfft(chi_grad_hat)  # leaves chi_grad_hat as it was
     a_hat += chi_grad_hat[1:]
-    chi = chi_grad[0]
-    return rotate_frame(frame, chi), Connection(grid, a + chi_grad[1:], a_hat), chi
+    a += chi_grad[1:]
+    if not np.all(np.isfinite(a)):
+        raise ValueError("connection contains non-finite values")
+    return rotate_frame(s, v, w, chi_grad[0]), a, a_hat
 
 
 def renormalize(grid: Grid, u: np.ndarray, q: np.ndarray) -> tuple:

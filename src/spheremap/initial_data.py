@@ -83,6 +83,11 @@ def _bump_profile(grid: Grid, width: float) -> np.ndarray:
     for m in range(1, grid.d + 1):
         x = grid.coordinate(m)
         rho2 = rho2 + (grid.length / np.pi * np.sin(np.pi * (x - center) / grid.length)) ** 2
+    # the spec admits a subnormal 2 * width**2, over which rho2 can overflow:
+    # tested in Python floats, which return inf there without a warning
+    if not np.isfinite(float(np.max(rho2)) / (2.0 * float(width) ** 2)):
+        raise ValueError(f"width = {width} is too small for this grid: "
+                         "rho^2 / (2 * width**2) overflows")
     return _BUMP_PEAK * np.exp(-rho2 / (2.0 * width**2))
 
 

@@ -100,6 +100,10 @@ class Grid:
             raise ValueError(f"dimension d={self.d} outside supported range [2, 4]")
         if self.n < 8 or self.n % 2 != 0:
             raise ValueError(f"n={self.n} must be even and >= 8")
+        # a (3, n, ..., n) float64 field must be addressable, in Python ints
+        if 24 * int(self.n) ** self.d > np.iinfo(np.intp).max:
+            raise ValueError(f"n={self.n} too large for d={self.d}: a (3, n, ..., n) float64 "
+                             f"field exceeds {np.iinfo(np.intp).max} bytes")
         if not np.isfinite(self.length) or self.length <= 0:
             raise ValueError(f"period length={self.length} must be positive")
 

@@ -5,10 +5,13 @@ Fourier space, the single-field spectral derivative and Laplacian and the
 full-``fft`` Sobolev norm, which no command needs, the full-spectrum forms
 of the energy and the critical norm that the package sums over half spectra,
 the loop-over-pairs form of the derived-field kernel, a ``CoulombSlice``
-built from given fields, the tangent-projection frame the package built its
-slices from before the geodesic-transport frame (an independent frame whose
-Coulomb-fixed psi the package's must match up to a constant phase), and the
-two-trajectory Gronwall probe behind the uniqueness criterion.  No command uses them; they live beside the tests
+built from given fields, the unrotated transport pair as a checked frame
+and the rotation angle between two tangent pairs (the package checks only
+the rotated frame and returns no angle), the tangent-projection frame the
+package built its slices from before the geodesic-transport frame (an
+independent frame whose Coulomb-fixed psi the package's must match up to a
+constant phase), and the two-trajectory Gronwall probe behind the
+uniqueness criterion.  No command uses them; they live beside the tests
 that check the package against them.
 """
 
@@ -29,6 +32,7 @@ from spheremap.geometry import (
     _norms,
     _worst_point,
     default_qprime,
+    transport_frame,
 )
 from spheremap.spectral import (
     Grid,
@@ -72,6 +76,17 @@ def sobolev_norm(grid: Grid, f: np.ndarray, sigma: float, homogeneous: bool = Fa
         weight = (1.0 + grid.k_squared) ** sigma
     total = np.sum(power * weight)
     return float(np.sqrt(total * grid.length**grid.d / grid.n ** (2 * grid.d)))
+
+
+def transport(s: SphereField) -> Frame:
+    """The transport pair of s, unrotated, as a checked ``Frame``."""
+    return Frame(s, *transport_frame(s))
+
+
+def rotation_angle(v: np.ndarray, w: np.ndarray, frame: Frame) -> np.ndarray:
+    """The angle field chi that rotates the tangent pair (v, w) into the
+    pair of ``frame``, read off v' = cos(chi) v + sin(chi) w."""
+    return np.arctan2(_dot(frame.v, w), _dot(frame.v, v))
 
 
 def slice_with_spectra(frame: Frame, a: np.ndarray, psi: np.ndarray) -> CoulombSlice:

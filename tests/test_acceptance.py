@@ -277,7 +277,7 @@ def test_criterion_10_closed_form_oracles():
     psi = np.zeros((2,) + g.shape, dtype=complex)
     psi[0] = 1.0
     psi[1] = np.exp(1j * x2)
-    a = a_from_psi(g, psi).a
+    a = a_from_psi(g, psi)
     checks.append(("connection mode", float(np.max(np.abs(a[0] - (-np.cos(x2))))), 1e-12))
 
     values = np.sin(0.1 * np.cos(x1)) * np.array([1.0, 0, 0]).reshape(3, 1, 1) + np.cos(

@@ -7,10 +7,12 @@ import sys
 import tracemalloc
 import zlib
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spheremap.geometry as geometry
 from spheremap.cli_io import (
     ConfigError,
     SnapshotFormatError,
@@ -161,9 +163,9 @@ class TestSnapshotRoundtrip:
         g = Grid(d=2, n=8)
         path = str(tmp_path / "field.bin")
         save_snapshot(np.ones((3,) + g.shape), g, 0.0, path)
-        blob = bytearray(open(path, "rb").read())
+        blob = bytearray(Path(path).read_bytes())
         blob[8] = 9  # version field follows the 8-byte magic
-        open(path, "wb").write(bytes(blob))
+        Path(path).write_bytes(bytes(blob))
         with pytest.raises(SnapshotFormatError, match="version"):
             load_snapshot(path)
 
@@ -171,9 +173,9 @@ class TestSnapshotRoundtrip:
         g = Grid(d=2, n=8)
         path = str(tmp_path / "field.bin")
         save_snapshot(np.zeros((3,) + g.shape) + 1.0, g, 0.0, path)
-        blob = bytearray(open(path, "rb").read())
+        blob = bytearray(Path(path).read_bytes())
         blob[-5] ^= 0xFF
-        open(path, "wb").write(bytes(blob))
+        Path(path).write_bytes(bytes(blob))
         with pytest.raises(SnapshotFormatError, match="payload checksum"):
             load_snapshot(path)
 
@@ -181,8 +183,8 @@ class TestSnapshotRoundtrip:
         g = Grid(d=2, n=8)
         path = str(tmp_path / "field.bin")
         save_snapshot(np.ones((3,) + g.shape), g, 0.0, path)
-        blob = open(path, "rb").read()
-        open(path, "wb").write(blob[:-16])
+        blob = Path(path).read_bytes()
+        Path(path).write_bytes(blob[:-16])
         with pytest.raises(SnapshotFormatError, match="truncated"):
             load_snapshot(path)
 
@@ -257,7 +259,7 @@ class TestDiagnosticsCsv:
     def test_empty_rows_header_only(self, tmp_path):
         path = str(tmp_path / "diag.csv")
         emit_diagnostics_csv([], path)
-        text = open(path).read()
+        text = Path(path).read_text()
         assert text == ",".join(f.name for f in fields(DiagnosticsRow)) + "\n"
 
     def test_deterministic_bytes(self, tmp_path):
@@ -265,13 +267,13 @@ class TestDiagnosticsCsv:
         p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         emit_diagnostics_csv([row, row], p1)
         emit_diagnostics_csv([row, row], p2)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_seventeen_digits(self, tmp_path):
         row = DiagnosticsRow(np.pi, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
         path = str(tmp_path / "diag.csv")
         emit_diagnostics_csv([row], path)
-        value = open(path).read().splitlines()[1].split(",")[0]
+        value = Path(path).read_text().splitlines()[1].split(",")[0]
         assert float(value) == np.pi
 
 
@@ -385,6 +387,10 @@ class TestCliRun:
             ("initial.width=inf", "width = inf"),
             ("initial.width=1e-300", "width = 1e-300"),
             ("initial.width=1e200", "width = 1e+200"),
+            # 2 * width**2 = 2e-320 is subnormal, so the spec admits it; the
+            # bump's rho^2 / (2 * width**2) overflows on the grid
+            ("initial.width=1e-160", "width = 1e-160"),
+            ("grid.n=1099511627776", "n=1099511627776 too large for d=2"),
             ("initial.q=nan,0,1", "[initial] q = 'nan,0,1': expected three finite numbers"),
             ("initial.u=nan,0,0", "[initial] u = 'nan,0,0': expected three finite numbers"),
         ],
@@ -451,6 +457,29 @@ class TestCliRun:
         assert rc == 0
         lines = (out / "diagnostics.csv").read_text().splitlines()
         assert float(lines[-1].split(",")[0]) == pytest.approx(-0.004)
+
+    def test_nonfinite_connection_is_a_recorded_abort(self, config_file, tmp_path, capsys,
+                                                      monkeypatch):
+        # from the slice of step 2 on, the d_m v of the connection are NaN
+        real_derivative = geometry.real_derivative
+        calls = {"n": 0}
+
+        def nan_derivative(grid, f, axis):
+            calls["n"] += 1
+            out = real_derivative(grid, f, axis)
+            return np.full_like(out, np.nan) if calls["n"] > 2 * grid.d else out
+
+        monkeypatch.setattr(geometry, "real_derivative", nan_derivative)
+        out = tmp_path / "o"
+        rc = cli_main(["run", "--config", config_file, "--out", str(out),
+                       "--override", "run.cadence=1"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "run aborted: step 2, t = " in err
+        assert "ValueError: connection contains non-finite values" in err
+        lines = (out / "diagnostics.csv").read_text().splitlines()
+        assert len(lines) == 1 + 2  # t = 0 and step 1
+        assert (out / "snapshot_00000002.bin").exists()
 
     def test_inadmissible_frame_is_a_recorded_abort(self, config_file, tmp_path, capsys,
                                                     monkeypatch):

@@ -162,8 +162,8 @@ MSM_KERNEL_TRANSFORMS = ["ifft", "rfft", "irfft", "rfft", "irfft", "fft"]
 # slice's spectrum of a
 RESIDUAL_TRANSFORMS = []
 
-# coulomb_fix (rfft of a, irfft of chi and d_m chi), rfft of s; connection_of
-# and derive_psi take their derivatives by products
+# coulomb_fix (rfft of a, irfft of chi and d_m chi), rfft of s; the fix's
+# d_m v and derive_psi's d_m s are products
 SLICE_TRANSFORMS = ["rfft", "irfft", "rfft"]
 
 
@@ -426,9 +426,9 @@ class TestRun:
         calls = {"n": 0}
         real_fix = gauge.coulomb_fix
 
-        def counting_fix(frame):
+        def counting_fix(s, v, w):
             calls["n"] += 1
-            return real_fix(frame)
+            return real_fix(s, v, w)
 
         monkeypatch.setattr(gauge, "coulomb_fix", counting_fix)
         config = SimConfig(

@@ -14,6 +14,7 @@ from spheremap.gauge import (
     msm_nonlinearity,
 )
 from spheremap.geometry import (
+    Frame,
     SphereField,
     connection_of,
     coulomb_fix,
@@ -41,6 +42,7 @@ from reference import (
     partial_derivative,
     projection_frame,
     slice_with_spectra,
+    transport,
 )
 
 Q = np.array([0.0, 0.0, 1.0])
@@ -58,15 +60,15 @@ def constant_field(grid, q=Q):
 def residuals_without_frame(grid, psi, a):
     """Slice residuals of fields that come without a frame: the compatibility
     and curvature residuals never read it, so the constant map's frame serves."""
-    return slice_with_spectra(transport_frame(constant_field(grid)), a, psi).residuals()
+    return slice_with_spectra(transport(constant_field(grid)), a, psi).residuals()
 
 
 def small_data_gauge(n=32, eps=0.05, d=2):
     grid = Grid(d=d, n=n)
     spec = InitialDataSpec(amplitude=eps)
     s = generate_initial(spec, grid)
-    frame, conn, _ = coulomb_fix(transport_frame(s))
-    return grid, frame, conn, derive_psi(frame)
+    frame, a, _ = coulomb_fix(s, *transport_frame(s))
+    return grid, frame, a, derive_psi(frame)
 
 
 def random_band_limited_psi(grid, seed, max_mode=1):
@@ -86,7 +88,7 @@ def random_band_limited_psi(grid, seed, max_mode=1):
 class TestDerivePsi:
     def test_constant_map_gives_zero(self):
         g = Grid(d=2, n=8)
-        frame = transport_frame(constant_field(g))
+        frame = transport(constant_field(g))
         assert np.max(np.abs(derive_psi(frame))) < 1e-14
 
     def test_magnitude_matches_gradient(self):
@@ -109,7 +111,7 @@ class TestDerivePsi:
         eps = 1e-3
         spec = InitialDataSpec(amplitude=eps, profile="cosine", u=(1.0, 0.0, 0.0))
         s = generate_initial(spec, g)
-        frame = transport_frame(s)
+        frame = transport(s)
         psi = derive_psi(frame)
         x1 = coords(g)[0]
         assert np.max(np.abs(np.abs(psi[0]) - eps * np.abs(np.sin(x1)))) < 1e-9
@@ -119,7 +121,7 @@ class TestAFromPsi:
     def test_zero(self):
         g = Grid(d=2, n=8)
         psi = np.zeros((2,) + g.shape, dtype=complex)
-        assert np.max(np.abs(a_from_psi(g, psi).a)) == 0.0
+        assert np.max(np.abs(a_from_psi(g, psi))) == 0.0
 
     def test_two_mode_closed_form(self):
         g = Grid(d=2, n=16)
@@ -127,21 +129,21 @@ class TestAFromPsi:
         psi = np.zeros((2,) + g.shape, dtype=complex)
         psi[0] = 1.0
         psi[1] = np.exp(1j * x2)
-        a = a_from_psi(g, psi).a
+        a = a_from_psi(g, psi)
         assert np.max(np.abs(a[0] - (-np.cos(x2)))) < 1e-12
         assert np.max(np.abs(a[1])) < 1e-13
 
     def test_divergence_free(self):
         g = Grid(d=2, n=16)
         psi = random_band_limited_psi(g, seed=3, max_mode=3)
-        a = a_from_psi(g, psi).a
+        a = a_from_psi(g, psi)
         scale = max(l2_norm(g, a[m]) for m in range(g.d))
         assert l2_norm(g, divergence(g, a)) <= 1e-10 * max(scale, 1e-30)
 
     def test_matches_frame_connection_for_small_data(self):
-        grid, frame, conn, psi = small_data_gauge(n=32, eps=0.05)
-        a = a_from_psi(grid, psi).a
-        mismatch = np.sqrt(sum(l2_norm(grid, a[m] - conn.a[m]) ** 2 for m in range(grid.d)))
+        grid, frame, a_frame, psi = small_data_gauge(n=32, eps=0.05)
+        a = a_from_psi(grid, psi)
+        mismatch = np.sqrt(sum(l2_norm(grid, a[m] - a_frame[m]) ** 2 for m in range(grid.d)))
         assert mismatch < 1e-6
 
 
@@ -213,7 +215,7 @@ class TestResiduals:
 
     def test_psi0_constant_map(self):
         g = Grid(d=2, n=8)
-        frame = transport_frame(constant_field(g))
+        frame = transport(constant_field(g))
         psi = derive_psi(frame)
         a = np.zeros((2,) + g.shape)
         assert slice_with_spectra(frame, a, psi).residuals()["res_psi0"] < 1e-14
@@ -232,31 +234,31 @@ class TestResiduals:
     def test_refinement_ratio(self, resfun):
         values = {}
         for n in (16, 32):
-            grid, frame, conn, psi = small_data_gauge(n=n, eps=0.05)
-            values[n] = slice_with_spectra(frame, conn.a, psi).residuals()[f"res_{resfun}"]
+            grid, frame, a, psi = small_data_gauge(n=n, eps=0.05)
+            values[n] = slice_with_spectra(frame, a, psi).residuals()[f"res_{resfun}"]
         assert values[16] / values[32] >= 10.0
 
     def test_psi0_identity_is_gauge_independent(self):
         # The time-slice identity follows from orthonormality and the flow
         # equation alone; a non-Coulomb frame changes the residual only
         # through discretization, not by O(|div a|).
-        grid, frame, conn, psi = small_data_gauge(n=32, eps=0.05)
-        res_coulomb = slice_with_spectra(frame, conn.a, psi).residuals()["res_psi0"]
+        grid, frame, a, psi = small_data_gauge(n=32, eps=0.05)
+        res_coulomb = slice_with_spectra(frame, a, psi).residuals()["res_psi0"]
         x1, x2 = coords(grid)
-        rotated = rotate_frame(frame, 0.2 * np.cos(x1) * np.sin(x2))
-        a_rot = connection_of(rotated)
+        rotated = rotate_frame(frame.s, frame.v, frame.w, 0.2 * np.cos(x1) * np.sin(x2))
+        a_rot = connection_of(grid, rotated.v, rotated.w)
         psi_rot = derive_psi(rotated)
-        res_rot = slice_with_spectra(rotated, a_rot.a, psi_rot).residuals()["res_psi0"]
-        assert l2_norm(grid, divergence(grid, a_rot.a)) > 0.1  # strongly non-Coulomb
+        res_rot = slice_with_spectra(rotated, a_rot, psi_rot).residuals()["res_psi0"]
+        assert l2_norm(grid, divergence(grid, a_rot)) > 0.1  # strongly non-Coulomb
         assert res_rot < 1e-5
         assert res_coulomb < 1e-7
 
     def test_phase_blindness(self):
         g = Grid(d=2, n=16)
         psi = random_band_limited_psi(g, seed=21, max_mode=2)
-        a = a_from_psi(g, psi).a
+        a = a_from_psi(g, psi)
         rotated = np.exp(1j * 0.73) * psi
-        assert np.max(np.abs(a_from_psi(g, rotated).a - a)) < 1e-12
+        assert np.max(np.abs(a_from_psi(g, rotated) - a)) < 1e-12
         assert np.max(np.abs(a0_from_psi(g, rotated) - a0_from_psi(g, psi))) < 1e-12
         res_rot = residuals_without_frame(g, rotated, a)
         res = residuals_without_frame(g, psi, a)
@@ -315,7 +317,7 @@ class TestResidualKernelMatchesReference:
     def test_random_band_limited_fields(self, d, n):
         g = Grid(d=d, n=n)
         spec = InitialDataSpec(amplitude=0.05)
-        frame = transport_frame(generate_initial(spec, g))
+        frame = transport(generate_initial(spec, g))
         psi = random_band_limited_psi(g, seed=10 * d + n, max_mode=2)
         a = random_band_limited_psi(g, seed=10 * d + n + 1, max_mode=2).real
         res = slice_with_spectra(frame, a, psi).residuals()
@@ -542,7 +544,7 @@ class TestFourierKernelMatchesComposition:
         assert max_rel(g.ifft(out_hat), ref) < 1e-12
         assert max_rel(out_hat, g.fft(ref)) < 1e-12
         assert np.all(out_hat[..., ~g.dealias_mask] == 0.0)
-        assert max_rel(a_from_psi(g, psi).a, composed_a(g, psi)) < 1e-12
+        assert max_rel(a_from_psi(g, psi), composed_a(g, psi)) < 1e-12
         assert max_rel(a0_from_psi(g, psi), composed_a0(g, psi)) < 1e-12
 
     # d = 4 is left to test_one_call: twenty composed steps there cost more
@@ -572,7 +574,7 @@ class TestStackedPairSumsKeepTheBits:
         a_hat, a0_hat, _ = gauge_spectra_by_pairs(g, p)
         pairs = [
             (msm_nonlinearity(g, psi_hat), nonlinearity_by_pairs(g, psi_hat)),
-            (a_from_psi(g, psi).a, np.fft.irfftn(a_hat, s=g.shape, axes=tuple(range(-d, 0)))),
+            (a_from_psi(g, psi), np.fft.irfftn(a_hat, s=g.shape, axes=tuple(range(-d, 0)))),
             (a0_from_psi(g, psi), np.fft.irfftn(a0_hat, s=g.shape, axes=tuple(range(-d, 0)))),
             (evolve_msm(g, psi, default_dt(g)), evolve_by_pairs(g, psi, default_dt(g))),
         ]
@@ -621,6 +623,33 @@ class TestCoulombSlice:
         assert not np.iscomplexobj(sl.a)
         assert np.array_equal(sl.psi, derive_psi(sl.frame))
 
+    @pytest.mark.parametrize("d, n", [(2, 16), (3, 8), (4, 8)])
+    def test_one_frame_check_per_slice(self, monkeypatch, d, n):
+        # the transport pair goes unchecked into the fix, which checks the
+        # rotated frame once
+        calls = []
+        real_defect = Frame.max_defect
+
+        def counting_defect(frame):
+            calls.append(frame)
+            return real_defect(frame)
+
+        monkeypatch.setattr(Frame, "max_defect", counting_defect)
+        s = generate_initial(InitialDataSpec(amplitude=0.05), Grid(d=d, n=n))
+        sl = coulomb_slice(s)
+        assert len(calls) == 1
+        assert calls[0] is sl.frame
+
+    def test_nonfinite_connection_named(self, monkeypatch):
+        # a NaN in d_m v reaches the fixed connection, which is checked
+        # before the frame is built
+        import spheremap.geometry as geometry
+
+        monkeypatch.setattr(geometry, "real_derivative", lambda grid, f, axis: np.full_like(f, np.nan))
+        s = generate_initial(InitialDataSpec(amplitude=0.05), Grid(d=2, n=16))
+        with pytest.raises(ValueError, match="^connection contains non-finite values$"):
+            coulomb_slice(s)
+
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("d, n, tol", [(2, 32, 1e-11), (3, 16, 1e-7), (4, 12, 1e-7)])
     def test_psi_of_the_projection_frame_up_to_a_constant_phase(self, kind, d, n, tol):
@@ -631,7 +660,8 @@ class TestCoulombSlice:
         s = generate_initial(InitialDataSpec(kind=kind, amplitude=amplitude), Grid(d=d, n=n))
         psi = coulomb_slice(s).psi
         qp = np.array([0.5, np.sqrt(3.0) / 2.0, 0.0])  # |s . q'| < 2^-5 on these data
-        reference = derive_psi(coulomb_fix(projection_frame(s, qp))[0])
+        projected = projection_frame(s, qp)
+        reference = derive_psi(coulomb_fix(s, projected.v, projected.w)[0])
         phase = np.vdot(psi, reference)
         phase /= abs(phase)
         err = np.max(np.abs(reference - phase * psi)) / np.max(np.abs(reference))

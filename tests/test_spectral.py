@@ -60,6 +60,19 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(d=2, n=16, length=-1.0)
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_unaddressable_field_rejected(self, d):
+        # the largest even n whose (3, n, ..., n) float64 field fits in
+        # intp bytes builds a grid (which allocates nothing); the next does not
+        limit = np.iinfo(np.intp).max
+        n = int(round((limit / 24) ** (1 / d)))
+        while 24 * n**d > limit:
+            n -= 1
+        n -= n % 2
+        assert Grid(d=d, n=n).shape == (n,) * d
+        with pytest.raises(ValueError, match=rf"^n={n + 2} too large for d={d}: "):
+            Grid(d=d, n=n + 2)
+
     def test_frequency_lattice(self):
         g = Grid(d=2, n=16, length=2 * np.pi)
         k = g.freq(1).ravel()
