@@ -259,8 +259,13 @@ def parse_config(
     are ``section.key=value`` strings applied on top of the file; ``out_dir``
     and ``seed`` override the corresponding entries when given.
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = parser.read(path)
+    # no interpolation: a stray % is then an ordinary character, which fails
+    # its own key's conversion with a message that names the key
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:  # a repeated key or section, a line without =
+        raise ConfigError(" ".join(line.strip() for line in str(exc).splitlines())) from exc
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
 

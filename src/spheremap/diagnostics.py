@@ -6,12 +6,12 @@ Plancherel normalization of :mod:`spheremap.spectral`.  The energy and the
 critical norm are Plancherel sums over the half spectrum of the real map s
 (``plancherel_mass``): columns 0 and n/2 of the last axis count once, every
 other column twice for its conjugate partner.  Every analysis here reads a
-Coulomb slice it is given: a diagnostics row takes that spectrum from the
-slice, so these two cells cost no transform, and its residual cells are
-products with the grid's per-axis matrices, so a row issues none;
-``frame_bound_ratio`` takes psi from the slice, so the ratio costs one fft
-(its |xi|^(d-2) weight is not separable) and does not depend on the frame
-direction q'.
+Coulomb slice it is given, which keeps no spectrum: a diagnostics row takes
+one rfft of s for these two cells, and its residual cells are products with
+the grid's per-axis matrices, so a row issues that one transform;
+``frame_bound_ratio`` takes its own rfft of s and psi from the slice, so
+the ratio costs one rfft and one fft (its |xi|^(d-2) weight is not
+separable) and does not depend on the frame direction q'.
 """
 
 from __future__ import annotations
@@ -96,12 +96,12 @@ def frame_bound_ratio(sl: CoulombSlice) -> float:
     of this ratio across an amplitude sweep evidences the linear bound of
     the derived fields by the critical norm of the data.  The Coulomb gauge
     is unique up to one constant rotation, so the ratio does not depend on
-    the frame direction q'.  The denominator reads the slice's spectrum of
-    s; the numerator is a Plancherel sum on one fft of the slice's psi.
+    the frame direction q'.  The denominator is a Plancherel sum on one
+    rfft of s, the numerator one on one fft of the slice's psi.
     """
     s = sl.frame.s
     grid = s.grid
-    denom = critical_norm(s, sl.s_hat)
+    denom = critical_norm(s, grid.rfft(s.values))
     if denom == 0.0:
         return 0.0
     weight = grid.symbol("frequency_power", grid.d - 2.0, half=False)
@@ -112,16 +112,17 @@ def frame_bound_ratio(sl: CoulombSlice) -> float:
 def diagnostics_row(t: float, sl: CoulombSlice, unit_violation: float) -> DiagnosticsRow:
     """Assemble the full monitored row for one Coulomb time slice: the
     conserved quantities of its map beside its structural-identity residuals.
-    The energy and the critical norm read the slice's spectrum of s and the
-    residuals take their derivatives and masks by per-axis products, so a
-    row issues no transform.
+    The energy and the critical norm read one rfft of s and the residuals
+    take their derivatives and masks by per-axis products, so a row issues
+    one transform, of the 3 components of s.
     """
     s = sl.frame.s
+    s_hat = s.grid.rfft(s.values)
     return DiagnosticsRow(
         t=t,
-        energy=energy(s, sl.s_hat),
+        energy=energy(s, s_hat),
         l2_dist_q=l2_distance_q(s),
-        critical_norm=critical_norm(s, sl.s_hat),
+        critical_norm=critical_norm(s, s_hat),
         unit_violation=unit_violation,
         **sl.residuals(),
     )
@@ -194,7 +195,9 @@ def xk_norm(rec: SpaceTimeRecord, k: int) -> float:
 
     Hann-tapers the record in time, takes the space-time DFT, restricts to
     the spatial annulus |xi| in [2^(k-1), 2^(k+1)], and sums the 2^(j/2)
-    weighted L2 masses of the modulation shells |tau + |xi|^2| ~ 2^j.
+    weighted L2 masses of the modulation shells |tau + |xi|^2| ~ 2^j.  The
+    shells are summed over the annulus only, where the power is nonzero;
+    their number still reaches the largest |tau + |xi|^2| on the lattice.
 
     Raises when the record is too short to resolve the requested modulation
     shells (the temporal Nyquist frequency must reach |xi|^2 on the annulus).
@@ -209,7 +212,8 @@ def xk_norm(rec: SpaceTimeRecord, k: int) -> float:
     annulus = (radius >= 2.0 ** (k - 1)) & (radius <= 2.0 ** (k + 1))
     if not np.any(annulus):
         return 0.0
-    xi_sq_max = float(np.max(grid.k_squared[annulus]))
+    xi_sq = grid.k_squared[annulus]
+    xi_sq_max = float(np.max(xi_sq))
     tau_nyquist = np.pi / dt
     if tau_nyquist < xi_sq_max:
         raise ValueError(
@@ -218,14 +222,16 @@ def xk_norm(rec: SpaceTimeRecord, k: int) -> float:
         )
 
     taper = np.hanning(nt).reshape((nt,) + (1,) * grid.d)
-    fhat = np.fft.fftn(rec.values * taper)
-    tau = 2.0 * np.pi * np.fft.fftfreq(nt, d=dt).reshape((nt,) + (1,) * grid.d)
-    mu = tau + grid.k_squared[np.newaxis]
+    fhat = np.fft.fftn(rec.values * taper)[:, annulus]
+    tau = 2.0 * np.pi * np.fft.fftfreq(nt, d=dt)
+    mu = tau[:, np.newaxis] + xi_sq[np.newaxis]
 
     weight = (grid.length**grid.d / grid.n ** (2 * grid.d)) * (nt * dt / nt**2)
-    power = np.abs(fhat) ** 2 * annulus[np.newaxis]
+    power = np.abs(fhat) ** 2
 
-    mu_max = float(np.max(np.abs(mu)))
+    # rounding is monotone, so the largest |tau + |xi|^2| on the lattice is
+    # at the ends of tau and of |xi|^2 (0 at xi = 0)
+    mu_max = float(max(abs(tau.max() + grid.k_squared.max()), abs(tau.min())))
     jmax = max(1, int(np.ceil(np.log2(max(mu_max, 1.0)))) + 1)
     total = 0.0
     for j in range(jmax + 1):

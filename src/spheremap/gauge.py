@@ -28,14 +28,13 @@ in this module alone.
 
 ``coulomb_slice`` is the one place a time slice is analysed: the transport
 pair rotated into the Coulomb gauge and checked once as the slice's one
-frame, the connection (a plain array) and psi, in 3 transforms (the rfft
-of s, and the Coulomb fix's rfft of a and irfft of chi and its gradient),
-with the half spectra of s and of the fixed connection that building them
-takes.
-The d_m v of the connection and the d_m s of psi are products with the
-grid's per-axis derivative matrix.  The diagnostics row, the frame-bound
-ratio and the gauge identity suite read a slice built here; none of them
-builds a frame of its own.
+frame, the connection (a plain array), psi and the norm of div a, in 2
+transforms of one field each (the Coulomb fix's rfft of div a and irfft of
+chi).  A slice keeps no spectrum.  The d_m v of the connection, div a,
+d_m chi and the d_m s of psi are products with the grid's per-axis
+derivative matrix.  The diagnostics row, the frame-bound ratio and the
+gauge identity suite read a slice built here; none of them builds a frame
+of its own.
 ``CoulombSlice.residuals`` quantifies, in L2, how well the structural
 identities (derivative compatibility, connection curvature, and the
 time-slice relation for psi_0) hold for the discretely computed fields; for
@@ -43,8 +42,8 @@ frame-derived data they decay spectrally under grid refinement.  The
 residuals are formed in physical space, with the covariant derivative
 D_m f = d_m f + i T(T a_m T f), T the 2/3 mask: every d_m and T is a
 product with the grid's per-axis matrices, the norms are quadrature sums,
-d_t s comes from ``flow_rhs`` and div a is a Plancherel sum on the slice's
-half spectrum of a.  A row issues no transform.
+d_t s comes from ``flow_rhs`` and div a is the norm ``coulomb_fix``
+returned.  The residuals issue no transform.
 """
 
 from __future__ import annotations
@@ -64,9 +63,7 @@ from .geometry import (
 from .spectral import (
     Grid,
     dealias,
-    gradient_hat,
     l2_norm,
-    plancherel_mass,
     real_dealias,
     real_derivative,
 )
@@ -168,13 +165,12 @@ def a0_from_psi(grid: Grid, psi: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class CoulombSlice:
     """One time slice in the Coulomb gauge: fixed frame, connection a, psi,
-    and the half spectra of s and a (``coulomb_slice`` builds them all)."""
+    and the L2 norm of div a (``coulomb_slice`` builds them all)."""
 
     frame: Frame
     a: np.ndarray            # (d, n, ..., n) real, divergence free
     psi: np.ndarray          # (d, n, ..., n) complex
-    s_hat: np.ndarray        # rfft of the map s, (3, n, ..., n/2 + 1)
-    a_hat: np.ndarray        # rfft of a, (d, n, ..., n/2 + 1)
+    div_a: float             # || div a ||, as coulomb_fix reads it
 
     def residuals(self) -> dict:
         """div a and the L2 residuals of the three structural identities:
@@ -189,9 +185,9 @@ class CoulombSlice:
         (``real_derivative``, ``real_dealias``) on the real stacks
         (Re psi_m, Im psi_m, a_m), one pair (m, l) at a time so that no more
         than a few fields are held, d_t s is ``flow_rhs`` and the three norms
-        are quadrature sums (``l2_norm``): no transform.  div a stays a
-        Plancherel sum on the slice's half spectrum of a, so it reads the
-        divergence that ``coulomb_fix`` cancelled to multiplier exactness.
+        are quadrature sums (``l2_norm``): no transform.  div a is the
+        slice's ``div_a``, the divergence that ``coulomb_fix`` cancelled,
+        read to multiplier exactness.
         """
         grid = self.frame.grid
         d, psi = grid.d, self.psi
@@ -217,10 +213,8 @@ class CoulombSlice:
         covariant_div = (div[0] - t_im) + 1j * (div[1] + t_re)
         dts = flow_rhs(grid, self.frame.s.values)
         psi0 = np.sum(dts * self.frame.v, axis=0) + 1j * np.sum(dts * self.frame.w, axis=0)
-        dx = [grid.symbol("partial_derivative", m + 1, half=True) for m in range(d)]
-        div_a_hat = sum(dx[m] * self.a_hat[m] for m in range(d))
         return {
-            "div_a": float(np.sqrt(plancherel_mass(grid, div_a_hat, half=True))),
+            "div_a": self.div_a,
             "res_compatibility": float(max(compat)),
             "res_curvature": max(curvature),
             "res_psi0": l2_norm(grid, psi0 - 1j * covariant_div),
@@ -228,14 +222,14 @@ class CoulombSlice:
 
 
 def coulomb_slice(s: SphereField) -> CoulombSlice:
-    """Coulomb-fixed transport frame of s, its connection and psi, with the
-    half spectra of s and of the connection: 3 transforms and one frame check.
+    """Coulomb-fixed transport frame of s, its connection, psi and the norm
+    of div a: 2 transforms of one field each and one frame check.
 
     Raises FrameDegenerateError where s comes (nearly) antipodal to s.q, and
     ValueError where the connection is not finite.
     """
-    frame, a, a_hat = coulomb_fix(s, *transport_frame(s))
-    return CoulombSlice(frame, a, derive_psi(frame), s.grid.rfft(s.values), a_hat)
+    frame, a, div_a = coulomb_fix(s, *transport_frame(s))
+    return CoulombSlice(frame, a, derive_psi(frame), div_a)
 
 
 def msm_nonlinearity(grid: Grid, psi_hat: np.ndarray) -> np.ndarray:
@@ -261,7 +255,8 @@ def msm_nonlinearity(grid: Grid, psi_hat: np.ndarray) -> np.ndarray:
     fields = np.empty((2 * d + d * d,) + grid.shape, dtype=complex)
     p, dp, psi = fields[:d], fields[d: d + d * d].reshape((d, d) + grid.shape), fields[d + d * d:]
     np.multiply(mask, psi_hat, out=p)
-    gradient_hat(grid, p, half=False, out=dp)
+    for m in range(d):
+        np.multiply(grid.symbol("partial_derivative", m + 1, half=False), p, out=dp[m])
     psi[...] = psi_hat
     grid.ifft(fields, out=fields)
 

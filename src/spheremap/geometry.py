@@ -14,8 +14,10 @@ of a time slice.  ``flow_rhs`` is the one evaluation of the flow velocity
 s x Laplacian(s), for the integrator and the identities alike.  The
 separable operators are products with the grid's per-axis matrices and
 issue no transform: the flow's Laplacian (``real_laplacian``) and the d_m v
-of the connection (``real_derivative``).  The Coulomb fix's Poisson solve is
-not separable and stays in Fourier space: a fix issues 2 transforms.
+of the connection, div a and d_m chi (``real_derivative``).  The Coulomb
+fix's Poisson inverse is not separable and stays in Fourier space: a fix
+issues 2 transforms of one field each, the rfft of div a and the irfft of
+chi.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Grid, gradient_hat, real_derivative, real_laplacian
+from .spectral import Grid, plancherel_mass, real_derivative, real_laplacian
 
 __all__ = [
     "FrameDegenerateError",
@@ -227,32 +229,35 @@ def coulomb_fix(s: SphereField, v: np.ndarray, w: np.ndarray) -> tuple:
     sum_m d_m a_m = 0.
 
     Solves Laplacian(chi) = -div a for the zero-mean rotation angle chi and
-    returns (frame, a, a_hat): the slice's one ``Frame``, built from the
-    rotated pair and checked there, the fixed connection and its half
-    spectrum.  The connection is updated by the gauge-covariance rule
-    a'_m = a_m + d_m chi, which is divergence free to multiplier exactness;
-    recomputing it from the rotated pair with ``connection_of`` agrees up to
-    spectral truncation.  Raises ValueError before building the frame when
-    the connection is not finite.  The zero-mean normalization fixes the
-    otherwise free constant rotation per time slice.  The divergence, the
-    Poisson solve and d_m chi are taken in Fourier space, since the Poisson
-    inverse is not a per-axis matrix: one rfft of a and one irfft of
-    (chi, d_1 chi, ..., d_d chi).  The half spectrum a_hat is
-    rfft(a) + i xi chi_hat, equal to the rfft of a' up to roundoff.
+    returns (frame, a, div_a): the slice's one ``Frame``, built from the
+    rotated pair and checked there, the fixed connection and the L2 norm of
+    its divergence.  The connection is updated by the gauge-covariance rule
+    a'_m = a_m + d_m chi; recomputing it from the rotated pair with
+    ``connection_of`` agrees up to spectral truncation.  Raises ValueError
+    before building the frame when the connection is not finite.  The
+    zero-mean normalization fixes the otherwise free constant rotation per
+    time slice.  div a and d_m chi are products with the grid's derivative
+    matrix (``real_derivative``); only the Poisson inverse, which is not a
+    per-axis matrix, is taken in Fourier space: one rfft of div a and one
+    irfft of chi.  div_a is the Plancherel norm of
+    div_hat + sum_m (i xi_m)^2 chi_hat, the divergence of a' on the
+    multipliers the solve inverts, so it reads their cancellation to
+    multiplier exactness.
     """
     grid = s.grid
     a = connection_of(grid, v, w)
-    a_hat = grid.rfft(a)
-    div_hat = sum(grid.symbol("partial_derivative", m, half=True) * a_hat[m - 1]
-                  for m in range(1, grid.d + 1))
+    div_hat = grid.rfft(sum(real_derivative(grid, a[m], m + 1) for m in range(grid.d)))
     chi_hat = -grid.symbol("poisson_zero_mean", half=True) * div_hat
-    chi_grad_hat = np.concatenate([chi_hat[None], gradient_hat(grid, chi_hat, half=True)])
-    chi_grad = grid.irfft(chi_grad_hat)  # leaves chi_grad_hat as it was
-    a_hat += chi_grad_hat[1:]
-    a += chi_grad[1:]
+    chi = grid.irfft(chi_hat)
+    for m in range(grid.d):
+        a[m] += real_derivative(grid, chi, m + 1)
     if not np.all(np.isfinite(a)):
         raise ValueError("connection contains non-finite values")
-    return rotate_frame(s, v, w, chi_grad[0]), a, a_hat
+    # div_hat becomes the spectrum of div a', on the multipliers the solve inverts
+    for m in range(1, grid.d + 1):
+        div_hat += grid.symbol("partial_derivative", m, half=True) ** 2 * chi_hat
+    div_a = float(np.sqrt(plancherel_mass(grid, div_hat, half=True)))
+    return rotate_frame(s, v, w, chi), a, div_a
 
 
 def renormalize(grid: Grid, u: np.ndarray, q: np.ndarray) -> tuple:

@@ -23,9 +23,9 @@ lattice.  Conventions:
   n <= 64 points used here a Coulomb slice and a diagnostics row take less
   time this way than through transforms, most at d = 4 (about 2.5 and 1.7
   times less at n = 12).  What is not separable stays on the FFT: the
-  Poisson inverse, the Riesz-type symbols, the |xi|^sigma weights and the
-  Fourier-space kernels (``msm_nonlinearity``, ``a_from_psi``) that keep
-  spectra between steps.
+  Coulomb fix's Poisson inverse (one rfft of div a, one irfft of chi), the
+  Riesz-type symbols, the |xi|^sigma weights and the Fourier-space kernels
+  (``msm_nonlinearity``, ``a_from_psi``) that keep spectra between steps.
 * The four ``Grid`` transforms give the bits of ``np.fft.fftn``,
   ``ifftn``, ``rfftn`` and ``irfftn`` but call the 1-D ``np.fft``
   transforms themselves, in numpy's axis order: on the small grids used
@@ -35,9 +35,8 @@ lattice.  Conventions:
   input.
 * Every symbol is built once per grid by name (``_SYMBOLS``, cached by
   ``Grid.symbol``); Fourier-space kernels such as the gauge nonlinearity
-  and the Coulomb solve multiply the same cached symbols, with
-  ``gradient_hat`` stacking all d first-derivative spectra for one inverse
-  transform.  The one stacked symbol is ``free_phases``, the half- and
+  and the Coulomb fix's Poisson solve multiply the same cached symbols.
+  The one stacked symbol is ``free_phases``, the half- and
   full-step integrating-factor phases of ``evolve_msm``; the gauge kernels
   sum over index pairs in loops, one per-axis or per-pair symbol at a time.
 * The dual lattice is xi in (2*pi/L) * {-n/2, ..., n/2 - 1}^d.
@@ -69,7 +68,6 @@ __all__ = [
     "l2_norm",
     "plancherel_mass",
     "dealias",
-    "gradient_hat",
     "real_laplacian",
     "real_derivative",
     "real_dealias",
@@ -305,23 +303,6 @@ def _apply_symbol(grid: Grid, f: np.ndarray, name: str, *args) -> np.ndarray:
     return grid.irfft(grid.symbol(name, *args, half=True) * grid.rfft(f))
 
 
-def gradient_hat(
-    grid: Grid, fhat: np.ndarray, half: bool, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Spectra i xi_m fhat of the d first derivatives, stacked on a new axis 0.
-
-    ``fhat`` is a half (``rfft``) or full (``fft``) spectrum, batched over
-    leading axes; one inverse transform of the result gives every d_m f.
-    Written into ``out`` when given.  Each axis keeps its broadcastable
-    symbol: a dense stack would hold d full-size spectra on every grid.
-    """
-    if out is None:
-        out = np.empty((grid.d,) + fhat.shape, dtype=complex)
-    for m in range(grid.d):
-        np.multiply(grid.symbol("partial_derivative", m + 1, half=half), fhat, out=out[m])
-    return out
-
-
 def _circulant(half_symbol: np.ndarray, parity: float) -> tuple:
     """The real n x n matrix F^-1 diag(sigma) F of a one-axis symbol sigma
     that is even (``parity`` 1) or odd (-1) in k, and its transpose.
@@ -400,7 +381,8 @@ def real_derivative(grid: Grid, f: np.ndarray, axis: int) -> np.ndarray:
     """d/dx_axis (1-based) of a real stack (..., n, ..., n): one product with
     the grid's derivative matrix and no transform.
 
-    The multiplier i xi_axis of ``gradient_hat``, Nyquist zeroed, to roundoff.
+    The multiplier i xi_axis (``partial_derivative``), Nyquist zeroed, to
+    roundoff.
     """
     grid._check_axis(axis)
     f = np.ascontiguousarray(f)

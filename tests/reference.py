@@ -4,7 +4,8 @@ These are the physical-space forms of operators the package computes in
 Fourier space, the single-field spectral derivative and Laplacian and the
 full-``fft`` Sobolev norm, which no command needs, the full-spectrum forms
 of the energy and the critical norm that the package sums over half spectra,
-the loop-over-pairs form of the derived-field kernel, a ``CoulombSlice``
+the loop-over-pairs form of the derived-field kernel, the modulation norm
+summed over the whole space-time lattice, a ``CoulombSlice``
 built from given fields, the unrotated transport pair as a checked frame
 and the rotation angle between two tangent pairs (the package checks only
 the rotated frame and returns no angle), the tangent-projection frame the
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from spheremap.diagnostics import SpaceTimeRecord
 from spheremap.evolution import _Rk4Work, default_dt, step_rk4_projected
 from spheremap.gauge import CoulombSlice
 from spheremap.geometry import (
@@ -40,6 +42,8 @@ from spheremap.spectral import (
     _riesz_pair,
     _safe_power,
     dealias,
+    eta0,
+    l2_norm,
 )
 
 
@@ -89,10 +93,10 @@ def rotation_angle(v: np.ndarray, w: np.ndarray, frame: Frame) -> np.ndarray:
     return np.arctan2(_dot(frame.v, w), _dot(frame.v, v))
 
 
-def slice_with_spectra(frame: Frame, a: np.ndarray, psi: np.ndarray) -> CoulombSlice:
-    """``CoulombSlice`` of given fields, with the rfft of s and of a."""
-    grid = frame.grid
-    return CoulombSlice(frame, a, psi, grid.rfft(frame.s.values), grid.rfft(a))
+def slice_of_fields(frame: Frame, a: np.ndarray, psi: np.ndarray) -> CoulombSlice:
+    """``CoulombSlice`` of given fields, its div_a the L2 norm of the
+    spectral divergence of a."""
+    return CoulombSlice(frame, a, psi, l2_norm(frame.grid, divergence(frame.grid, a)))
 
 
 # Admissibility threshold for the tangent projection.
@@ -263,6 +267,56 @@ def evolve_by_pairs(grid: Grid, psi: np.ndarray, dt: float) -> np.ndarray:
     d = nhat(full * psi_hat + dt * half * c)
     out_hat = full * psi_hat + (dt / 6.0) * (full * a + 2.0 * half * (b + c) + d)
     return np.fft.ifftn(out_hat, axes=axes)
+
+
+def xk_norm_full_lattice(rec: SpaceTimeRecord, k: int) -> float:
+    """``xk_norm`` with every modulation shell summed over the whole
+    space-time lattice, the power masked to the annulus.
+
+    Hann-tapers the record in time, takes the space-time DFT, restricts to
+    the spatial annulus |xi| in [2^(k-1), 2^(k+1)], and sums the 2^(j/2)
+    weighted L2 masses of the modulation shells |tau + |xi|^2| ~ 2^j.
+
+    Raises when the record is too short to resolve the requested modulation
+    shells (the temporal Nyquist frequency must reach |xi|^2 on the annulus).
+    """
+    grid = rec.grid
+    nt = len(rec.times)
+    if nt < 8:
+        raise ValueError("record too short for modulation analysis (need >= 8 samples)")
+    dt = rec.dt
+
+    radius = grid.k_abs
+    annulus = (radius >= 2.0 ** (k - 1)) & (radius <= 2.0 ** (k + 1))
+    if not np.any(annulus):
+        return 0.0
+    xi_sq_max = float(np.max(grid.k_squared[annulus]))
+    tau_nyquist = np.pi / dt
+    if tau_nyquist < xi_sq_max:
+        raise ValueError(
+            f"record too short for the requested modulation resolution: temporal Nyquist "
+            f"{tau_nyquist:.3g} below max |xi|^2 = {xi_sq_max:.3g} on the annulus"
+        )
+
+    taper = np.hanning(nt).reshape((nt,) + (1,) * grid.d)
+    fhat = np.fft.fftn(rec.values * taper)
+    tau = 2.0 * np.pi * np.fft.fftfreq(nt, d=dt).reshape((nt,) + (1,) * grid.d)
+    mu = tau + grid.k_squared[np.newaxis]
+
+    weight = (grid.length**grid.d / grid.n ** (2 * grid.d)) * (nt * dt / nt**2)
+    power = np.abs(fhat) ** 2 * annulus[np.newaxis]
+
+    mu_max = float(np.max(np.abs(mu)))
+    jmax = max(1, int(np.ceil(np.log2(max(mu_max, 1.0)))) + 1)
+    total = 0.0
+    for j in range(jmax + 1):
+        if j == 0:
+            shell = eta0(mu)
+        else:
+            shell = eta0(mu / 2.0**j) - eta0(mu / 2.0 ** (j - 1))
+        mass = np.sqrt(np.sum(shell**2 * power) * weight)
+        total += 2.0 ** (j / 2.0) * mass
+    return float(total)
 
 
 def _h1_norm(grid: Grid, f: np.ndarray) -> float:

@@ -405,6 +405,38 @@ class TestCliRun:
         assert cause in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "old, new, override, cause",
+        [
+            ("d = 2\n", "d = 2\nd = 2\n", None,
+             "[line  3]: option 'd' in section 'grid' already exists"),
+            ("[output]", "[grid]\nn = 8\n[output]", None, "section 'grid' already exists"),
+            ("[grid]\n", "d = 2\n[grid]\n", None, "no section headers"),
+            ("steps = 4\n", "steps = 4\nsteps\n", None, "[line  9]: 'steps\\n'"),
+            ("n = 16", "n = %(x)s", None, "[grid] n = '%(x)s': invalid literal"),
+            (None, None, "initial.u=%(x)s", "[initial] u = '%(x)s': expected three"),
+            (None, None, "grid.n=16%", "[grid] n = '16%': invalid literal"),
+        ],
+        ids=["repeated-key", "repeated-section", "no-section-header", "line-without-equals",
+             "interpolation-in-file", "interpolation-in-override", "trailing-percent"],
+    )
+    def test_malformed_config_rejected_by_file_or_key(
+        self, tmp_path, capsys, old, new, override, cause
+    ):
+        path = tmp_path / "bad.ini"
+        path.write_text(CONFIG_TEXT if old is None else CONFIG_TEXT.replace(old, new, 1))
+        out = tmp_path / "out"
+        argv = ["run", "--config", str(path), "--out", str(out)]
+        if override is not None:
+            argv += ["--override", override]
+        assert cli_main(argv) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert cause in err
+        if override is None and "[grid] n" not in cause:
+            assert str(path) in err
+
+    @pytest.mark.parametrize(
         "overrides, cause",
         [
             (["initial.kind=band-limited-random", "initial.mode_cutoff=-1"],
@@ -460,14 +492,15 @@ class TestCliRun:
 
     def test_nonfinite_connection_is_a_recorded_abort(self, config_file, tmp_path, capsys,
                                                       monkeypatch):
-        # from the slice of step 2 on, the d_m v of the connection are NaN
+        # from the slice of step 2 on, the d_m v of the connection are NaN;
+        # a slice takes 3d products in geometry: the d_m v, div a and d_m chi
         real_derivative = geometry.real_derivative
         calls = {"n": 0}
 
         def nan_derivative(grid, f, axis):
             calls["n"] += 1
             out = real_derivative(grid, f, axis)
-            return np.full_like(out, np.nan) if calls["n"] > 2 * grid.d else out
+            return np.full_like(out, np.nan) if calls["n"] > 2 * 3 * grid.d else out
 
         monkeypatch.setattr(geometry, "real_derivative", nan_derivative)
         out = tmp_path / "o"

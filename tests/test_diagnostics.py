@@ -29,8 +29,9 @@ from reference import (
     energy_full_spectrum,
     gronwall_probe,
     projection_frame,
-    slice_with_spectra,
+    slice_of_fields,
     transport,
+    xk_norm_full_lattice,
 )
 
 Q = np.array([0.0, 0.0, 1.0])
@@ -183,7 +184,7 @@ class TestFrameBoundRatio:
         for qp in (0.5 * u + np.sqrt(3.0) / 2.0 * np.cross(q, u), 0.8 * u + 0.6 * np.cross(q, u)):
             projected = projection_frame(s, qp)
             frame, a, _ = coulomb_fix(s, projected.v, projected.w)
-            sl = slice_with_spectra(frame, a, derive_psi(frame))
+            sl = slice_of_fields(frame, a, derive_psi(frame))
             assert frame_bound_ratio(sl) == pytest.approx(ratio, rel=1e-10)
 
     def test_rotation_equivariance(self):
@@ -345,6 +346,37 @@ class TestXkNorm:
         rec = make_record(g, 16, 1.0, lambda t: np.zeros(g.shape))  # Nyquist pi < 16
         with pytest.raises(ValueError, match="modulation"):
             xk_norm(rec, 1)
+
+
+class TestXkNormMatchesFullLattice:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d=st.sampled_from([2, 3, 4]),
+        n=st.sampled_from([8, 10, 12]),
+        nt=st.integers(4, 16),
+        k=st.integers(-1, 3),
+        nyquist_share=st.sampled_from([0.2, 0.9, 1.0, 1.5]),
+        real=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_records(self, d, n, nt, k, nyquist_share, real, seed):
+        # the annulus-only sum against the full-lattice one, also on short
+        # records and on ones too coarse in time for the annulus
+        g = Grid(d=d, n=n)
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=(nt,) + g.shape)
+        if not real:
+            values = values + 1j * rng.normal(size=values.shape)
+        dt = np.pi / (nyquist_share * float(np.max(g.k_squared)))
+        rec = SpaceTimeRecord(g, dt * np.arange(nt), values)
+        try:
+            expected = xk_norm_full_lattice(rec, k)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                xk_norm(rec, k)
+            assert str(got.value) == str(exc)
+        else:
+            assert xk_norm(rec, k) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 class TestDiagnosticsRow:

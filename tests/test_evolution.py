@@ -158,13 +158,16 @@ class TestStepRk4Projected:
 MSM_KERNEL_TRANSFORMS = ["ifft", "rfft", "irfft", "rfft", "irfft", "fft"]
 
 # every derivative and 2/3 mask of the residuals is a product with the grid's
-# per-axis matrices, d_t s is flow_rhs, and div a is a Plancherel sum on the
-# slice's spectrum of a
+# per-axis matrices, d_t s is flow_rhs, and div a is the norm the slice holds
 RESIDUAL_TRANSFORMS = []
 
-# coulomb_fix (rfft of a, irfft of chi and d_m chi), rfft of s; the fix's
-# d_m v and derive_psi's d_m s are products
-SLICE_TRANSFORMS = ["rfft", "irfft", "rfft"]
+# a row's energy and critical norm: one rfft of the 3 components of s
+ROW_TRANSFORMS = [("rfft", 3)]
+
+# coulomb_fix's Poisson solve, (method, fields): the rfft of div a and the
+# irfft of chi; the fix's d_m v, div a and d_m chi and derive_psi's d_m s
+# are products, and the slice keeps no spectrum
+SLICE_TRANSFORMS = [("rfft", 1), ("irfft", 1)]
 
 
 def bump_psi(grid):
@@ -200,32 +203,32 @@ class TestTransformCount:
         assert len(transform_calls) == 26
 
     @pytest.mark.parametrize("d, n", [(2, 16), (3, 8), (4, 8)])
-    def test_slice_issues_three_transforms_and_its_row_none(self, transform_calls, d, n):
-        # the energy and the critical norm read the slice's spectrum of s
+    def test_slice_issues_two_transforms_and_its_row_one(self, transform_fields, d, n):
+        # the energy and the critical norm take the row's own spectrum of s
         s = bump_field(Grid(d=d, n=n))
-        transform_calls.clear()
+        transform_fields.clear()
         sl = coulomb_slice(s)
-        assert transform_calls == SLICE_TRANSFORMS
-        transform_calls.clear()
+        assert transform_fields == SLICE_TRANSFORMS
+        transform_fields.clear()
         sl.residuals()
-        assert transform_calls == RESIDUAL_TRANSFORMS
-        transform_calls.clear()
+        assert transform_fields == RESIDUAL_TRANSFORMS
+        transform_fields.clear()
         diagnostics_row(0.0, sl, 0.0)
-        assert transform_calls == RESIDUAL_TRANSFORMS
+        assert transform_fields == ROW_TRANSFORMS
 
     @pytest.mark.parametrize("d, n", [(2, 16), (3, 8), (4, 8)])
-    def test_gauge_identity_suite_issues_seven_transforms(self, transform_calls, d, n):
+    def test_gauge_identity_suite_issues_six_transforms(self, transform_fields, d, n):
         # the slice, then the suite on it: the residuals and a_from_psi
         # (fft/ifft of T psi, rfft of the products, irfft of a)
         s = bump_field(Grid(d=d, n=n))
-        transform_calls.clear()
+        transform_fields.clear()
         sl = coulomb_slice(s)
-        assert transform_calls == SLICE_TRANSFORMS
-        transform_calls.clear()
+        assert transform_fields == SLICE_TRANSFORMS
+        transform_fields.clear()
         gauge_identity_suite(sl)
         a_from_psi = ["fft", "ifft", "rfft", "irfft"]
-        assert transform_calls == RESIDUAL_TRANSFORMS + a_from_psi
-        assert len(SLICE_TRANSFORMS + transform_calls) == 7
+        assert [name for name, _ in transform_fields] == RESIDUAL_TRANSFORMS + a_from_psi
+        assert len(SLICE_TRANSFORMS + transform_fields) == 6
 
 
 class TestEvolveMsm:

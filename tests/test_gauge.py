@@ -41,7 +41,7 @@ from reference import (
     nonlinearity_by_pairs,
     partial_derivative,
     projection_frame,
-    slice_with_spectra,
+    slice_of_fields,
     transport,
 )
 
@@ -60,7 +60,7 @@ def constant_field(grid, q=Q):
 def residuals_without_frame(grid, psi, a):
     """Slice residuals of fields that come without a frame: the compatibility
     and curvature residuals never read it, so the constant map's frame serves."""
-    return slice_with_spectra(transport(constant_field(grid)), a, psi).residuals()
+    return slice_of_fields(transport(constant_field(grid)), a, psi).residuals()
 
 
 def small_data_gauge(n=32, eps=0.05, d=2):
@@ -218,7 +218,7 @@ class TestResiduals:
         frame = transport(constant_field(g))
         psi = derive_psi(frame)
         a = np.zeros((2,) + g.shape)
-        assert slice_with_spectra(frame, a, psi).residuals()["res_psi0"] < 1e-14
+        assert slice_of_fields(frame, a, psi).residuals()["res_psi0"] < 1e-14
 
     def test_random_unrelated_fields_fail(self):
         g = Grid(d=2, n=16)
@@ -235,7 +235,7 @@ class TestResiduals:
         values = {}
         for n in (16, 32):
             grid, frame, a, psi = small_data_gauge(n=n, eps=0.05)
-            values[n] = slice_with_spectra(frame, a, psi).residuals()[f"res_{resfun}"]
+            values[n] = slice_of_fields(frame, a, psi).residuals()[f"res_{resfun}"]
         assert values[16] / values[32] >= 10.0
 
     def test_psi0_identity_is_gauge_independent(self):
@@ -243,12 +243,12 @@ class TestResiduals:
         # equation alone; a non-Coulomb frame changes the residual only
         # through discretization, not by O(|div a|).
         grid, frame, a, psi = small_data_gauge(n=32, eps=0.05)
-        res_coulomb = slice_with_spectra(frame, a, psi).residuals()["res_psi0"]
+        res_coulomb = slice_of_fields(frame, a, psi).residuals()["res_psi0"]
         x1, x2 = coords(grid)
         rotated = rotate_frame(frame.s, frame.v, frame.w, 0.2 * np.cos(x1) * np.sin(x2))
         a_rot = connection_of(grid, rotated.v, rotated.w)
         psi_rot = derive_psi(rotated)
-        res_rot = slice_with_spectra(rotated, a_rot, psi_rot).residuals()["res_psi0"]
+        res_rot = slice_of_fields(rotated, a_rot, psi_rot).residuals()["res_psi0"]
         assert l2_norm(grid, divergence(grid, a_rot)) > 0.1  # strongly non-Coulomb
         assert res_rot < 1e-5
         assert res_coulomb < 1e-7
@@ -320,7 +320,7 @@ class TestResidualKernelMatchesReference:
         frame = transport(generate_initial(spec, g))
         psi = random_band_limited_psi(g, seed=10 * d + n, max_mode=2)
         a = random_band_limited_psi(g, seed=10 * d + n + 1, max_mode=2).real
-        res = slice_with_spectra(frame, a, psi).residuals()
+        res = slice_of_fields(frame, a, psi).residuals()
         ref = reference_residuals(frame, a, psi)
         assert list(res) == list(ref)
         for key, value in ref.items():

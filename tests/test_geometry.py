@@ -321,16 +321,17 @@ class TestCoulombFix:
         assert div_after / div_before < 1e-8
 
     @pytest.mark.parametrize("d, n", [(2, 16), (3, 8), (4, 8)])
-    def test_two_transforms_match_per_axis_solve(self, transform_calls, d, n):
-        # connection_of's d_m v are products, so the fix issues 2 transforms;
-        # chi is read back off the rotation between the pair and the frame
+    def test_two_transforms_match_per_axis_solve(self, transform_fields, d, n):
+        # the d_m v, div a and d_m chi are products, so the fix transforms
+        # one field each way, div a and chi; chi is read back off the
+        # rotation between the pair and the frame
         g = Grid(d=d, n=n)
         spec = InitialDataSpec(amplitude=0.05)
         s = generate_initial(spec, g)
         v, w = transport_frame(s)
-        transform_calls.clear()
-        frame, a_fixed, _ = coulomb_fix(s, v, w)
-        assert transform_calls == ["rfft", "irfft"]
+        transform_fields.clear()
+        frame, a_fixed, div_a = coulomb_fix(s, v, w)
+        assert transform_fields == [("rfft", 1), ("irfft", 1)]
         # reference: a_m = (d_m v).w, Laplacian chi = -div a, a' = a + d_m chi, axis by axis
         axes = range(1, d + 1)
         a = np.stack([np.sum(partial_derivative(g, v, m) * w, axis=0) for m in axes])
@@ -338,6 +339,8 @@ class TestCoulombFix:
         a_ref = a + np.stack([partial_derivative(g, chi_ref, m) for m in axes])
         assert np.max(np.abs(rotation_angle(v, w, frame) - chi_ref)) < 1e-12
         assert np.max(np.abs(a_fixed - a_ref)) < 1e-12
+        # the divergence cancelled to multiplier exactness
+        assert div_a <= 1e-12 * l2_norm(g, divergence(g, a))
 
     def test_chi_zero_mean(self):
         g = Grid(d=2, n=16)

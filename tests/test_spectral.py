@@ -11,7 +11,6 @@ from spheremap.spectral import (
     Grid,
     dealias,
     eta0,
-    gradient_hat,
     inv_gradient_riesz,
     l2_norm,
     plancherel_mass,
@@ -349,7 +348,7 @@ class TestPerAxisOperators:
         f = field_with_nyquist(g, seed, (fields,))
         for got, expected in (
             (np.stack([real_derivative(g, f, m) for m in range(1, d + 1)]),
-             g.irfft(gradient_hat(g, g.rfft(f), half=True))),
+             np.stack([partial_derivative(g, f, m) for m in range(1, d + 1)])),
             (real_dealias(g, f), dealias(g, f)),
         ):
             assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
