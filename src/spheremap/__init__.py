@@ -9,7 +9,6 @@ conservation law and quantitative bound numerically at desk scale.
 
 from .spectral import (
     Grid,
-    dealias,
     inv_gradient_riesz,
     l2_norm,
     riesz,

@@ -263,9 +263,11 @@ def parse_config(
     # its own key's conversion with a message that names the key
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
-        read = parser.read(path)
+        read = parser.read(path, encoding="utf-8")
     except configparser.Error as exc:  # a repeated key or section, a line without =
         raise ConfigError(" ".join(line.strip() for line in str(exc).splitlines())) from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not a UTF-8 text file: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
 
@@ -319,8 +321,8 @@ def gauge_identity_suite(sl: CoulombSlice) -> dict:
 
     Returns compatibility, curvature and psi_0 residuals, the divergence of
     the Coulomb connection, and the L2 mismatch between the connection
-    recovered from psi alone and the frame connection: 4 transforms, all
-    for the connection recovered from psi (``a_from_psi``).
+    recovered from psi alone and the frame connection: 2 transforms, the
+    rfft and irfft of the connection recovered from psi (``a_from_psi``).
     """
     grid = sl.frame.grid
     suite = sl.residuals()

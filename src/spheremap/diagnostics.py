@@ -8,10 +8,11 @@ critical norm are Plancherel sums over the half spectrum of the real map s
 other column twice for its conjugate partner.  Every analysis here reads a
 Coulomb slice it is given, which keeps no spectrum: a diagnostics row takes
 one rfft of s for these two cells, and its residual cells are products with
-the grid's per-axis matrices, so a row issues that one transform;
-``frame_bound_ratio`` takes its own rfft of s and psi from the slice, so
-the ratio costs one rfft and one fft (its |xi|^(d-2) weight is not
-separable) and does not depend on the frame direction q'.
+the grid's per-axis matrices, so a row issues that one transform.
+``frame_bound_ratio`` takes its own rfft of s and one rfft of the real
+stack (Re psi, Im psi) from the slice, whose half-spectrum masses add up to
+that of psi under the even weight |xi|^(d-2) (not separable); so the ratio
+costs two rffts and does not depend on the frame direction q'.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ def _half_spectrum_mass(s: SphereField, s_hat: np.ndarray, power: float) -> floa
     Plancherel on its half spectrum ``s_hat``."""
     grid = s.grid
     weight = grid.symbol("frequency_power", power, half=True)
-    return float(np.sum(plancherel_mass(grid, s_hat, half=True, weight=weight)))
+    return float(np.sum(plancherel_mass(grid, s_hat, weight=weight)))
 
 
 def energy(s: SphereField, s_hat: np.ndarray) -> float:
@@ -97,16 +98,18 @@ def frame_bound_ratio(sl: CoulombSlice) -> float:
     the derived fields by the critical norm of the data.  The Coulomb gauge
     is unique up to one constant rotation, so the ratio does not depend on
     the frame direction q'.  The denominator is a Plancherel sum on one
-    rfft of s, the numerator one on one fft of the slice's psi.
+    rfft of s.  The numerator reads ||psi_m||^2 as the half-spectrum mass of
+    Re psi_m plus that of Im psi_m, exact for the even real weight
+    |xi|^(d-2), on one rfft of the real stack (Re psi, Im psi).
     """
     s = sl.frame.s
     grid = s.grid
     denom = critical_norm(s, grid.rfft(s.values))
     if denom == 0.0:
         return 0.0
-    weight = grid.symbol("frequency_power", grid.d - 2.0, half=False)
-    num = np.sqrt(np.max(plancherel_mass(grid, grid.fft(sl.psi), half=False, weight=weight)))
-    return float(num / denom)
+    weight = grid.symbol("frequency_power", grid.d - 2.0, half=True)
+    parts = plancherel_mass(grid, grid.rfft(np.stack([sl.psi.real, sl.psi.imag])), weight=weight)
+    return float(np.sqrt(np.max(parts[0] + parts[1])) / denom)
 
 
 def diagnostics_row(t: float, sl: CoulombSlice, unit_violation: float) -> DiagnosticsRow:

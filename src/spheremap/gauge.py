@@ -20,11 +20,12 @@ kernel works spectrum in, 2/3-truncated spectrum out: each product is formed
 once in physical space from the truncated fields, each multiplier (including
 R_l R_l' fused into the one symbol -xi_l xi_l' / |xi|^2) acts in Fourier
 space, and the cross term's operands are the untruncated psi.  It issues six
-batched transforms at every d; ``a_from_psi`` and ``a0_from_psi`` are
-physical-space wrappers over the same product spectra.  Every sum over
-pairs of spatial indices (l <= l' or m < l) is a plain loop over the pairs
-in lexicographic order, as ``itertools`` lists them; the pair order lives
-in this module alone.
+batched transforms at every d.  ``a_from_psi`` and ``a0_from_psi`` are
+physical-space wrappers over the same product spectra; they take T psi by
+per-axis products of the real stack (Re psi, Im psi), so each issues 2
+transforms, an rfft and an irfft.  Every sum over pairs of spatial indices
+(l <= l' or m < l) is a plain loop over the pairs in lexicographic order,
+as ``itertools`` lists them; the pair order lives in this module alone.
 
 ``coulomb_slice`` is the one place a time slice is analysed: the transport
 pair rotated into the Coulomb gauge and checked once as the slice's one
@@ -62,7 +63,6 @@ from .geometry import (
 )
 from .spectral import (
     Grid,
-    dealias,
     l2_norm,
     real_dealias,
     real_derivative,
@@ -142,14 +142,24 @@ def _gauge_spectra(grid: Grid, p: np.ndarray, psi: np.ndarray | None = None) -> 
     return ac_hat, a0_hat
 
 
+def _truncated(grid: Grid, psi: np.ndarray) -> np.ndarray:
+    """p = T psi, T the 2/3 mask: ``real_dealias`` of the real stack
+    (Re psi, Im psi), recombined.  The real stacks are freed on return, so
+    the pair sums run beside p alone."""
+    re, im = real_dealias(grid, np.stack([psi.real, psi.imag]))
+    return re + 1j * im
+
+
 def a_from_psi(grid: Grid, psi: np.ndarray) -> np.ndarray:
     """Coulomb connection recovered from psi alone.
 
     a_m = |nabla|^-1 sum_l R_l Im(psi_m conj(psi_l)), implemented as the
     single multiplier i xi_l / |xi|^2 on the dealiased products.  The result
-    is divergence free by the antisymmetry of Im(psi_m conj(psi_l)).
+    is divergence free by the antisymmetry of Im(psi_m conj(psi_l)).  T psi
+    is taken by products (``_truncated``), so the call issues 2 transforms,
+    the rfft of the pair products and the irfft of a.
     """
-    a_hat, _ = _gauge_spectra(grid, dealias(grid, psi))
+    a_hat, _ = _gauge_spectra(grid, _truncated(grid, psi))
     return grid.irfft(a_hat)
 
 
@@ -158,7 +168,7 @@ def a0_from_psi(grid: Grid, psi: np.ndarray) -> np.ndarray:
 
     The double Riesz sum runs over spatial indices only.
     """
-    _, a0_hat = _gauge_spectra(grid, dealias(grid, psi))
+    _, a0_hat = _gauge_spectra(grid, _truncated(grid, psi))
     return grid.irfft(a0_hat)
 
 

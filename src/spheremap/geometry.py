@@ -256,7 +256,7 @@ def coulomb_fix(s: SphereField, v: np.ndarray, w: np.ndarray) -> tuple:
     # div_hat becomes the spectrum of div a', on the multipliers the solve inverts
     for m in range(1, grid.d + 1):
         div_hat += grid.symbol("partial_derivative", m, half=True) ** 2 * chi_hat
-    div_a = float(np.sqrt(plancherel_mass(grid, div_hat, half=True)))
+    div_a = float(np.sqrt(plancherel_mass(grid, div_hat)))
     return rotate_frame(s, v, w, chi), a, div_a
 
 

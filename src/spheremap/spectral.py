@@ -6,11 +6,14 @@ lattice.  Conventions:
 
 * Every operator acts on the last d axes and is batched over any leading
   axes, so a (3, n, ..., n) stack is transformed in one call.
-* Real in, real out; complex in, complex out.  The Hermitian multipliers
-  (derivatives, Laplacian, Riesz-type and dealiasing) map real fields to
-  real fields and act on real input through the half spectrum
-  (``Grid.rfft`` / ``Grid.irfft``); complex input goes through the full
-  ``Grid.fft`` / ``Grid.ifft``.
+* Real in, real out.  The Hermitian multipliers (derivatives, Laplacian,
+  Riesz-type and dealiasing) map real fields to real fields, and every
+  operator here acts on real fields only, through the half spectrum
+  (``Grid.rfft`` / ``Grid.irfft``) or per-axis products.  A complex field
+  such as psi is analysed as the real stack (Re psi, Im psi).  The full
+  ``Grid.fft`` / ``Grid.ifft`` serve the derived-field integrator alone
+  (``evolve_msm``, ``msm_nonlinearity``, ``align_phase``), whose spectra
+  are complex.
 * The separable-multiplier rule: a multiplier that is a sum or a product of
   one-axis symbols acts along each axis as the real n x n circulant
   F^-1 diag(sigma) F (Trefethen, *Spectral Methods in MATLAB*, ch. 3), so
@@ -24,8 +27,9 @@ lattice.  Conventions:
   time this way than through transforms, most at d = 4 (about 2.5 and 1.7
   times less at n = 12).  What is not separable stays on the FFT: the
   Coulomb fix's Poisson inverse (one rfft of div a, one irfft of chi), the
-  Riesz-type symbols, the |xi|^sigma weights and the Fourier-space kernels
-  (``msm_nonlinearity``, ``a_from_psi``) that keep spectra between steps.
+  Riesz-type symbols, the |xi|^sigma weights, the pair-product kernels of
+  ``a_from_psi`` and the Fourier-space ``msm_nonlinearity`` that keeps
+  spectra between steps.
 * The four ``Grid`` transforms give the bits of ``np.fft.fftn``,
   ``ifftn``, ``rfftn`` and ``irfftn`` but call the 1-D ``np.fft``
   transforms themselves, in numpy's axis order: on the small grids used
@@ -47,10 +51,13 @@ lattice.  Conventions:
   xi = 0 mode.  Downstream formulas only apply them behind a Riesz factor
   that kills the mean, so the choice is consistent with the whole-space
   operators they discretize.
-* Quadratic and cubic products of fields are stabilized by the 2/3-rule
-  (``dealias``).
+* Quadratic and cubic products of fields are stabilized by the 2/3-rule:
+  on a physical field, the d products of ``real_dealias``; on a spectrum,
+  the cached ``dealias`` symbol.
 * Every norm in frequency space is one Plancherel sum, ``plancherel_mass``,
-  on a half or full spectrum the caller already holds.
+  on the half spectrum of a real field that the caller already holds; a
+  complex field's mass is the sum of its real and imaginary parts' masses,
+  exact for every even real weight.
 """
 
 from __future__ import annotations
@@ -67,7 +74,6 @@ __all__ = [
     "eta0",
     "l2_norm",
     "plancherel_mass",
-    "dealias",
     "real_laplacian",
     "real_derivative",
     "real_dealias",
@@ -292,14 +298,9 @@ class Grid:
 
 
 def _apply_symbol(grid: Grid, f: np.ndarray, name: str, *args) -> np.ndarray:
-    """Apply the symbol ``grid.symbol(name, *args)`` to a field.
-
-    Real input goes through the half spectrum and returns a real array;
-    complex input goes through the full spectrum and stays complex.
-    """
+    """Apply the symbol ``grid.symbol(name, *args)`` to a real field through
+    its half spectrum; the result is real."""
     f = grid._check_field(f)
-    if np.iscomplexobj(f):
-        return grid.ifft(grid.symbol(name, *args, half=False) * grid.fft(f))
     return grid.irfft(grid.symbol(name, *args, half=True) * grid.rfft(f))
 
 
@@ -392,9 +393,11 @@ def real_derivative(grid: Grid, f: np.ndarray, axis: int) -> np.ndarray:
 
 
 def real_dealias(grid: Grid, f: np.ndarray) -> np.ndarray:
-    """The 2/3 rule of ``dealias`` on a real stack (..., n, ..., n), as the
-    product of the one-axis masks: d products with the grid's mask matrix,
-    one axis after the other, and no transform.  ``dealias`` to roundoff.
+    """The 2/3 rule T (``grid.dealias_mask``) on a real stack
+    (..., n, ..., n), as the product of the one-axis masks: d products with
+    the grid's mask matrix, one axis after the other, and no transform; the
+    masked transform to roundoff.  The one T on physical fields, a complex
+    one taken as the stack of its real and imaginary parts.
     """
     d = grid.d
     f = np.ascontiguousarray(f)
@@ -487,19 +490,19 @@ def l2_norm(grid: Grid, f: np.ndarray) -> float:
     return float(np.sqrt(np.sum(np.abs(f) ** 2) * grid.cell_volume))
 
 
-def plancherel_mass(
-    grid: Grid, fhat: np.ndarray, half: bool, weight: np.ndarray | None = None
-) -> np.ndarray:
-    """integral w(xi)|f|^2 dx of each field f of a stack, from its spectrum.
+def plancherel_mass(grid: Grid, fhat: np.ndarray, weight: np.ndarray | None = None) -> np.ndarray:
+    """integral w(xi)|f|^2 dx of each real field f of a stack, from its
+    half spectrum.
 
-    ``fhat`` is a full (``fft``) or half (``rfft`` of real f) spectrum over
-    the last d axes, stacked on leading axes; the result has the leading
-    shape.  ``weight`` is a real symbol w of the same form, even in xi;
-    without it w = 1 and the result is the squared L2 norm.  In a half
-    spectrum columns 0 and n/2 of the last axis stand for themselves and
-    every other column also for its conjugate partner, so they count once
-    and twice.  Each field's power |fhat|^2 goes through two buffers of one
-    real field and numpy's pairwise sum; no full-size temporary is made.
+    ``fhat`` is the ``rfft`` of f over the last d axes, stacked on leading
+    axes; the result has the leading shape.  ``weight`` is a real half
+    symbol w, even in xi; without it w = 1 and the result is the squared L2
+    norm.  Columns 0 and n/2 of the last axis stand for themselves and every
+    other column also for its conjugate partner, so they count once and
+    twice.  For a complex field u = f + i g and an even real w the mass of u
+    is that of f plus that of g.  Each field's power |fhat|^2 goes through
+    two buffers of one real field and numpy's pairwise sum; no full-size
+    temporary is made.
     """
     rows = fhat.reshape((-1,) + fhat.shape[-grid.d:])
     power, tmp = np.empty(rows.shape[1:]), np.empty(rows.shape[1:])
@@ -509,12 +512,5 @@ def plancherel_mass(
         power += np.square(row.imag, out=tmp)
         if weight is not None:
             power *= weight
-        out[k] = np.sum(power)
-        if half:
-            out[k] = 2.0 * out[k] - np.sum(power[..., 0]) - np.sum(power[..., -1])
+        out[k] = 2.0 * np.sum(power) - np.sum(power[..., 0]) - np.sum(power[..., -1])
     return out.reshape(fhat.shape[: -grid.d]) * (grid.length**grid.d / grid.n ** (2 * grid.d))
-
-
-def dealias(grid: Grid, f: np.ndarray) -> np.ndarray:
-    """Truncate the top third of frequencies (2/3 rule) on every axis."""
-    return _apply_symbol(grid, f, "dealias")

@@ -1,8 +1,11 @@
 """Reference implementations that serve as test oracles.
 
 These are the physical-space forms of operators the package computes in
-Fourier space, the single-field spectral derivative and Laplacian and the
-full-``fft`` Sobolev norm, which no command needs, the full-spectrum forms
+Fourier space, the symbol application and 2/3 mask by transforms that keep
+complex input on the full spectrum (the package applies symbols to real
+fields only and masks physical fields by per-axis products), the
+single-field spectral derivative and Laplacian and the full-``fft``
+Sobolev norm, which no command needs, the full-spectrum forms
 of the energy and the critical norm that the package sums over half spectra,
 the loop-over-pairs form of the derived-field kernel, the modulation norm
 summed over the whole space-time lattice, a ``CoulombSlice``
@@ -38,19 +41,34 @@ from spheremap.geometry import (
 )
 from spheremap.spectral import (
     Grid,
-    _apply_symbol,
     _riesz_pair,
     _safe_power,
-    dealias,
     eta0,
     l2_norm,
 )
 
 
+def apply_symbol(grid: Grid, f: np.ndarray, name: str, *args) -> np.ndarray:
+    """Apply the symbol ``grid.symbol(name, *args)`` to a field.
+
+    Real input goes through the half spectrum and returns a real array;
+    complex input goes through the full spectrum and stays complex.
+    """
+    f = grid._check_field(f)
+    if np.iscomplexobj(f):
+        return grid.ifft(grid.symbol(name, *args, half=False) * grid.fft(f))
+    return grid.irfft(grid.symbol(name, *args, half=True) * grid.rfft(f))
+
+
+def dealias(grid: Grid, f: np.ndarray) -> np.ndarray:
+    """Truncate the top third of frequencies (2/3 rule) on every axis."""
+    return apply_symbol(grid, f, "dealias")
+
+
 def partial_derivative(grid: Grid, f: np.ndarray, axis: int) -> np.ndarray:
     """Spectral derivative along ``axis`` (1-based): multiplier i*xi_axis."""
     grid._check_axis(axis)
-    return _apply_symbol(grid, f, "partial_derivative", axis)
+    return apply_symbol(grid, f, "partial_derivative", axis)
 
 
 def laplacian(grid: Grid, f: np.ndarray) -> np.ndarray:
@@ -192,7 +210,7 @@ def poisson_zero_mean(grid: Grid, rhs: np.ndarray) -> np.ndarray:
     Uses the derivative-frequency Laplacian so that div(grad u) computed by
     composed spectral derivatives reproduces rhs exactly.
     """
-    return _apply_symbol(grid, rhs, "poisson_zero_mean")
+    return apply_symbol(grid, rhs, "poisson_zero_mean")
 
 
 def gauge_spectra_by_pairs(grid: Grid, p: np.ndarray, psi: np.ndarray | None = None) -> tuple:

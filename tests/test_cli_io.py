@@ -415,15 +415,19 @@ class TestCliRun:
             ("n = 16", "n = %(x)s", None, "[grid] n = '%(x)s': invalid literal"),
             (None, None, "initial.u=%(x)s", "[initial] u = '%(x)s': expected three"),
             (None, None, "grid.n=16%", "[grid] n = '16%': invalid literal"),
+            # written in latin-1, so these two bytes are 0xff 0xfe
+            ("n = 16", "\xff\xfe = 16", None, "bad.ini: not a UTF-8 text file: "),
         ],
         ids=["repeated-key", "repeated-section", "no-section-header", "line-without-equals",
-             "interpolation-in-file", "interpolation-in-override", "trailing-percent"],
+             "interpolation-in-file", "interpolation-in-override", "trailing-percent",
+             "not-utf-8"],
     )
     def test_malformed_config_rejected_by_file_or_key(
         self, tmp_path, capsys, old, new, override, cause
     ):
         path = tmp_path / "bad.ini"
-        path.write_text(CONFIG_TEXT if old is None else CONFIG_TEXT.replace(old, new, 1))
+        text = CONFIG_TEXT if old is None else CONFIG_TEXT.replace(old, new, 1)
+        path.write_bytes(text.encode("latin-1"))
         out = tmp_path / "out"
         argv = ["run", "--config", str(path), "--out", str(out)]
         if override is not None:

@@ -30,6 +30,7 @@ from reference import (
     gronwall_probe,
     projection_frame,
     slice_of_fields,
+    sobolev_norm,
     transport,
     xk_norm_full_lattice,
 )
@@ -195,6 +196,17 @@ class TestFrameBoundRatio:
         assert frame_bound_ratio(coulomb_slice(rotate_field(s, rot))) == pytest.approx(
             frame_bound_ratio(coulomb_slice(s)), rel=1e-10
         )
+
+    @pytest.mark.parametrize("d,n", [(2, 16), (3, 12), (4, 8)])
+    def test_matches_the_full_spectrum_oracle(self, d, n):
+        # the half-spectrum masses of Re psi_m and Im psi_m add up to the
+        # full-fft norm of psi_m under the even weight |xi|^(d-2)
+        s = generate_initial(InitialDataSpec(kind="band-limited-random", amplitude=0.05),
+                             Grid(d=d, n=n))
+        sl = coulomb_slice(s)
+        num = max(sobolev_norm(s.grid, psi_m, (d - 2) / 2.0, homogeneous=True) for psi_m in sl.psi)
+        expected = num / critical_norm_full_spectrum(s)
+        assert frame_bound_ratio(sl) == pytest.approx(expected, rel=1e-12)
 
 
 class TestGronwallProbe:

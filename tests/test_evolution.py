@@ -19,7 +19,7 @@ from spheremap.evolution import (
     step_rk4_projected,
 )
 from spheremap.cli_io import gauge_identity_suite
-from spheremap.diagnostics import diagnostics_row
+from spheremap.diagnostics import diagnostics_row, frame_bound_ratio
 from spheremap.gauge import coulomb_slice, msm_nonlinearity
 from spheremap.geometry import SphereField, flow_rhs
 from spheremap.initial_data import InitialDataSpec, generate_initial
@@ -169,6 +169,10 @@ ROW_TRANSFORMS = [("rfft", 3)]
 # are products, and the slice keeps no spectrum
 SLICE_TRANSFORMS = [("rfft", 1), ("irfft", 1)]
 
+# a_from_psi on the slice's psi, T psi by products: the rfft of the pair
+# products and the irfft of a
+A_FROM_PSI_TRANSFORMS = ["rfft", "irfft"]
+
 
 def bump_psi(grid):
     return coulomb_slice(bump_field(grid)).psi
@@ -217,18 +221,30 @@ class TestTransformCount:
         assert transform_fields == ROW_TRANSFORMS
 
     @pytest.mark.parametrize("d, n", [(2, 16), (3, 8), (4, 8)])
-    def test_gauge_identity_suite_issues_six_transforms(self, transform_fields, d, n):
+    def test_gauge_identity_suite_issues_four_transforms(self, transform_fields, d, n):
         # the slice, then the suite on it: the residuals and a_from_psi
-        # (fft/ifft of T psi, rfft of the products, irfft of a)
         s = bump_field(Grid(d=d, n=n))
         transform_fields.clear()
         sl = coulomb_slice(s)
         assert transform_fields == SLICE_TRANSFORMS
         transform_fields.clear()
         gauge_identity_suite(sl)
-        a_from_psi = ["fft", "ifft", "rfft", "irfft"]
-        assert [name for name, _ in transform_fields] == RESIDUAL_TRANSFORMS + a_from_psi
-        assert len(SLICE_TRANSFORMS + transform_fields) == 6
+        assert [name for name, _ in transform_fields] == RESIDUAL_TRANSFORMS + A_FROM_PSI_TRANSFORMS
+        assert len(SLICE_TRANSFORMS + transform_fields) == 4
+
+    @pytest.mark.parametrize("d, n", [(2, 16), (3, 8), (4, 8)])
+    def test_swept_value_issues_six_real_transforms(self, transform_fields, d, n):
+        # sweep's slice, suite and frame-bound ratio; the ratio takes one rfft
+        # of s and one of the real stack (Re psi, Im psi)
+        s = bump_field(Grid(d=d, n=n))
+        transform_fields.clear()
+        sl = coulomb_slice(s)
+        gauge_identity_suite(sl)
+        suite = len(transform_fields)
+        frame_bound_ratio(sl)
+        assert transform_fields[suite:] == [("rfft", 3), ("rfft", 2 * d)]
+        assert len(transform_fields) == 6
+        assert {name for name, _ in transform_fields} == {"rfft", "irfft"}
 
 
 class TestEvolveMsm:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from spheremap.spectral import (
     Grid,
-    dealias,
     eta0,
     inv_gradient_riesz,
     l2_norm,
@@ -21,6 +20,7 @@ from spheremap.spectral import (
 )
 
 from reference import (
+    dealias,
     dealiased_product,
     laplacian,
     partial_derivative,
@@ -133,9 +133,10 @@ class TestFourierMultiplier:
         seed=st.integers(0, 50),
     )
     def test_linearity(self, alpha, beta, seed):
+        # real fields: the package applies its symbols to real input only
         g = Grid(d=2, n=8)
-        f = band_limited(g, seed=seed)
-        h = band_limited(g, seed=seed + 1000)
+        f = band_limited(g, seed=seed).real
+        h = band_limited(g, seed=seed + 1000).real
         for op in (
             lambda u: partial_derivative(g, u, 1),
             lambda u: riesz(g, u, 2),
@@ -181,7 +182,7 @@ class TestInvGradientRiesz:
 
     def test_factors_through_riesz(self):
         g = Grid(d=2, n=16)
-        f = band_limited(g, seed=11, max_mode=7)
+        f = band_limited(g, seed=11, max_mode=7).real
         combined = inv_gradient_riesz(g, f, 2)
         composed = np.fft.ifftn(_safe_power(g.k_abs, -1.0) * np.fft.fftn(riesz(g, f, 2)))
         assert np.max(np.abs(combined - composed)) <= 1e-12 * np.max(np.abs(f))
@@ -260,9 +261,10 @@ def field_with_nyquist(grid, seed, shape=()):
 
 
 class TestPlancherelMass:
-    """The spectral masses of the diagnostics row and the slice residuals
-    against physical-space quadrature and the full-spectrum Sobolev norm,
-    on random fields with Nyquist content; n/2 odd (10) and even (8, 12)."""
+    """The spectral masses of the diagnostics row, the Coulomb fix and the
+    frame-bound ratio against physical-space quadrature and the
+    full-spectrum Sobolev norm, on random fields with Nyquist content; n/2
+    odd (10) and even (8, 12)."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -275,15 +277,16 @@ class TestPlancherelMass:
         g = Grid(d=d, n=n)
         f = field_with_nyquist(g, seed, (rows,))
         z = f + 1j * field_with_nyquist(g, seed + 1, (rows,))
-        half = plancherel_mass(g, g.rfft(f), half=True)
-        full = plancherel_mass(g, g.fft(z), half=False)
-        assert half.shape == full.shape == (rows,)
+        half = plancherel_mass(g, g.rfft(f))
+        # a complex field's mass is the sum of its parts' masses
+        parts = plancherel_mass(g, g.rfft(np.stack([z.real, z.imag])))
+        assert half.shape == (rows,) and parts.shape == (2, rows)
         for k in range(rows):
             assert half[k] == pytest.approx(l2_norm(g, f[k]) ** 2, rel=1e-12)
-            assert full[k] == pytest.approx(l2_norm(g, z[k]) ** 2, rel=1e-12)
+            assert parts[0, k] + parts[1, k] == pytest.approx(l2_norm(g, z[k]) ** 2, rel=1e-12)
         for power in (2.0, float(d)):
             weight = g.symbol("frequency_power", power, half=True)
-            weighted = np.sum(plancherel_mass(g, g.rfft(f), half=True, weight=weight))
+            weighted = np.sum(plancherel_mass(g, g.rfft(f), weight=weight))
             expected = sobolev_norm(g, f, power / 2.0, homogeneous=True) ** 2
             assert weighted == pytest.approx(expected, rel=1e-12)
 
@@ -520,16 +523,20 @@ def test_rfft_peak_memory_is_its_result(d, n):
 
 
 class TestDealiasing:
+    """The 2/3 mask: the package's ``real_dealias``, which masks a complex
+    field as the real stack of its parts, and the oracle's product."""
+
     def test_low_modes_untouched(self):
         g = Grid(d=2, n=16)
         f = band_limited(g, seed=8, max_mode=4)  # below n/3 = 5.33
-        assert np.max(np.abs(dealias(g, f) - f)) < 1e-12
+        parts = np.stack([f.real, f.imag])
+        assert np.max(np.abs(real_dealias(g, parts) - parts)) < 1e-12
 
     def test_high_modes_removed(self):
         g = Grid(d=2, n=16)
         x1 = coords(g)[0]
         f = np.cos(7 * x1)
-        assert np.max(np.abs(dealias(g, f))) < 1e-13
+        assert np.max(np.abs(real_dealias(g, f))) < 1e-13
 
     def test_product_of_low_modes_exact(self):
         g = Grid(d=2, n=32)

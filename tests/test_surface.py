@@ -174,6 +174,28 @@ def test_every_public_definition_is_referenced_in_src():
     assert not stale, "allowlisted but defined nowhere or referenced: " + ", ".join(stale)
 
 
+def test_every_registered_symbol_is_requested_in_src():
+    """``spectral._SYMBOLS`` is looked up by string, so the rule above cannot
+    see a dead entry: each key must be the string literal that names the
+    symbol in some ``.symbol(...)`` or ``_apply_symbol(...)`` call of
+    ``src/``.  A call that passes its name through, as ``_apply_symbol``
+    does, requests nothing itself."""
+    requested = set()
+    for tree in _src_trees().values():
+        for call in (node for node in ast.walk(tree) if isinstance(node, ast.Call)):
+            func = call.func
+            called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if called not in ("symbol", "_apply_symbol"):
+                continue
+            names = [arg.value for arg in call.args
+                     if isinstance(arg, ast.Constant) and isinstance(arg.value, str)]
+            requested.update(names[:1])
+    assert requested <= set(spectral._SYMBOLS), (
+        "requested but not registered: " + ", ".join(sorted(requested - set(spectral._SYMBOLS))))
+    unrequested = sorted(set(spectral._SYMBOLS) - requested)
+    assert not unrequested, "registered symbols no call in src/ requests: " + ", ".join(unrequested)
+
+
 def test_every_module_level_name_is_read_in_src():
     """A module-level constant that nothing in ``src/`` reads is dead."""
     trees = _src_trees()
