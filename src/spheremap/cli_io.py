@@ -346,7 +346,12 @@ def _sphere_from_snapshot(snap: Snapshot, q: np.ndarray | None) -> SphereField:
 
 def _cmd_run(args) -> int:
     config = parse_config(args.config, args.override, args.out, args.seed)
-    record = run(config)
+    try:
+        record = run(config)
+    except MemoryError as exc:
+        grid = config.grid
+        raise ConfigError(f"grid.d={grid.d}, grid.n={grid.n}: out of memory; one (3, n, ..., n) "
+                          f"float64 field takes {24 * grid.n**grid.d} bytes") from exc
     last = record.rows[-1]
     print(f"completed {len(record.rows)} diagnostic rows, final t = {_fmt(last.t)}")
     print(f"energy = {_fmt(last.energy)}  l2_dist_q = {_fmt(last.l2_dist_q)}")

@@ -15,8 +15,8 @@ Two integrators are provided:
   system (i d_t + Laplacian) psi_m = N_m(Psi); the linear phase
   exp(-i dt |xi|^2) is applied exactly, RK4 handles the nonlinearity.
   Between stages the step stays in Fourier space: ``msm_nonlinearity`` takes
-  and returns spectra, so a step is one fft, four six-transform stages and
-  one ifft (26 transforms at every d).
+  and returns spectra, so a step is one fft, four four-transform stages and
+  one ifft (18 transforms at every d).
   The config value ``strang-msm`` selects it; despite the name this is not
   Strang splitting, and the spelling stays for config compatibility.
 
@@ -213,10 +213,12 @@ def run(config: SimConfig) -> TrajectoryRecord:
 
     Deterministic: identical configs produce identical records and
     byte-identical output files.  Initial data with no Coulomb slice raise
-    FrameDegenerateError before the first step.  On a suspected blowup, a
-    state with no Coulomb slice (s near -q) or a non-finite diagnostics row
-    the partial record is persisted and returned with ``aborted=True``; the
-    reason names the step, the time, the failed check and the grid point.
+    FrameDegenerateError before the first step, and an output directory
+    that cannot be created raises OSError there too.  On a suspected
+    blowup, a state with no Coulomb slice (s near -q) or a non-finite
+    diagnostics row the partial record is persisted and returned with
+    ``aborted=True``; the reason names the step, the time, the failed check
+    and the grid point.
     """
     grid = config.grid
     dt = config.resolved_dt()
@@ -230,6 +232,8 @@ def run(config: SimConfig) -> TrajectoryRecord:
         rows=[diagnostics_row(0.0, sl, 0.0)],
         msm_mismatch=[0.0] if dual_track else None,
     )
+    if config.out_dir is not None:
+        os.makedirs(config.out_dir, exist_ok=True)  # an unusable path fails before any step
 
     work = _Rk4Work(grid)
     last_step = 0
@@ -280,7 +284,6 @@ def _persist(config: SimConfig, record: TrajectoryRecord) -> None:
     from .cli_io import emit_diagnostics_csv, emit_series_csv, save_snapshot
 
     out = config.out_dir
-    os.makedirs(out, exist_ok=True)
     emit_diagnostics_csv(record.rows, os.path.join(out, "diagnostics.csv"))
     for step, snap in record.snapshots:
         save_snapshot(

@@ -15,17 +15,19 @@ and psi satisfies a system of coupled nonlinear Schrodinger equations
 
     (i d_t + Laplacian) psi_m = N_m(Psi)
 
-with the cubic/quintic nonlinearity assembled in ``msm_nonlinearity``.  That
-kernel works spectrum in, 2/3-truncated spectrum out: each product is formed
-once in physical space from the truncated fields, each multiplier (including
-R_l R_l' fused into the one symbol -xi_l xi_l' / |xi|^2) acts in Fourier
-space, and the cross term's operands are the untruncated psi.  It issues six
-batched transforms at every d.  ``a_from_psi`` and ``a0_from_psi`` are
-physical-space wrappers over the same product spectra; they take T psi by
-per-axis products of the real stack (Re psi, Im psi), so each issues 2
-transforms, an rfft and an irfft.  Every sum over pairs of spatial indices
-(l <= l' or m < l) is a plain loop over the pairs in lexicographic order,
-as ``itertools`` lists them; the pair order lives in this module alone.
+with the cubic/quintic nonlinearity assembled in ``msm_nonlinearity``.  The
+Coulomb recovery of a and a0 from psi has one code path, ``_gauge_spectra``:
+T psi by per-axis products of the real stack (Re psi, Im psi), one rfft of
+the pair products and one irfft, with R_l R_l' fused into the one symbol
+-xi_l xi_l' / |xi|^2.  ``a_from_psi`` and ``a0_from_psi`` are its two
+slices, 2 transforms each.  The kernel works spectrum in, 2/3-truncated
+spectrum out: each product is formed once in physical space from the
+truncated fields, a and a0 come from the same recovery, the derivatives and
+the other masks are per-axis products, and the cross term's operands are
+the untruncated psi.  It issues four batched transforms at every d.  Every
+sum over pairs of spatial indices (l <= l' or m < l) is a plain loop over
+the pairs in lexicographic order, as ``itertools`` lists them; the pair
+order lives in this module alone.
 
 ``coulomb_slice`` is the one place a time slice is analysed: the transport
 pair rotated into the Coulomb gauge and checked once as the slice's one
@@ -93,61 +95,55 @@ def derive_psi(frame: Frame) -> np.ndarray:
     return psi
 
 
-def _gauge_spectra(grid: Grid, p: np.ndarray, psi: np.ndarray | None = None) -> tuple:
-    """Truncated half spectra (ac_hat, a0_hat) from p = T psi.
+def _gauge_spectra(grid: Grid, p: np.ndarray) -> np.ndarray:
+    """Truncated half spectra of (a_1, ..., a_d, a0) from p = T psi, stacked.
 
-    One rfft of the real products Re(p_l conj p_l') (l <= l'), Im(p_m conj
-    p_l) (m < l) and, when ``psi`` is given, Im(psi_m conj psi_l) (m < l)
-    formed from the untruncated psi; then the 2/3 mask T and a loop over
-    the pairs of spatial indices:
+    One rfft of the d^2 real products Re(p_l conj p_l') (l <= l') and
+    Im(p_m conj p_l) (m < l), then the 2/3 mask T and a loop over the pairs
+    of spatial indices:
 
         a_m = sum_{l != m} (i xi_l / |xi|^2) Im(p_m conj p_l)
         a0  = sum_l (R_l R_l + 1/2) Re(p_l conj p_l)
               + 2 sum_{l < l'} R_l R_l' Re(p_l conj p_l')
 
     with R_l R_l' the fused symbol -xi_l xi_l' / |xi|^2 and each pair's
-    weight the symbol ``potential_pair``.  The d rows of a_hat are followed
-    in ``ac_hat`` by the cross spectra Im(psi_m conj psi_l), none without
-    ``psi``.  Every sum starts from zero and runs in pair order.
+    weight the symbol ``potential_pair``.  Rows 0..d-1 are a_hat and row d
+    is a0_hat.  Every sum starts from zero and runs in pair order.
     """
     d = grid.d
     sym = list(combinations_with_replacement(range(d), 2))
     asym = list(combinations(range(d), 2))
-    nsym, nasym = len(sym), len(asym)
-    ncross = 0 if psi is None else nasym
     # filled in place: a list of products plus np.stack would hold them twice.
     # One product per pair, as written: the imaginary part of a complex
     # product can change in the last bit with the order of its operands, and
     # numpy's temporary elision computes x * conj(y) as conj(y) * x on fields
     # of 256 KiB and more; a stacked product would give other bits there.
-    rows = np.empty((nsym + nasym + ncross,) + grid.shape)
+    rows = np.empty((len(sym) + len(asym),) + grid.shape)
     for k, (l, lp) in enumerate(sym):
         rows[k] = (p[l] * np.conj(p[lp])).real
-    for k, (m, l) in enumerate(asym, start=nsym):
+    for k, (m, l) in enumerate(asym, start=len(sym)):
         rows[k] = (p[m] * np.conj(p[l])).imag
-        if psi is not None:
-            rows[k + nasym] = (psi[m] * np.conj(psi[l])).imag
     spec = grid.rfft(rows)
     spec *= grid.symbol("dealias", half=True)
 
-    ac_hat = np.zeros((d + ncross,) + spec.shape[1:], dtype=complex)
+    out = np.zeros((d + 1,) + spec.shape[1:], dtype=complex)
+    a_hat, a0_hat = out[:d], out[d]
     inv_grad = [grid.symbol("inv_gradient_riesz", l + 1, half=True) for l in range(d)]
-    for (m, l), im in zip(asym, spec[nsym:]):
-        ac_hat[m] += inv_grad[l] * im
-        ac_hat[l] -= inv_grad[m] * im
-    ac_hat[d:] = spec[nsym + nasym:]
-    a0_hat = np.zeros(spec.shape[1:], dtype=complex)
+    for (m, l), im in zip(asym, spec[len(sym):]):
+        a_hat[m] += inv_grad[l] * im
+        a_hat[l] -= inv_grad[m] * im
     for (l, lp), re in zip(sym, spec):
         a0_hat += grid.symbol("potential_pair", l + 1, lp + 1, half=True) * re
-    return ac_hat, a0_hat
+    return out
 
 
-def _truncated(grid: Grid, psi: np.ndarray) -> np.ndarray:
-    """p = T psi, T the 2/3 mask: ``real_dealias`` of the real stack
-    (Re psi, Im psi), recombined.  The real stacks are freed on return, so
-    the pair sums run beside p alone."""
-    re, im = real_dealias(grid, np.stack([psi.real, psi.imag]))
-    return re + 1j * im
+def _truncated(grid: Grid, psi: np.ndarray) -> tuple:
+    """T psi, T the 2/3 mask, as ``real_dealias`` of the real stack
+    (Re psi, Im psi) and as the complex p recombined from it.  A caller
+    that keeps p alone frees the real stack, so its pair sums run beside p
+    alone."""
+    parts = real_dealias(grid, np.stack([psi.real, psi.imag]))
+    return parts, parts[0] + 1j * parts[1]
 
 
 def a_from_psi(grid: Grid, psi: np.ndarray) -> np.ndarray:
@@ -159,17 +155,16 @@ def a_from_psi(grid: Grid, psi: np.ndarray) -> np.ndarray:
     is taken by products (``_truncated``), so the call issues 2 transforms,
     the rfft of the pair products and the irfft of a.
     """
-    a_hat, _ = _gauge_spectra(grid, _truncated(grid, psi))
-    return grid.irfft(a_hat)
+    return grid.irfft(_gauge_spectra(grid, _truncated(grid, psi)[1])[: grid.d])
 
 
 def a0_from_psi(grid: Grid, psi: np.ndarray) -> np.ndarray:
     """Temporal coefficient a0 = sum R_l R_l' Re(conj(psi_l) psi_l') + |Psi|^2/2.
 
-    The double Riesz sum runs over spatial indices only.
+    The double Riesz sum runs over spatial indices only; the call issues
+    the 2 transforms of ``a_from_psi``.
     """
-    _, a0_hat = _gauge_spectra(grid, _truncated(grid, psi))
-    return grid.irfft(a0_hat)
+    return grid.irfft(_gauge_spectra(grid, _truncated(grid, psi)[1])[grid.d])
 
 
 @dataclass(frozen=True)
@@ -251,37 +246,35 @@ def msm_nonlinearity(grid: Grid, psi_hat: np.ndarray) -> np.ndarray:
     with a and a0 recomputed from psi.  Spectrum in, truncated spectrum out:
     ``psi_hat`` is the full ``fft`` of psi and the result is the 2/3-masked
     ``fft`` of N.  Every product is formed once in physical space from the
-    truncated p = T psi and every multiplier acts in Fourier space, with
-    R_l R_l' fused into one symbol; the operands of the cross term
-    Im(psi_l conj psi_m) are the untruncated psi.  Six batched transforms at
-    every d: ifft of (p, d_l p_m, psi), rfft of the products, irfft of
-    (a, cross), rfft of sum_l a_l^2, irfft of the potential, fft of N.
-    The transformed stacks are filled in place, and the sums over index
-    pairs (a, a0 and the cross term) are loops over the pairs.
+    truncated p = T psi (``_truncated``); a and a0 are those of
+    ``a_from_psi`` and ``a0_from_psi`` (``_gauge_spectra``), and the
+    derivatives d_l p and the masks T of the cross term Im(psi_l conj psi_m)
+    (whose operands are the untruncated psi) and of sum_l a_l^2 are
+    products with the grid's per-axis matrices (``real_derivative``,
+    ``real_dealias``).  Four batched transforms at every d: ifft of psi,
+    rfft of the d^2 pair products, irfft of (a, a0), fft of N.  The sums
+    over index pairs (a, a0 and the cross term) are loops over the pairs.
     """
     d = grid.d
-    mask = grid.symbol("dealias", half=False)
-    # (p, d_l p_m, psi) filled in place and transformed in place
-    fields = np.empty((2 * d + d * d,) + grid.shape, dtype=complex)
-    p, dp, psi = fields[:d], fields[d: d + d * d].reshape((d, d) + grid.shape), fields[d + d * d:]
-    np.multiply(mask, psi_hat, out=p)
-    for m in range(d):
-        np.multiply(grid.symbol("partial_derivative", m + 1, half=False), p, out=dp[m])
-    psi[...] = psi_hat
-    grid.ifft(fields, out=fields)
+    pairs = list(combinations(range(d), 2))
+    psi = grid.ifft(psi_hat)
+    parts, p = _truncated(grid, psi)  # T psi as (Re, Im) and as complex
+    a = grid.irfft(_gauge_spectra(grid, p))  # (a_1, ..., a_d, a0)
+    # T of the cross products Im(psi_m conj psi_l), m < l, and of sum_l a_l^2
+    rows = np.empty((len(pairs) + 1,) + grid.shape)
+    for k, (m, l) in enumerate(pairs):
+        rows[k] = (psi[m] * np.conj(psi[l])).imag
+    np.sum(a[:d] * a[:d], axis=0, out=rows[-1])
+    cross = real_dealias(grid, rows)
 
-    ac_hat, a0_hat = _gauge_spectra(grid, p, psi)
-    a_cross = grid.irfft(ac_hat)
-    a, cross = a_cross[:d], a_cross[d:]
-    potential = grid.irfft(
-        a0_hat + grid.symbol("dealias", half=True) * grid.rfft(np.sum(a * a, axis=0))
-    )
-
-    out = potential * p
-    out -= 2j * np.sum(a[:, None] * dp, axis=0)
+    # sum_l a_l d_l p as the real stack (Re, Im); -2i times it is (2 Im, -2 Re)
+    grad = sum(a[l] * real_derivative(grid, parts, l + 1) for l in range(d))
+    out = (a[d] + cross[-1]) * p
+    out.real += 2.0 * grad[1]
+    out.imag -= 2.0 * grad[0]
     # c = Im(psi_m conj psi_l) adds i c p_m to N_l and -i c p_l to N_m
-    for c, (m, l) in zip(1j * cross, combinations(range(d), 2)):
+    for c, (m, l) in zip(1j * cross[:-1], pairs):
         out[l] += c * p[m]
         out[m] -= c * p[l]
     grid.fft(out, out=out)
-    return np.multiply(mask, out, out=out)
+    return np.multiply(grid.symbol("dealias", half=False), out, out=out)

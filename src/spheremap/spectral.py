@@ -12,8 +12,8 @@ lattice.  Conventions:
   (``Grid.rfft`` / ``Grid.irfft``) or per-axis products.  A complex field
   such as psi is analysed as the real stack (Re psi, Im psi).  The full
   ``Grid.fft`` / ``Grid.ifft`` serve the derived-field integrator alone
-  (``evolve_msm``, ``msm_nonlinearity``, ``align_phase``), whose spectra
-  are complex.
+  (``evolve_msm``, ``align_phase`` and the ifft of psi and fft of N that
+  bracket each ``msm_nonlinearity`` stage), whose spectra are complex.
 * The separable-multiplier rule: a multiplier that is a sum or a product of
   one-axis symbols acts along each axis as the real n x n circulant
   F^-1 diag(sigma) F (Trefethen, *Spectral Methods in MATLAB*, ch. 3), so
@@ -27,16 +27,16 @@ lattice.  Conventions:
   time this way than through transforms, most at d = 4 (about 2.5 and 1.7
   times less at n = 12).  What is not separable stays on the FFT: the
   Coulomb fix's Poisson inverse (one rfft of div a, one irfft of chi), the
-  Riesz-type symbols, the |xi|^sigma weights, the pair-product kernels of
-  ``a_from_psi`` and the Fourier-space ``msm_nonlinearity`` that keeps
-  spectra between steps.
+  Riesz-type symbols, the |xi|^sigma weights, and the pair products behind
+  a and a0 that ``a_from_psi`` and ``msm_nonlinearity`` share.  Inside a
+  ``msm_nonlinearity`` stage T psi, d_l T psi and the masks of its products
+  are per-axis products too; only its input and output stay spectra.
 * The four ``Grid`` transforms give the bits of ``np.fft.fftn``,
   ``ifftn``, ``rfftn`` and ``irfftn`` but call the 1-D ``np.fft``
   transforms themselves, in numpy's axis order: on the small grids used
   here the n-D wrappers cost more than a pass.  The first pass writes a
-  new array, or for ``fft`` and ``ifft`` an optional ``out`` array, and
-  the others run in place there, at every d; no transform overwrites its
-  input.
+  new array, or for ``fft`` an optional ``out`` array, and the others run
+  in place there, at every d; no transform overwrites its input.
 * Every symbol is built once per grid by name (``_SYMBOLS``, cached by
   ``Grid.symbol``); Fourier-space kernels such as the gauge nonlinearity
   and the Coulomb fix's Poisson solve multiply the same cached symbols.
@@ -205,11 +205,13 @@ class Grid:
             f = out = np.fft.fft(f, axis=axis, out=out)
         return out
 
-    def ifft(self, fhat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def ifft(self, fhat: np.ndarray) -> np.ndarray:
         """Inverse of ``fft``: ``np.fft.ifftn`` over the last d axes, bit for
-        bit, through 1-D transforms that write into ``out`` like ``fft``."""
-        for axis in range(-1, -self.d - 1, -1):
-            fhat = out = np.fft.ifft(fhat, axis=axis, out=out)
+        bit, through 1-D transforms in its order, the first into a new array
+        and the others in place there."""
+        out = np.fft.ifft(fhat, axis=-1)
+        for axis in range(-2, -self.d - 1, -1):
+            np.fft.ifft(out, axis=axis, out=out)
         return out
 
     def rfft(self, f: np.ndarray) -> np.ndarray:

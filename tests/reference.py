@@ -45,6 +45,8 @@ from spheremap.spectral import (
     _safe_power,
     eta0,
     l2_norm,
+    real_dealias,
+    real_derivative,
 )
 
 
@@ -213,22 +215,20 @@ def poisson_zero_mean(grid: Grid, rhs: np.ndarray) -> np.ndarray:
     return apply_symbol(grid, rhs, "poisson_zero_mean")
 
 
-def gauge_spectra_by_pairs(grid: Grid, p: np.ndarray, psi: np.ndarray | None = None) -> tuple:
-    """Truncated half spectra (a_hat, a0_hat, cross_hat) of the gauge
-    kernel, one pair of indices at a time, through ``np.fft.rfftn``."""
+def gauge_spectra_by_pairs(grid: Grid, p: np.ndarray) -> tuple:
+    """Truncated half spectra (a_hat, a0_hat) of the gauge kernel, one pair
+    of indices at a time, through ``np.fft.rfftn``."""
     d = grid.d
     sym = [(l, lp) for l in range(d) for lp in range(l, d)]
     asym = [(m, l) for m in range(d) for l in range(m + 1, d)]
-    rows = np.empty((len(sym) + len(asym) * (1 if psi is None else 2),) + grid.shape)
+    rows = np.empty((len(sym) + len(asym),) + grid.shape)
     for k, (l, lp) in enumerate(sym):
         rows[k] = (p[l] * np.conj(p[lp])).real
     for k, (m, l) in enumerate(asym, start=len(sym)):
         rows[k] = (p[m] * np.conj(p[l])).imag
-        if psi is not None:
-            rows[k + len(asym)] = (psi[m] * np.conj(psi[l])).imag
     spec = np.fft.rfftn(rows, axes=tuple(range(-d, 0)))
     spec *= grid.symbol("dealias", half=True)
-    re_hat, im_hat = spec[: len(sym)], spec[len(sym): len(sym) + len(asym)]
+    re_hat, im_hat = spec[: len(sym)], spec[len(sym):]
 
     a_hat = np.zeros((d,) + spec.shape[1:], dtype=complex)
     for (m, l), im in zip(asym, im_hat):
@@ -238,35 +238,40 @@ def gauge_spectra_by_pairs(grid: Grid, p: np.ndarray, psi: np.ndarray | None = N
     for (l, lp), re in zip(sym, re_hat):
         rr = np.ascontiguousarray(_riesz_pair(grid, l + 1, lp + 1)[..., : grid.n // 2 + 1])
         a0_hat += (rr + 0.5) * re if l == lp else 2.0 * rr * re
-    return a_hat, a0_hat, spec[len(sym) + len(asym):]
+    return a_hat, a0_hat
 
 
 def nonlinearity_by_pairs(grid: Grid, psi_hat: np.ndarray) -> np.ndarray:
-    """``msm_nonlinearity`` with the cross term summed one pair at a time and
-    every transform a numpy n-D call on a fresh array."""
+    """``msm_nonlinearity`` with every per-axis product taken on one field
+    or one pair at a time, the derivative term and the cross term summed
+    one index or pair at a time, and every transform a numpy n-D call on a
+    fresh array."""
     d = grid.d
     axes = tuple(range(-d, 0))
-    mask = grid.dealias_mask
-    p_hat = mask * psi_hat
-    grad = np.stack([grid.symbol("partial_derivative", m, half=False) * p_hat
-                     for m in range(1, d + 1)])
-    fields = np.fft.ifftn(np.concatenate([p_hat, grad.reshape((d * d,) + grid.shape), psi_hat]),
-                          axes=axes)
-    p, dp, psi = fields[:d], fields[d: d + d * d].reshape((d, d) + grid.shape), fields[d + d * d:]
+    pairs = [(m, l) for m in range(d) for l in range(m + 1, d)]
+    psi = np.fft.ifftn(psi_hat, axes=axes)
+    p = np.empty_like(psi)
+    for m in range(d):
+        p[m] = real_dealias(grid, psi[m].real) + 1j * real_dealias(grid, psi[m].imag)
 
-    a_hat, a0_hat, cross_hat = gauge_spectra_by_pairs(grid, p, psi)
-    a_cross = np.fft.irfftn(np.concatenate([a_hat, cross_hat]), s=grid.shape, axes=axes)
-    a, cross = a_cross[:d], a_cross[d:]
-    potential = np.fft.irfftn(
-        a0_hat + grid.symbol("dealias", half=True) * np.fft.rfftn(np.sum(a * a, axis=0), axes=axes),
-        s=grid.shape, axes=axes,
-    )
-    out = potential * p - 2j * np.sum(a[:, None] * dp, axis=0)
-    pairs = ((m, l) for m in range(d) for l in range(m + 1, d))
-    for c, (m, l) in zip(cross, pairs):
-        out[l] += 1j * c * p[m]
-        out[m] -= 1j * c * p[l]
-    return mask * np.fft.fftn(out, axes=axes)
+    a_hat, a0_hat = gauge_spectra_by_pairs(grid, p)
+    a = np.fft.irfftn(a_hat, s=grid.shape, axes=axes)
+    potential = np.fft.irfftn(a0_hat, s=grid.shape, axes=axes)
+    potential += real_dealias(grid, np.sum(a * a, axis=0))
+
+    grad_re, grad_im = np.zeros(psi.shape), np.zeros(psi.shape)
+    for l in range(d):
+        for m in range(d):
+            grad_re[m] += a[l] * real_derivative(grid, np.ascontiguousarray(p[m].real), l + 1)
+            grad_im[m] += a[l] * real_derivative(grid, np.ascontiguousarray(p[m].imag), l + 1)
+    out = potential * p
+    out.real += 2.0 * grad_im
+    out.imag -= 2.0 * grad_re
+    for m, l in pairs:
+        c = 1j * real_dealias(grid, (psi[m] * np.conj(psi[l])).imag)
+        out[l] += c * p[m]
+        out[m] -= c * p[l]
+    return grid.dealias_mask * np.fft.fftn(out, axes=axes)
 
 
 def evolve_by_pairs(grid: Grid, psi: np.ndarray, dt: float) -> np.ndarray:

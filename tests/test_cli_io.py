@@ -485,6 +485,39 @@ class TestCliRun:
         point = ", ".join(["4"] * d)
         assert f"1 + s.q = 0.000e+00 at grid point ({point})" in capsys.readouterr().err
 
+    def test_unusable_out_rejected_before_any_step(self, config_file, tmp_path, capsys,
+                                                   monkeypatch):
+        def no_step(*args, **kwargs):
+            raise AssertionError("stepped with an output directory that cannot exist")
+
+        monkeypatch.setattr("spheremap.evolution.rk4_update", no_step)
+        blocker = tmp_path / "F"
+        blocker.write_text("a regular file")
+        out = blocker / "out"
+        assert cli_main(["run", "--config", config_file, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert str(out) in err
+        assert blocker.read_text() == "a regular file"
+
+    @pytest.mark.parametrize("d, n", [(2, 16), (4, 8)])
+    def test_out_of_memory_for_the_data_names_the_grid(self, config_file, tmp_path, capsys,
+                                                        monkeypatch, d, n):
+        # the patch stands for an allocation too large for the machine
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr("spheremap.evolution.generate_initial", no_memory)
+        out = tmp_path / "big"
+        rc = cli_main(["run", "--config", config_file, "--out", str(out),
+                       "--override", f"grid.d={d}", "--override", f"grid.n={n}"])
+        assert rc == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"grid.d={d}, grid.n={n}" in err
+        assert f"{24 * n**d} bytes" in err
+
     def test_negative_dt_steps_backwards(self, config_file, tmp_path):
         # the flow is time-reversible, so a stable negative step is legal
         out = tmp_path / "back"
