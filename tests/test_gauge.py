@@ -607,8 +607,16 @@ class TestPairSumTemporaries:
         g = Grid(d=d, n=n)
         assert peak_fields(g, a_from_psi, random_full_spectrum_psi(g, seed=d)) < bound
 
-    @pytest.mark.parametrize("d, n, bound", [(3, 16, 29.0), (4, 12, 40.0)])
+    @pytest.mark.parametrize("d, n, bound", [(3, 16, 39.0), (4, 12, 64.0)])
     def test_msm_nonlinearity(self, d, n, bound):
+        g = Grid(d=d, n=n)
+        psi_hat = g.fft(random_full_spectrum_psi(g, seed=d))
+        assert peak_fields(g, msm_nonlinearity, psi_hat) < bound
+
+    @pytest.mark.parametrize("d, n, bound", [(3, 16, 29.0), (4, 12, 40.0)])
+    def test_msm_nonlinearity_shares_the_gauge_recovery(self, d, n, bound):
+        # a and a0 come from the one _gauge_spectra call, with no
+        # full-spectrum mask or derivative-symbol temporaries
         g = Grid(d=d, n=n)
         psi_hat = g.fft(random_full_spectrum_psi(g, seed=d))
         assert peak_fields(g, msm_nonlinearity, psi_hat) < bound
