@@ -75,13 +75,13 @@ _UMASK = os.umask(0o022)
 os.umask(_UMASK)
 
 
-def _atomic_write(path: str, data: bytes) -> None:
+def _atomic_write(path: str, *parts) -> None:
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
                                prefix=os.path.basename(path) + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
             os.fchmod(fh.fileno(), 0o666 & ~_UMASK)
-            fh.write(data)
+            fh.writelines(parts)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -98,16 +98,16 @@ def save_snapshot(values: np.ndarray, grid: Grid, time: float, path: str) -> Non
     payload = np.moveaxis(values, 0, -1)  # interleave components per point
     if np.iscomplexobj(payload):
         raise ValueError("snapshot payload must be real")
-    payload_bytes = np.ascontiguousarray(payload, dtype="<f8").tobytes()
+    payload = np.ascontiguousarray(payload, dtype="<f8")  # the one copy: crc32 and write read it
 
     header = bytearray()
     header += _MAGIC
     header += struct.pack("<III", _VERSION, _KIND_VECTOR3, grid.d)
     header += struct.pack(f"<{grid.d}I", *((grid.n,) * grid.d))
     header += struct.pack("<ddQ", grid.length, float(time), payload.size)
-    header += struct.pack("<I", zlib.crc32(payload_bytes))
-    header += struct.pack("<I", zlib.crc32(bytes(header)))
-    _atomic_write(path, bytes(header) + payload_bytes)
+    header += struct.pack("<I", zlib.crc32(payload))
+    header += struct.pack("<I", zlib.crc32(header))
+    _atomic_write(path, header, payload)
 
 
 def load_snapshot(path: str, expect_grid: Grid | None = None) -> Snapshot:
@@ -432,6 +432,8 @@ def _cmd_sweep(args) -> int:
                                         out_dir=None, seed=args.seed))
         except ValueError as exc:
             raise ConfigError(f"{target} = {value}: {exc}") from exc
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)  # an unusable path fails before the first slice
 
     rows = []
     suites = []
@@ -460,7 +462,6 @@ def _cmd_sweep(args) -> int:
 def _emit_sweep(out: str | None, target: str, suites: list, rows: list) -> None:
     """Write the rows computed so far to ``out``/sweep.csv, if any and ``out`` is set."""
     if out and rows:
-        os.makedirs(out, exist_ok=True)
         header = [target, *suites[0], "frame_ratio"]
         emit_series_csv(header, rows, os.path.join(out, "sweep.csv"))
         print(f"summary written to {os.path.join(out, 'sweep.csv')}")

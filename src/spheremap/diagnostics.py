@@ -224,8 +224,10 @@ def xk_norm(rec: SpaceTimeRecord, k: int) -> float:
             f"{tau_nyquist:.3g} below max |xi|^2 = {xi_sq_max:.3g} on the annulus"
         )
 
-    taper = np.hanning(nt).reshape((nt,) + (1,) * grid.d)
-    fhat = np.fft.fftn(rec.values * taper)[:, annulus]
+    fhat = np.multiply(rec.values, np.hanning(nt).reshape((nt,) + (1,) * grid.d), dtype=complex)
+    for axis in range(grid.d, -1, -1):  # np.fft.fftn's order, in the one complex copy
+        np.fft.fft(fhat, axis=axis, out=fhat)
+    fhat = fhat[:, annulus]
     tau = 2.0 * np.pi * np.fft.fftfreq(nt, d=dt)
     mu = tau[:, np.newaxis] + xi_sq[np.newaxis]
 

@@ -24,11 +24,11 @@ Two integrators are provided:
 analyses one Coulomb slice per cadence tick for the diagnostics row, and
 optionally co-evolves the derived fields to track the mismatch between the
 two formulations (the constant per-slice phase freedom is aligned on the
-largest Fourier mode of psi_1 before differencing).  A run that leaves the
-regime of validity (a field length outside [1/2, 2], a map that reaches the
-antipode -q of its base point, where the slice's transport frame does not
-exist, or a non-finite row) ends as a recorded abort with its partial
-outputs.
+largest Fourier mode of psi_1 before differencing).  It writes each
+snapshot as it is taken.  A run that leaves the regime of validity (a field
+length outside [1/2, 2], a map that reaches the antipode -q, where the
+slice's transport frame does not exist, or a non-finite row) or runs out of
+memory in its step loop ends as a recorded abort with its partial outputs.
 """
 
 from __future__ import annotations
@@ -199,43 +199,51 @@ class SimConfig:
 
 @dataclass
 class TrajectoryRecord:
-    """Snapshots, diagnostics rows, and optional derived-field mismatch series."""
+    """Rows, snapshot steps, the last state and the mismatch series of a run."""
 
-    snapshots: list            # (step, SphereField) pairs, subsampled
     rows: list                 # DiagnosticsRow per recorded time
+    snapshot_steps: list       # increasing; the last is that of last_state
+    last_state: SphereField
     aborted: bool = False
     abort_reason: str | None = None
     msm_mismatch: list | None = None   # aligned relative L2 difference per row
 
 
 def run(config: SimConfig) -> TrajectoryRecord:
-    """Execute one run and persist outputs if an output directory is set.
+    """Execute one run and write its outputs if an output directory is set.
 
     Deterministic: identical configs produce identical records and
-    byte-identical output files.  Initial data with no Coulomb slice raise
+    byte-identical output files.  Each snapshot (step 0, every
+    ``snapshot_every``-th step, the last state) is written when taken, the
+    CSVs at the end.  Initial data with no Coulomb slice raise
     FrameDegenerateError before the first step, and an output directory
     that cannot be created raises OSError there too.  On a suspected
-    blowup, a state with no Coulomb slice (s near -q) or a non-finite
-    diagnostics row the partial record is persisted and returned with
-    ``aborted=True``; the reason names the step, the time, the failed check
-    and the grid point.
+    blowup, a state with no Coulomb slice (s near -q), a non-finite row or
+    a MemoryError in the step loop the partial record is written and
+    returned with ``aborted=True``; the reason names the step, the time,
+    the cause and, where the check has one, the grid point.
     """
     grid = config.grid
     dt = config.resolved_dt()
     s = generate_initial(config.initial, grid)
     sl = coulomb_slice(s)
+    work = _Rk4Work(grid)  # the data's allocations all precede any output
 
     dual_track = config.integrator == "strang-msm"
     psi = sl.psi if dual_track else None
-    record = TrajectoryRecord(
-        snapshots=[(0, s)],
-        rows=[diagnostics_row(0.0, sl, 0.0)],
-        msm_mismatch=[0.0] if dual_track else None,
-    )
-    if config.out_dir is not None:
-        os.makedirs(config.out_dir, exist_ok=True)  # an unusable path fails before any step
+    record = TrajectoryRecord(rows=[diagnostics_row(0.0, sl, 0.0)], snapshot_steps=[], last_state=s,
+                              msm_mismatch=[0.0] if dual_track else None)
+    out = config.out_dir
+    if out is not None:
+        os.makedirs(out, exist_ok=True)  # an unusable path fails before any step
+        from .cli_io import save_snapshot  # here: cli_io sits above this module
 
-    work = _Rk4Work(grid)
+    def snapshot(step: int) -> None:  # of the current state s
+        if out is not None:
+            save_snapshot(s.values, grid, step * dt, os.path.join(out, f"snapshot_{step:08d}.bin"))
+        record.snapshot_steps.append(step)
+
+    snapshot(0)
     last_step = 0
     for k in range(1, config.steps + 1):
         t = k * dt
@@ -247,31 +255,31 @@ def run(config: SimConfig) -> TrajectoryRecord:
             if tick:
                 sl = coulomb_slice(s)
                 row = diagnostics_row(t, sl, violation)
+            if dual_track:
+                psi = evolve_msm(grid, psi, dt)
+            if tick:
+                record.rows.append(row)
+                if dual_track:
+                    record.msm_mismatch.append(_relative_psi_mismatch(grid, psi, sl.psi))
+            if config.snapshot_every and k % config.snapshot_every == 0:
+                snapshot(k)
         # FrameDegenerateError and the non-finite row are ValueErrors
-        except (BlowupSuspectedError, ValueError) as exc:
+        except (BlowupSuspectedError, ValueError, MemoryError) as exc:
             record.aborted = True
             record.abort_reason = _abort_reason(k, t, exc, sl)
             break
-        if dual_track:
-            psi = evolve_msm(grid, psi, dt)
-        if tick:
-            record.rows.append(row)
-            if dual_track:
-                record.msm_mismatch.append(_relative_psi_mismatch(grid, psi, sl.psi))
-        if config.snapshot_every and k % config.snapshot_every == 0:
-            record.snapshots.append((k, s))
 
-    if record.snapshots[-1][1] is not s:
-        record.snapshots.append((last_step, s))
-
-    if config.out_dir is not None:
-        _persist(config, record)
+    record.last_state = s
+    if record.snapshot_steps[-1] != last_step:
+        snapshot(last_step)
+    if out is not None:
+        _persist(out, record)
     return record
 
 
 def _abort_reason(k: int, t: float, exc: Exception, sl: CoulombSlice | None) -> str:
     reason = f"step {k}, t = {t:.6g}: {type(exc).__name__}: {exc}"
-    if sl is not None:
+    if sl is not None and not isinstance(exc, MemoryError):
         # the row failed on a built slice: name its first non-finite or largest psi
         mag = np.sum(np.abs(sl.psi) ** 2, axis=0)
         point = _worst_point(np.where(np.isfinite(mag), mag, np.inf))
@@ -279,20 +287,10 @@ def _abort_reason(k: int, t: float, exc: Exception, sl: CoulombSlice | None) -> 
     return reason
 
 
-def _persist(config: SimConfig, record: TrajectoryRecord) -> None:
-    # imported here: cli_io sits above this module in the dependency order
-    from .cli_io import emit_diagnostics_csv, emit_series_csv, save_snapshot
+def _persist(out: str, record: TrajectoryRecord) -> None:
+    from .cli_io import emit_diagnostics_csv, emit_series_csv
 
-    out = config.out_dir
     emit_diagnostics_csv(record.rows, os.path.join(out, "diagnostics.csv"))
-    for step, snap in record.snapshots:
-        save_snapshot(
-            snap.values, snap.grid, step * config.resolved_dt(),
-            os.path.join(out, f"snapshot_{step:08d}.bin"),
-        )
     if record.msm_mismatch is not None:
-        emit_series_csv(
-            ["t", "msm_rel_mismatch"],
-            list(zip([r.t for r in record.rows], record.msm_mismatch)),
-            os.path.join(out, "msm_mismatch.csv"),
-        )
+        rows = zip([r.t for r in record.rows], record.msm_mismatch)
+        emit_series_csv(["t", "msm_rel_mismatch"], rows, os.path.join(out, "msm_mismatch.csv"))

@@ -20,14 +20,10 @@ Coulomb recovery of a and a0 from psi has one code path, ``_gauge_spectra``:
 T psi by per-axis products of the real stack (Re psi, Im psi), one rfft of
 the pair products and one irfft, with R_l R_l' fused into the one symbol
 -xi_l xi_l' / |xi|^2.  ``a_from_psi`` and ``a0_from_psi`` are its two
-slices, 2 transforms each.  The kernel works spectrum in, 2/3-truncated
-spectrum out: each product is formed once in physical space from the
-truncated fields, a and a0 come from the same recovery, the derivatives and
-the other masks are per-axis products, and the cross term's operands are
-the untruncated psi.  It issues four batched transforms at every d.  Every
-sum over pairs of spatial indices (l <= l' or m < l) is a plain loop over
-the pairs in lexicographic order, as ``itertools`` lists them; the pair
-order lives in this module alone.
+slices, 2 transforms each, and ``msm_nonlinearity`` takes both from one
+call.  Every sum over pairs of spatial indices (l <= l' or m < l) is a
+plain loop over the pairs in lexicographic order, as ``itertools`` lists
+them; the pair order lives in this module alone.
 
 ``coulomb_slice`` is the one place a time slice is analysed: the transport
 pair rotated into the Coulomb gauge and checked once as the slice's one
@@ -41,12 +37,8 @@ of its own.
 ``CoulombSlice.residuals`` quantifies, in L2, how well the structural
 identities (derivative compatibility, connection curvature, and the
 time-slice relation for psi_0) hold for the discretely computed fields; for
-frame-derived data they decay spectrally under grid refinement.  The
-residuals are formed in physical space, with the covariant derivative
-D_m f = d_m f + i T(T a_m T f), T the 2/3 mask: every d_m and T is a
-product with the grid's per-axis matrices, the norms are quadrature sums,
-d_t s comes from ``flow_rhs`` and div a is the norm ``coulomb_fix``
-returned.  The residuals issue no transform.
+frame-derived data they decay spectrally under grid refinement.  They are
+formed in physical space by per-axis products and issue no transform.
 """
 
 from __future__ import annotations
@@ -124,6 +116,7 @@ def _gauge_spectra(grid: Grid, p: np.ndarray) -> np.ndarray:
     for k, (m, l) in enumerate(asym, start=len(sym)):
         rows[k] = (p[m] * np.conj(p[l])).imag
     spec = grid.rfft(rows)
+    del rows  # the d^2 products are not needed past their transform
     spec *= grid.symbol("dealias", half=True)
 
     out = np.zeros((d + 1,) + spec.shape[1:], dtype=complex)
@@ -188,42 +181,47 @@ class CoulombSlice:
         psi_0 = (d_t s).v + i (d_t s).w for the flow's d_t s = s x Laplacian s.
         Every d_m and every T is a product with the grid's per-axis matrices
         (``real_derivative``, ``real_dealias``) on the real stacks
-        (Re psi_m, Im psi_m, a_m), one pair (m, l) at a time so that no more
-        than a few fields are held, d_t s is ``flow_rhs`` and the three norms
-        are quadrature sums (``l2_norm``): no transform.  div a is the
-        slice's ``div_a``, the divergence that ``coulomb_fix`` cancelled,
-        read to multiplier exactness.
+        (Re psi_m, Im psi_m, a_m), one m or one pair (m, l) at a time in
+        reused buffers, and the T stack is freed before ``flow_rhs`` gives
+        d_t s; the three norms are quadrature sums (``l2_norm``): no
+        transform.  div a is the slice's ``div_a``, the divergence that
+        ``coulomb_fix`` cancelled, read to multiplier exactness.
         """
         grid = self.frame.grid
         d, psi = grid.d, self.psi
-        # the per-axis matrices are real: (Re psi_m, Im psi_m, a_m) for each m
-        fields = np.stack([psi.real, psi.imag, self.a], axis=1)
-        tre, tim, ta = np.moveaxis(real_dealias(grid, fields), 1, 0)
+        buf, src = np.empty((3,) + grid.shape), np.empty((3,) + grid.shape)
+
+        def load(m):  # the per-axis matrices are real: (Re psi_m, Im psi_m, a_m)
+            buf[0], buf[1], buf[2] = psi[m].real, psi[m].imag, self.a[m]
+            return buf
+
+        tre, tim, ta = np.empty((3, d) + grid.shape)
+        for m in range(d):
+            tre[m], tim[m], ta[m] = real_dealias(grid, load(m))
         compat, curvature = [], []
         for m, l in combinations(range(d), 2):
             # Re and Im of T a_l T psi_m - T a_m T psi_l, then T Im(psi_l conj psi_m)
-            t_re, t_im, t_src = real_dealias(grid, np.stack([
-                ta[l] * tre[m] - ta[m] * tre[l],
-                ta[l] * tim[m] - ta[m] * tim[l],
-                (psi[l] * np.conj(psi[m])).imag,
-            ]))
-            curl = real_derivative(grid, fields[m], l + 1) - real_derivative(grid, fields[l], m + 1)
+            np.subtract(ta[l] * tre[m], ta[m] * tre[l], out=src[0])
+            np.subtract(ta[l] * tim[m], ta[m] * tim[l], out=src[1])
+            src[2] = (psi[l] * np.conj(psi[m])).imag
+            t_re, t_im, t_src = real_dealias(grid, src)
+            curl = real_derivative(grid, load(m), l + 1)
+            curl -= real_derivative(grid, load(l), m + 1)
             # D_l psi_m - D_m psi_l = d_l psi_m - d_m psi_l + i T(...), whose
             # norm is that of its real and imaginary parts
             compat.append(np.hypot(l2_norm(grid, curl[0] - t_im), l2_norm(grid, curl[1] + t_re)))
             curvature.append(l2_norm(grid, curl[2] - t_src))
+            del t_re, t_im, t_src, curl  # one pair's fields at a time
         # sum_m D_m psi_m = sum_m d_m psi_m + i T(sum_m T a_m T psi_m)
-        div = sum(real_derivative(grid, fields[m, :2], m + 1) for m in range(d))
+        div = sum(real_derivative(grid, load(m)[:2], m + 1) for m in range(d))
         t_re, t_im = real_dealias(grid, np.stack([np.sum(ta * tre, axis=0), np.sum(ta * tim, axis=0)]))
+        del tre, tim, ta
         covariant_div = (div[0] - t_im) + 1j * (div[1] + t_re)
         dts = flow_rhs(grid, self.frame.s.values)
         psi0 = np.sum(dts * self.frame.v, axis=0) + 1j * np.sum(dts * self.frame.w, axis=0)
-        return {
-            "div_a": self.div_a,
-            "res_compatibility": float(max(compat)),
-            "res_curvature": max(curvature),
-            "res_psi0": l2_norm(grid, psi0 - 1j * covariant_div),
-        }
+        return {"div_a": self.div_a, "res_compatibility": float(max(compat)),
+                "res_curvature": max(curvature),
+                "res_psi0": l2_norm(grid, psi0 - 1j * covariant_div)}
 
 
 def coulomb_slice(s: SphereField) -> CoulombSlice:

@@ -23,7 +23,7 @@ from spheremap.cli_io import (
     save_snapshot,
 )
 from spheremap.diagnostics import DiagnosticsRow, critical_norm
-from spheremap.evolution import rk4_update
+from spheremap.evolution import rk4_update, step_rk4_projected
 from spheremap.gauge import coulomb_slice
 from spheremap.initial_data import InitialDataSpec, generate_initial
 from spheremap.spectral import Grid
@@ -152,6 +152,17 @@ class TestSnapshotRoundtrip:
         save_snapshot(s.values, g, 2.0, path)
         snap = load_snapshot(path, expect_grid=g)
         assert np.array_equal(snap.values, s.values)
+
+    def test_file_is_the_header_then_the_interleaved_payload(self, tmp_path):
+        g = Grid(d=3, n=8)
+        values = generate_initial(InitialDataSpec(amplitude=0.1, seed=4), g).values
+        path = tmp_path / "field3.bin"
+        save_snapshot(values, g, 0.5, str(path))
+        payload = np.ascontiguousarray(np.moveaxis(values, 0, -1), dtype="<f8").tobytes()
+        header = (b"SPHMAP\x00\x01" + struct.pack("<IIIIII", 1, 3, 3, 8, 8, 8)
+                  + struct.pack("<ddQ", g.length, 0.5, values.size)
+                  + struct.pack("<I", zlib.crc32(payload)))
+        assert path.read_bytes() == header + struct.pack("<I", zlib.crc32(header)) + payload
 
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "bogus.bin"
@@ -518,6 +529,32 @@ class TestCliRun:
         assert f"grid.d={d}, grid.n={n}" in err
         assert f"{24 * n**d} bytes" in err
 
+    def test_memory_error_in_the_step_loop_is_a_recorded_abort(self, config_file, tmp_path,
+                                                               capsys, monkeypatch):
+        # the patch stands for an allocation that fails at step 3; the rows
+        # and snapshots of steps 0-2 are on disk
+        calls = {"n": 0}
+
+        def step(s, dt, work):
+            calls["n"] += 1
+            if calls["n"] == 3:
+                raise MemoryError("no room for the stage")
+            return step_rk4_projected(s, dt, work)
+
+        monkeypatch.setattr("spheremap.evolution.step_rk4_projected", step)
+        out = tmp_path / "oom"
+        rc = cli_main(["run", "--config", config_file, "--out", str(out), "--override",
+                       "time.steps=6", "--override", "run.cadence=1",
+                       "--override", "run.snapshot_every=1"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "run aborted: step 3, t = " in err
+        assert "MemoryError: no room for the stage" in err
+        assert len((out / "diagnostics.csv").read_text().splitlines()) == 1 + 3
+        assert sorted(os.listdir(out)) == ["diagnostics.csv"] + [
+            f"snapshot_{k:08d}.bin" for k in range(3)]
+
     def test_negative_dt_steps_backwards(self, config_file, tmp_path):
         # the flow is time-reversible, so a stable negative step is legal
         out = tmp_path / "back"
@@ -815,6 +852,23 @@ class TestCliSweep:
         out, err = capsys.readouterr()
         assert out == ""
         assert "error: initial.amplitude = abc: " in err
+
+    def test_unusable_out_rejected_before_any_slice(self, config_file, tmp_path, capsys,
+                                                    monkeypatch):
+        def no_slice(*args, **kwargs):
+            raise AssertionError("swept a value with an output directory that cannot exist")
+
+        monkeypatch.setattr("spheremap.cli_io.coulomb_slice", no_slice)
+        blocker = tmp_path / "F"
+        blocker.write_text("a regular file")
+        out = blocker / "out"
+        rc = cli_main(["sweep", "--config", config_file, "--vary", "grid.n=16,32",
+                       "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert str(out) in captured.err
 
     def test_rows_before_a_failing_value_written(self, config_file, tmp_path, capsys):
         out_dir = tmp_path / "swout"

@@ -1,5 +1,6 @@
 """Tests for conservation monitors, stability probes and space-time norms."""
 
+import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
@@ -358,6 +359,24 @@ class TestXkNorm:
         rec = make_record(g, 16, 1.0, lambda t: np.zeros(g.shape))  # Nyquist pi < 16
         with pytest.raises(ValueError, match="modulation"):
             xk_norm(rec, 1)
+
+
+def test_xk_norm_holds_one_copy_of_its_record():
+    # monitor-d4's psi_1 record: 11 complex samples at (4,12), tapered and
+    # transformed in one complex copy; the annulus |xi| in [1, 4] is a few
+    # per cent of the lattice
+    g = Grid(d=4, n=12)
+    rng = np.random.default_rng(3)
+    values = rng.normal(size=(11,) + g.shape) + 1j * rng.normal(size=(11,) + g.shape)
+    rec = SpaceTimeRecord(g, np.arange(11) * 1e-3, values)
+    xk_norm(rec, 1)
+    tracemalloc.start()
+    try:
+        xk_norm(rec, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * values.nbytes, peak / values.nbytes
 
 
 class TestXkNormMatchesFullLattice:

@@ -18,7 +18,7 @@ from spheremap.evolution import (
     run,
     step_rk4_projected,
 )
-from spheremap.cli_io import gauge_identity_suite
+from spheremap.cli_io import emit_diagnostics_csv, gauge_identity_suite, load_snapshot, save_snapshot
 from spheremap.diagnostics import diagnostics_row, frame_bound_ratio
 from spheremap.gauge import coulomb_slice, msm_nonlinearity
 from spheremap.geometry import SphereField, flow_rhs
@@ -349,9 +349,9 @@ class TestRun:
         config = SimConfig(grid=g, initial=InitialDataSpec(amplitude=0.05), steps=0)
         record = run(config)
         assert len(record.rows) == 1
-        assert len(record.snapshots) == 1
+        assert record.snapshot_steps == [0]
         s0 = generate_initial(config.initial, g)
-        assert np.array_equal(record.snapshots[0][1].values, s0.values)
+        assert np.array_equal(record.last_state.values, s0.values)
 
     def test_row_cadence(self):
         g = Grid(d=2, n=16)
@@ -362,16 +362,19 @@ class TestRun:
             [0.0] + [k * config.resolved_dt() for k in (2, 4, 6, 8)]
         )
 
-    def test_unit_violation_is_that_of_the_raw_step(self):
+    def test_unit_violation_is_that_of_the_raw_step(self, tmp_path):
         # each row's cell is max| |raw| - 1 | of the unprojected RK4 result
-        # that led to it, recomputed here from the previous row's state
+        # that led to it, recomputed here from the previous row's state as
+        # its snapshot file holds it
         g = Grid(d=2, n=16)
         config = SimConfig(grid=g, initial=InitialDataSpec(amplitude=0.05), steps=6, cadence=1,
-                           snapshot_every=1)
+                           snapshot_every=1, out_dir=str(tmp_path))
         record = run(config)
-        assert len(record.rows) == len(record.snapshots) == 7
+        assert len(record.rows) == len(record.snapshot_steps) == 7
         work = evo._Rk4Work(g)
-        for (_, before), row in zip(record.snapshots, record.rows[1:]):
+        for step, row in zip(record.snapshot_steps, record.rows[1:]):
+            snap = load_snapshot(str(tmp_path / f"snapshot_{step:08d}.bin"), expect_grid=g)
+            before = SphereField(g, snap.values, record.last_state.q)
             raw = rk4_update(before, config.resolved_dt(), work)
             expected = float(np.max(np.abs(np.sqrt(np.sum(raw * raw, axis=0)) - 1.0)))
             assert row.unit_violation == expected
@@ -382,7 +385,7 @@ class TestRun:
         config = SimConfig(grid=g, initial=InitialDataSpec(amplitude=0.05, seed=7), steps=6)
         r1, r2 = run(config), run(config)
         assert [astuple(a) for a in r1.rows] == [astuple(b) for b in r2.rows]
-        assert np.array_equal(r1.snapshots[-1][1].values, r2.snapshots[-1][1].values)
+        assert np.array_equal(r1.last_state.values, r2.last_state.values)
 
     @pytest.mark.parametrize("d, n", [(3, 12), (4, 8)])
     def test_same_seed_writes_the_same_bytes(self, tmp_path, d, n):
@@ -442,6 +445,54 @@ class TestRun:
         assert len(record.rows) == 4  # t = 0 plus three completed steps
         assert (tmp_path / "diagnostics.csv").exists()
 
+    def test_recorded_abort_writes_the_files_of_its_record(self, monkeypatch, tmp_path):
+        # the blowup data above: the rows before the failed step, the
+        # initial snapshot and that of the last state reached, step 3
+        g = Grid(d=2, n=16)
+        config = SimConfig(grid=g, initial=InitialDataSpec(amplitude=0.05), steps=10, cadence=1,
+                           out_dir=str(tmp_path / "out"))
+        real_update = evo.rk4_update
+        calls = {"n": 0}
+
+        def failing_update(s, dt, work):
+            calls["n"] += 1
+            out = real_update(s, dt, work)
+            return out * 5.0 if calls["n"] >= 4 else out
+
+        monkeypatch.setattr(evo, "rk4_update", failing_update)
+        record = run(config)
+        assert record.aborted and record.snapshot_steps == [0, 3]
+        written = {f: (tmp_path / "out" / f).read_bytes() for f in os.listdir(tmp_path / "out")}
+        expected = {}
+        emit_diagnostics_csv(record.rows, str(tmp_path / "diagnostics.csv"))
+        for step, state in ((0, generate_initial(config.initial, g)), (3, record.last_state)):
+            save_snapshot(state.values, g, step * config.resolved_dt(),
+                          str(tmp_path / f"snapshot_{step:08d}.bin"))
+        for name in ("diagnostics.csv", "snapshot_00000000.bin", "snapshot_00000003.bin"):
+            expected[name] = (tmp_path / name).read_bytes()
+        assert written == expected
+
+    def test_peak_memory_is_flat_in_the_snapshot_count(self, tmp_path):
+        # each snapshot is written when it is taken, so a run holds no
+        # snapshot field: 4 and 16 snapshots peak alike
+        g = Grid(d=4, n=8)
+
+        def peak(steps):
+            config = SimConfig(grid=g, initial=InitialDataSpec(amplitude=0.02, width=0.8),
+                               steps=steps, cadence=2, snapshot_every=1,
+                               out_dir=str(tmp_path / f"steps-{steps}"))
+            tracemalloc.start()
+            try:
+                run(config)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2)  # builds the grid's symbols and operators
+        field = 24 * g.n**g.d
+        few, many = peak(4), peak(16)
+        assert abs(many - few) < field, (few / field, many / field)
+
     def test_one_coulomb_fix_per_row(self, monkeypatch):
         # the dual-track mismatch reads psi from the row's own slice
         import spheremap.gauge as gauge
@@ -490,6 +541,6 @@ class TestRun:
         assert "non-finite diagnostics row: energy" in record.abort_reason
         assert "grid point (" in record.abort_reason
         assert len(record.rows) == 2
-        assert record.snapshots[-1][0] == 2
+        assert record.snapshot_steps[-1] == 2
         assert (tmp_path / "diagnostics.csv").exists()
         assert (tmp_path / "snapshot_00000002.bin").exists()

@@ -622,6 +622,22 @@ class TestPairSumTemporaries:
         assert peak_fields(g, msm_nonlinearity, psi_hat) < bound
 
 
+class TestAnalysisTransients:
+    """The analysis holds what its formulas need: the residuals keep the T
+    stack of (Re psi_m, Im psi_m, a_m) and one pair's fields, and the gauge
+    recovery drops its pair products once they are transformed."""
+
+    def test_residuals(self):
+        # the T stack alone is 3d = 12 real fields, 6 complex ones, at d = 4
+        g = Grid(d=4, n=12)
+        sl = coulomb_slice(generate_initial(InitialDataSpec(amplitude=0.02, width=0.8), g))
+        assert peak_fields(g, lambda grid, slice_: slice_.residuals(), sl) < 16.0
+
+    def test_a_from_psi_drops_the_pair_products(self):
+        g = Grid(d=4, n=12)
+        assert peak_fields(g, a_from_psi, random_full_spectrum_psi(g, seed=4)) < 23.0
+
+
 class TestCoulombSlice:
     def test_slice_of_small_data(self):
         grid = Grid(d=2, n=16)
