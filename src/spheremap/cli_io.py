@@ -149,7 +149,7 @@ def load_snapshot(path: str, expect_grid: Grid | None = None) -> Snapshot:
     expected_count = 3 * grid.n**grid.d
     if count != expected_count:
         raise SnapshotFormatError(f"{path}: payload length {count} != expected {expected_count}")
-    payload_bytes = blob[off:]
+    payload_bytes = memoryview(blob)[off:]  # a view: slicing bytes would copy the payload
     if len(payload_bytes) != 8 * count:
         problem = "truncated" if len(payload_bytes) < 8 * count else "trailing bytes after"
         raise SnapshotFormatError(
@@ -166,7 +166,7 @@ def load_snapshot(path: str, expect_grid: Grid | None = None) -> Snapshot:
             )
         grid = expect_grid
 
-    flat = np.frombuffer(payload_bytes, dtype="<f8")
+    flat = np.frombuffer(blob, dtype="<f8", offset=off)
     return Snapshot(grid, time, np.moveaxis(flat.reshape(grid.shape + (3,)), -1, 0).copy())
 
 

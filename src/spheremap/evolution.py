@@ -1,24 +1,28 @@
 """Time integration of the sphere flow d_t s = s x Laplacian(s).
 
-Two integrators are provided:
+Both integrators step through one RK4 kernel, ``_rk4``: a Lawson
+(integrating-factor) step of y' = L y + rhs(y).  Each supplies only its
+right-hand side and its half-step propagator E = exp(h L / 2):
 
-* ``step_rk4_projected``: classical RK4 on the sphere flow followed by a
-  pointwise renormalization back to the unit sphere, which also returns the
-  raw step's unit violation from the same lengths; ``run`` advances through
-  it and nothing else.  The default time step
+* ``step_rk4_projected``: the kernel on the sphere flow's right-hand side
+  ``geometry.flow_rhs`` with the identity propagator, that is classical
+  RK4, followed by a pointwise renormalization back to the unit sphere,
+  which also returns the raw step's unit violation from the same lengths;
+  ``run`` advances through it and nothing else.  The default time step
   2 / |xi_max|^2 sits inside RK4's imaginary-axis stability interval
   (about 2.83) for the spectral Laplacian's eigenvalues -|xi|^2.  Every
-  stage evaluates the flow through ``geometry.flow_rhs``, in work arrays
-  that ``run`` keeps for all its steps; its Laplacian is d real matrix
-  products, so a step issues no transform.
-* ``evolve_msm``: one integrating-factor RK4 step of the derived-field
-  system (i d_t + Laplacian) psi_m = N_m(Psi); the linear phase
-  exp(-i dt |xi|^2) is applied exactly, RK4 handles the nonlinearity.
-  Between stages the step stays in Fourier space: ``msm_nonlinearity`` takes
-  and returns spectra, so a step is one fft, four four-transform stages and
-  one ifft (18 transforms at every d).
-  The config value ``strang-msm`` selects it; despite the name this is not
-  Strang splitting, and the spelling stays for config compatibility.
+  stage evaluates the flow in work arrays that ``run`` keeps for all its
+  steps; its Laplacian is d real matrix products, so a step issues no
+  transform.
+* ``evolve_msm``: the kernel on the derived-field system
+  (i d_t + Laplacian) psi_m = N_m(Psi), whose linear part is applied
+  exactly by the free phase exp(-i dt |xi|^2 / 2) over each half step
+  while RK4 handles the nonlinearity.  Between stages the step stays in
+  Fourier space: ``msm_nonlinearity`` takes and returns spectra, so a step
+  is one fft, four four-transform stages and one ifft (18 transforms at
+  every d).  The config value ``strang-msm`` selects it; despite the name
+  this is not Strang splitting, and the spelling stays for config
+  compatibility.
 
 ``run`` is the batch driver: it builds the initial data, steps the flow,
 analyses one Coulomb slice per cadence tick for the diagnostics row, and
@@ -27,8 +31,9 @@ two formulations (the constant per-slice phase freedom is aligned on the
 largest Fourier mode of psi_1 before differencing).  It writes each
 snapshot as it is taken.  A run that leaves the regime of validity (a field
 length outside [1/2, 2], a map that reaches the antipode -q, where the
-slice's transport frame does not exist, or a non-finite row) or runs out of
-memory in its step loop ends as a recorded abort with its partial outputs.
+slice's transport frame does not exist, or a non-finite row), runs out of
+memory or is interrupted (SIGINT) in its step loop ends as a recorded abort
+with its partial outputs.
 """
 
 from __future__ import annotations
@@ -85,25 +90,45 @@ class _Rk4Work(_FlowWork):
 
     def __init__(self, grid: Grid) -> None:
         super().__init__(grid)
-        self.stage = np.empty((3,) + grid.shape)    # y + c dt k, the next stage's input
-        self.total = np.empty((3,) + grid.shape)    # k1 + 2 k2 + 2 k3 + k4 so far
+        self.stage = np.empty((3,) + grid.shape)    # the next stage's input
+        self.total = np.empty((3,) + grid.shape)    # the weighted slope sum so far
+
+
+def _rk4(y: np.ndarray, h: float, rhs, propagate, stage: np.ndarray,
+         total: np.ndarray) -> np.ndarray:
+    """One Lawson RK4 step of y' = L y + rhs(y): the package's one RK4 tableau.
+
+    ``propagate(x)`` returns E x with E = exp(h L / 2).  With k1 = rhs(y),
+    k2 = rhs(E(y + h/2 k1)), k3 = rhs(E y + h/2 k2) and
+    k4 = rhs(E(E y + h k3)) the step is E(E y) + (h/6) total, where
+    total = E(E k1 + 2 k2 + 2 k3) + k4 is summed left to right in ``total``
+    and each stage input is formed in ``stage`` (Lawson 1967).  ``rhs`` may
+    return the same array on every call, so each slope is read before the
+    next call.  A propagator that returns its argument makes this classical
+    RK4 with no extra pass; the result is then the one new array.
+    """
+    ey = propagate(y)
+    k = rhs(y)
+    np.copyto(total, propagate(k))
+    k = rhs(propagate(np.add(y, np.multiply(0.5 * h, k, out=stage), out=stage)))
+    total += np.multiply(2.0, k, out=stage)
+    k = rhs(np.add(ey, np.multiply(0.5 * h, k, out=stage), out=stage))
+    total += np.multiply(2.0, k, out=stage)
+    k = rhs(propagate(np.add(ey, np.multiply(h, k, out=stage), out=stage)))
+    np.copyto(total, propagate(total))  # numpy skips a copy of an array onto itself
+    total += k
+    return propagate(ey) + np.multiply(h / 6.0, total, out=total)
 
 
 def rk4_update(s: SphereField, dt: float, work: _Rk4Work) -> np.ndarray:
     """One classical RK4 step of the flow, before renormalization.
 
-    y + (dt/6) (k1 + 2 k2 + 2 k3 + k4) with k_i = ``flow_rhs`` at the
-    stages, summed in that order in the arrays of ``work``, which one
+    ``_rk4`` on ``flow_rhs`` with the identity propagator, so
+    y + (dt/6) (k1 + 2 k2 + 2 k3 + k4), in the arrays of ``work``, which one
     trajectory keeps for all its steps.  The result is a new array.
     """
-    grid, y = s.grid, s.values
-    stage, slope, total = work.stage, work.slope, work.total
-    np.copyto(total, flow_rhs(grid, y, work=work))
-    for c, weight in ((0.5 * dt, 2.0), (0.5 * dt, 2.0), (dt, 1.0)):
-        np.add(y, np.multiply(c, slope, out=stage), out=stage)
-        flow_rhs(grid, stage, work=work)
-        total += np.multiply(weight, slope, out=stage)  # 1.0 * k4 is k4 bit for bit
-    return y + np.multiply(dt / 6.0, total, out=total)
+    return _rk4(s.values, dt, lambda y: flow_rhs(s.grid, y, work=work), lambda x: x,
+                work.stage, work.total)
 
 
 def step_rk4_projected(s: SphereField, dt: float, work: _Rk4Work) -> tuple:
@@ -118,22 +143,15 @@ def step_rk4_projected(s: SphereField, dt: float, work: _Rk4Work) -> tuple:
 def evolve_msm(grid: Grid, psi: np.ndarray, dt: float) -> np.ndarray:
     """One integrating-factor RK4 step of the derived-field system.
 
-    The phases exp(-i dt |xi|^2 / 2) and their square, the exact free
-    propagator over half and whole steps, come from the grid's symbol
-    cache, built once per ``dt``.
+    ``_rk4`` on the spectrum of psi, with the slope -i N(Psi) of
+    ``msm_nonlinearity`` and the exact free propagator over half a step,
+    the phase exp(-i dt |xi|^2 / 2) from the grid's symbol cache, built
+    once per ``dt``.
     """
+    half = grid.symbol("free_phase", 0.5 * dt, half=False)
     psi_hat = grid.fft(psi)
-    half, full = grid.symbol("free_phases", dt, half=False)
-
-    def nhat(ph):
-        # spectrum of -i N(Psi); the stages never leave Fourier space
-        return -1j * msm_nonlinearity(grid, ph)
-
-    a = nhat(psi_hat)
-    b = nhat(half * (psi_hat + 0.5 * dt * a))
-    c = nhat(half * psi_hat + 0.5 * dt * b)
-    d = nhat(full * psi_hat + dt * half * c)
-    out_hat = full * psi_hat + (dt / 6.0) * (full * a + 2.0 * half * (b + c) + d)
+    out_hat = _rk4(psi_hat, dt, lambda ph: -1j * msm_nonlinearity(grid, ph), lambda x: half * x,
+                   np.empty_like(psi_hat), np.empty_like(psi_hat))
     return grid.ifft(out_hat)
 
 
@@ -218,10 +236,11 @@ def run(config: SimConfig) -> TrajectoryRecord:
     CSVs at the end.  Initial data with no Coulomb slice raise
     FrameDegenerateError before the first step, and an output directory
     that cannot be created raises OSError there too.  On a suspected
-    blowup, a state with no Coulomb slice (s near -q), a non-finite row or
-    a MemoryError in the step loop the partial record is written and
-    returned with ``aborted=True``; the reason names the step, the time,
-    the cause and, where the check has one, the grid point.
+    blowup, a state with no Coulomb slice (s near -q), a non-finite row, or
+    a MemoryError or KeyboardInterrupt (SIGINT) in the step loop the
+    partial record is written and returned with ``aborted=True``; the
+    reason names the step, the time, the cause and, where the check has
+    one, the grid point.
     """
     grid = config.grid
     dt = config.resolved_dt()
@@ -263,8 +282,9 @@ def run(config: SimConfig) -> TrajectoryRecord:
                     record.msm_mismatch.append(_relative_psi_mismatch(grid, psi, sl.psi))
             if config.snapshot_every and k % config.snapshot_every == 0:
                 snapshot(k)
-        # FrameDegenerateError and the non-finite row are ValueErrors
-        except (BlowupSuspectedError, ValueError, MemoryError) as exc:
+        # FrameDegenerateError and the non-finite row are ValueErrors;
+        # KeyboardInterrupt is SIGINT
+        except (BlowupSuspectedError, ValueError, MemoryError, KeyboardInterrupt) as exc:
             record.aborted = True
             record.abort_reason = _abort_reason(k, t, exc, sl)
             break
@@ -277,9 +297,9 @@ def run(config: SimConfig) -> TrajectoryRecord:
     return record
 
 
-def _abort_reason(k: int, t: float, exc: Exception, sl: CoulombSlice | None) -> str:
+def _abort_reason(k: int, t: float, exc: BaseException, sl: CoulombSlice | None) -> str:
     reason = f"step {k}, t = {t:.6g}: {type(exc).__name__}: {exc}"
-    if sl is not None and not isinstance(exc, MemoryError):
+    if sl is not None and not isinstance(exc, (MemoryError, KeyboardInterrupt)):
         # the row failed on a built slice: name its first non-finite or largest psi
         mag = np.sum(np.abs(sl.psi) ** 2, axis=0)
         point = _worst_point(np.where(np.isfinite(mag), mag, np.inf))

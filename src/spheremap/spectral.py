@@ -40,9 +40,10 @@ lattice.  Conventions:
 * Every symbol is built once per grid by name (``_SYMBOLS``, cached by
   ``Grid.symbol``); Fourier-space kernels such as the gauge nonlinearity
   and the Coulomb fix's Poisson solve multiply the same cached symbols.
-  The one stacked symbol is ``free_phases``, the half- and
-  full-step integrating-factor phases of ``evolve_msm``; the gauge kernels
-  sum over index pairs in loops, one per-axis or per-pair symbol at a time.
+  Every symbol is one field, never a stack: ``evolve_msm``'s
+  integrating factor is the one free phase ``free_phase`` over half a step,
+  applied twice for a whole step, and the gauge kernels sum over index
+  pairs in loops, one per-axis or per-pair symbol at a time.
 * The dual lattice is xi in (2*pi/L) * {-n/2, ..., n/2 - 1}^d.
 * Fourier coefficients are normalized so that Plancherel holds against the
   continuum L2 integral over the torus:
@@ -271,14 +272,14 @@ class Grid:
     def symbol(self, name: str, *args, half: bool) -> np.ndarray:
         """Fourier symbol ``name`` of ``_SYMBOLS`` at ``args``, cached.
 
-        The full form is in FFT ordering, broadcastable to ``shape`` or
-        stacked on leading axes; the half form keeps indices 0..n/2 of the
-        last axis and multiplies ``rfft`` spectra.  There index n/2 stands
-        for frequency -n/2 where rfft has +n/2; every symbol is even in that
-        frequency or, for odd derivative factors, zero at it.  All are
-        Hermitian except the integrating-factor phases ``free_phases``,
-        which are used in full form only and are cached per time step
-        ``dt``.  Entries are plain arrays, so the cache holds no reference
+        The full form is in FFT ordering, broadcastable to ``shape``; the
+        half form keeps indices 0..n/2 of the last axis and multiplies
+        ``rfft`` spectra.  There index n/2 stands for frequency -n/2 where
+        rfft has +n/2; every symbol is even in that frequency or, for odd
+        derivative factors, zero at it.  All are
+        Hermitian except the integrating-factor phase ``free_phase``, which
+        is used in full form only and is cached per time it propagates
+        over.  Entries are plain arrays, so the cache holds no reference
         back to its grid.
         """
         key = (name, args, half)
@@ -431,15 +432,8 @@ def _riesz_pair(g: Grid, l: int, lp: int) -> np.ndarray:
     return -g.freq_d(l) * g.freq_d(lp) * _safe_inverse(g.k_squared)
 
 
-def _free_phases(g: Grid, dt: float) -> np.ndarray:
-    """exp(-i dt |xi|^2 / 2) and its square, the half- and full-step phases."""
-    half = np.exp(-1j * (dt / 2.0) * g.k_squared)
-    return np.stack([half, half * half])
-
-
 # Fourier symbols by name: builder(grid, *args) returns the symbol in FFT
-# ordering, broadcastable to grid.shape or stacked on leading axes;
-# ``Grid.symbol`` caches it.
+# ordering, broadcastable to grid.shape; ``Grid.symbol`` caches it.
 _SYMBOLS = {
     "partial_derivative": lambda g, axis: 1j * g.freq_d(axis),
     "riesz": lambda g, axis: 1j * g.freq_d(axis) * _safe_inverse(g.k_abs),
@@ -455,7 +449,8 @@ _SYMBOLS = {
     "dealias": lambda g: g.dealias_mask,
     # zero-mean inverse of the derivative-frequency Laplacian
     "poisson_zero_mean": lambda g: _safe_inverse(-g.k_squared_d),
-    "free_phases": _free_phases,
+    # exp(-i t |xi|^2), the free Schrodinger propagator over a time t
+    "free_phase": lambda g, t: np.exp(-1j * t * g.k_squared),
 }
 
 

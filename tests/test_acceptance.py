@@ -289,7 +289,7 @@ def test_criterion_10_closed_form_oracles():
 
     mode = np.zeros((2,) + g.shape, dtype=complex)
     mode[0] = np.exp(1j * x1)
-    out = g.ifft(g.symbol("free_phases", 0.25, half=False)[1] * g.fft(mode))
+    out = g.ifft(g.symbol("free_phase", 0.25, half=False) * g.fft(mode))
     checks.append(
         ("free phase", float(np.max(np.abs(out[0] - np.exp(-0.25j) * np.exp(1j * x1)))), 1e-13)
     )

@@ -164,6 +164,23 @@ class TestSnapshotRoundtrip:
                   + struct.pack("<I", zlib.crc32(payload)))
         assert path.read_bytes() == header + struct.pack("<I", zlib.crc32(header)) + payload
 
+    def test_load_holds_the_file_and_the_values_only(self, tmp_path):
+        # the file's bytes and the de-interleaved values: the checks read
+        # the payload through a view, not a copy of it
+        g = Grid(d=4, n=12)
+        values = generate_initial(InitialDataSpec(amplitude=0.02), g).values
+        path = str(tmp_path / "field4.bin")
+        save_snapshot(values, g, 0.0, path)
+        load_snapshot(path, expect_grid=g)
+        tracemalloc.start()
+        try:
+            snap = load_snapshot(path, expect_grid=g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(snap.values, values)
+        assert peak < 2.05 * values.nbytes, peak / values.nbytes
+
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "bogus.bin"
         path.write_bytes(b"NOTASNAP" + b"\x00" * 64)
@@ -551,6 +568,32 @@ class TestCliRun:
         assert "Traceback" not in err
         assert "run aborted: step 3, t = " in err
         assert "MemoryError: no room for the stage" in err
+        assert len((out / "diagnostics.csv").read_text().splitlines()) == 1 + 3
+        assert sorted(os.listdir(out)) == ["diagnostics.csv"] + [
+            f"snapshot_{k:08d}.bin" for k in range(3)]
+
+    def test_interrupt_in_the_step_loop_is_a_recorded_abort(self, config_file, tmp_path,
+                                                             capsys, monkeypatch):
+        # the patch stands for a SIGINT that arrives during step 3
+        calls = {"n": 0}
+
+        def interrupted_update(s, dt, work):
+            calls["n"] += 1
+            if calls["n"] == 3:
+                raise KeyboardInterrupt
+            return rk4_update(s, dt, work)
+
+        monkeypatch.setattr("spheremap.evolution.rk4_update", interrupted_update)
+        out = tmp_path / "sigint"
+        rc = cli_main(["run", "--config", config_file, "--out", str(out), "--override",
+                       "time.steps=6", "--override", "run.cadence=1",
+                       "--override", "run.snapshot_every=1"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "run aborted: step 3, t = " in err
+        assert "KeyboardInterrupt" in err
+        assert "grid point" not in err
         assert len((out / "diagnostics.csv").read_text().splitlines()) == 1 + 3
         assert sorted(os.listdir(out)) == ["diagnostics.csv"] + [
             f"snapshot_{k:08d}.bin" for k in range(3)]

@@ -264,9 +264,20 @@ class TestEvolveMsm:
         psi = np.zeros((2,) + g.shape, dtype=complex)
         psi[0] = np.exp(1j * x1)
         dt = 0.37
-        out = g.ifft(g.symbol("free_phases", dt, half=False)[1] * g.fft(psi))
+        out = g.ifft(g.symbol("free_phase", dt, half=False) * g.fft(psi))
         expected = np.exp(-1j * dt) * np.exp(1j * x1)
         assert np.max(np.abs(out[0] - expected)) < 1e-14
+
+    def test_lawson_kernel_without_slope_is_the_free_propagator(self):
+        # with rhs = 0 a step is E(E y), bit for bit: the Lawson path of _rk4
+        # apart from msm_nonlinearity
+        g = Grid(d=3, n=8)
+        rng = np.random.default_rng(7)
+        y = rng.standard_normal((3,) + g.shape) + 1j * rng.standard_normal((3,) + g.shape)
+        dt = default_dt(g)
+        half = g.symbol("free_phase", 0.5 * dt, half=False)
+        out = evo._rk4(y, dt, np.zeros_like, lambda x: half * x, np.empty_like(y), np.empty_like(y))
+        assert out.tobytes() == (half * (half * y)).tobytes()
 
     def test_richardson_order(self):
         g = Grid(d=2, n=16)
@@ -284,14 +295,14 @@ class TestEvolveMsm:
         assert e1 / e2 == pytest.approx(16.0, rel=0.2)
 
     def test_grid_is_freed_without_the_cycle_collector(self):
-        # the symbol cache holds the phases and pair symbols of a step; an
+        # the symbol cache holds the phase and pair symbols of a step; an
         # entry that referenced its own grid would keep it alive until gc
         gc.disable()
         try:
             g = Grid(d=2, n=16)
             psi = bump_psi(g)
             evolve_msm(g, psi, default_dt(g))
-            assert g.symbol("free_phases", default_dt(g), half=False).shape == (2,) + g.shape
+            assert g.symbol("free_phase", 0.5 * default_dt(g), half=False).shape == g.shape
             grid_ref = weakref.ref(g)
             del g
             assert grid_ref() is None
@@ -544,3 +555,22 @@ class TestRun:
         assert record.snapshot_steps[-1] == 2
         assert (tmp_path / "diagnostics.csv").exists()
         assert (tmp_path / "snapshot_00000002.bin").exists()
+
+    def test_interrupt_in_a_row_names_no_grid_point(self, monkeypatch):
+        # SIGINT while the row of step 2 is built, its slice already taken:
+        # the reason names the step and the interrupt, and no |psi| is scanned
+        calls = {"n": 0}
+
+        def interrupted_row(*args):
+            calls["n"] += 1
+            if calls["n"] == 3:
+                raise KeyboardInterrupt
+            return diagnostics_row(*args)
+
+        monkeypatch.setattr(evo, "diagnostics_row", interrupted_row)
+        record = run(SimConfig(grid=Grid(d=2, n=16), initial=InitialDataSpec(amplitude=0.05),
+                               steps=5, cadence=1))
+        assert record.aborted
+        assert record.abort_reason.startswith("step 2, t = ")
+        assert record.abort_reason.endswith("KeyboardInterrupt: ")
+        assert len(record.rows) == 2 and record.snapshot_steps == [0, 2]

@@ -303,6 +303,41 @@ def test_every_method_default_is_both_passed_and_left_out_in_src():
     assert not one_sided, "method defaults not both passed and left out in src/: " + ", ".join(one_sided)
 
 
+class _EnclosingFunctions(ast.NodeVisitor):
+    """The enclosing function of every division by the constant 6 and of
+    every call of ``_rk4`` in a module."""
+
+    def __init__(self) -> None:
+        self.stack, self.sixths, self.kernel_callers = ["<module>"], [], set()
+
+    def visit_FunctionDef(self, node):
+        self.stack.append(node.name)
+        self.generic_visit(node)
+        self.stack.pop()
+
+    def visit_BinOp(self, node):
+        if isinstance(node.op, ast.Div) and isinstance(node.right, ast.Constant) \
+                and node.right.value == 6:
+            self.sixths.append(self.stack[-1])
+        self.generic_visit(node)
+
+    def visit_Call(self, node):
+        if getattr(node.func, "id", None) == "_rk4":
+            self.kernel_callers.add(self.stack[-1])
+        self.generic_visit(node)
+
+
+def test_one_function_holds_the_rk4_tableau():
+    """RK4's weighted sum (h/6)(k1 + 2 k2 + 2 k3 + k4) is formed in
+    ``evolution._rk4`` alone, and both integrators step through it: a
+    second tableau written out anywhere in ``src/`` fails here."""
+    found = _EnclosingFunctions()
+    for tree in _src_trees().values():
+        found.visit(tree)
+    assert found.sixths == ["_rk4"], found.sixths
+    assert found.kernel_callers == {"rk4_update", "evolve_msm"}
+
+
 def test_run_evaluates_the_flow_only_through_flow_rhs(monkeypatch):
     """4 calls per RK4 step and 1 per diagnostics row; each call applies
     ``real_laplacian`` once, and nothing else in a run does."""
