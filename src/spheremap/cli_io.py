@@ -344,14 +344,24 @@ def _sphere_from_snapshot(snap: Snapshot, q: np.ndarray | None) -> SphereField:
 # command line interface
 # ---------------------------------------------------------------------------
 
+def _terminated(signum, frame):
+    raise KeyboardInterrupt("SIGTERM")
+
+
 def _cmd_run(args) -> int:
+    import signal  # here, not at package import: only a run needs the handler
+
     config = parse_config(args.config, args.override, args.out, args.seed)
+    # a SIGTERM in the step loop becomes a recorded abort, as a SIGINT does
+    previous = signal.signal(signal.SIGTERM, _terminated)
     try:
         record = run(config)
     except MemoryError as exc:
         grid = config.grid
         raise ConfigError(f"grid.d={grid.d}, grid.n={grid.n}: out of memory; one (3, n, ..., n) "
                           f"float64 field takes {24 * grid.n**grid.d} bytes") from exc
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     last = record.rows[-1]
     print(f"completed {len(record.rows)} diagnostic rows, final t = {_fmt(last.t)}")
     print(f"energy = {_fmt(last.energy)}  l2_dist_q = {_fmt(last.l2_dist_q)}")

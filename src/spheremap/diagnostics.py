@@ -63,7 +63,7 @@ def _half_spectrum_mass(s: SphereField, s_hat: np.ndarray, power: float) -> floa
     """integral of | |D|^(power/2) s |^2 over the 3 components of s, by
     Plancherel on its half spectrum ``s_hat``."""
     grid = s.grid
-    weight = grid.symbol("frequency_power", power, half=True)
+    weight = grid.symbol("frequency_power", power)
     return float(np.sum(plancherel_mass(grid, s_hat, weight=weight)))
 
 
@@ -107,7 +107,7 @@ def frame_bound_ratio(sl: CoulombSlice) -> float:
     denom = critical_norm(s, grid.rfft(s.values))
     if denom == 0.0:
         return 0.0
-    weight = grid.symbol("frequency_power", grid.d - 2.0, half=True)
+    weight = grid.symbol("frequency_power", grid.d - 2.0)
     parts = plancherel_mass(grid, grid.rfft(np.stack([sl.psi.real, sl.psi.imag])), weight=weight)
     return float(np.sqrt(np.max(parts[0] + parts[1])) / denom)
 

@@ -16,13 +16,14 @@ right-hand side and its half-step propagator E = exp(h L / 2):
   transform.
 * ``evolve_msm``: the kernel on the derived-field system
   (i d_t + Laplacian) psi_m = N_m(Psi), whose linear part is applied
-  exactly by the free phase exp(-i dt |xi|^2 / 2) over each half step
-  while RK4 handles the nonlinearity.  Between stages the step stays in
-  Fourier space: ``msm_nonlinearity`` takes and returns spectra, so a step
-  is one fft, four four-transform stages and one ifft (18 transforms at
-  every d).  The config value ``strang-msm`` selects it; despite the name
-  this is not Strang splitting, and the spelling stays for config
-  compatibility.
+  exactly by the free propagator exp(-i dt |xi|^2 / 2) over each half
+  step while RK4 handles the nonlinearity.  The step stays in physical
+  space on the real stack (Re psi, Im psi): the propagator is per-axis
+  products of two real circulants (``spectral._free_propagate``) and
+  ``msm_nonlinearity`` takes and returns real stacks, so a step is four
+  two-transform stages (8 transforms at every d).  The config value
+  ``strang-msm`` selects it; despite the name this is not Strang
+  splitting, and the spelling stays for config compatibility.
 
 ``run`` is the batch driver: it builds the initial data, steps the flow,
 analyses one Coulomb slice per cadence tick for the diagnostics row, and
@@ -32,8 +33,8 @@ largest Fourier mode of psi_1 before differencing).  It writes each
 snapshot as it is taken.  A run that leaves the regime of validity (a field
 length outside [1/2, 2], a map that reaches the antipode -q, where the
 slice's transport frame does not exist, or a non-finite row), runs out of
-memory or is interrupted (SIGINT) in its step loop ends as a recorded abort
-with its partial outputs.
+memory or is interrupted (SIGINT, or SIGTERM under the ``run`` command) in
+its step loop ends as a recorded abort with its partial outputs.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from .geometry import (
     renormalize,
 )
 from .initial_data import InitialDataSpec, generate_initial
-from .spectral import Grid, l2_norm
+from .spectral import Grid, _free_propagate, l2_norm
 
 __all__ = [
     "RK4_IMAG_STABILITY",
@@ -143,31 +144,47 @@ def step_rk4_projected(s: SphereField, dt: float, work: _Rk4Work) -> tuple:
 def evolve_msm(grid: Grid, psi: np.ndarray, dt: float) -> np.ndarray:
     """One integrating-factor RK4 step of the derived-field system.
 
-    ``_rk4`` on the spectrum of psi, with the slope -i N(Psi) of
-    ``msm_nonlinearity`` and the exact free propagator over half a step,
-    the phase exp(-i dt |xi|^2 / 2) from the grid's symbol cache, built
-    once per ``dt``.
+    ``_rk4`` on the real stack y = (Re psi, Im psi), with the slope
+    -i T N(Psi) = (Im T N, -Re T N) of ``msm_nonlinearity`` and the exact
+    free propagator exp(-i dt |xi|^2 / 2) over half a step, applied by
+    per-axis products (``_free_propagate``) of the circulants the grid
+    builds once per ``dt``.  The step stays in physical space: its only
+    transforms are the 2 of each stage's gauge recovery, 8 in all.  Its
+    stacks are allocated once per step; E y, which stages 3 and 4 and the
+    result reuse, has one of its own.
     """
-    half = grid.symbol("free_phase", 0.5 * dt, half=False)
-    psi_hat = grid.fft(psi)
-    out_hat = _rk4(psi_hat, dt, lambda ph: -1j * msm_nonlinearity(grid, ph), lambda x: half * x,
-                   np.empty_like(psi_hat), np.empty_like(psi_hat))
-    return grid.ifft(out_hat)
+    y = np.stack([psi.real, psi.imag])
+    ey, out, slope, stage, total, *work = (np.empty_like(y) for _ in range(7))
+    minus_i = np.array([1.0, -1.0]).reshape((2,) + (1,) * psi.ndim)  # -i (a, b) = (b, -a)
+    new = _rk4(y, dt, lambda x: np.multiply(msm_nonlinearity(grid, x)[::-1], minus_i, out=slope),
+               lambda x: _free_propagate(grid, 0.5 * dt, x, ey if x is y else out, work),
+               stage, total)
+    return new[0] + 1j * new[1]
 
 
 def align_phase(grid: Grid, psi: np.ndarray, reference: np.ndarray) -> np.ndarray:
     """Rotate psi by the constant phase matching its psi_1 to the reference.
 
-    The phase is read off the largest-magnitude Fourier mode of the
+    The phase is read off the largest-magnitude Fourier coefficient of the
     reference's first component, which removes the per-slice constant
-    rotation freedom of the gauge before trajectories are compared.
+    rotation freedom of the gauge before trajectories are compared.  One
+    ``rfft`` of the real stack (Re, Im of reference[0] and of psi[0]) gives
+    every coefficient of the full lattice: F(u)(xi) = F(Re u)(xi)
+    + i F(Im u)(xi) on the half lattice and, at -xi,
+    conj(F(Re u)(xi) - i F(Im u)(xi)).  The search runs over the full
+    lattice's magnitudes in FFT order, as ``np.argmax`` over the full
+    spectrum would, so a tie |F(xi)| = |F(-xi)| goes to the first.
     """
-    ref_hat = grid.fft(reference[0])
-    idx = np.unravel_index(int(np.argmax(np.abs(ref_hat))), ref_hat.shape)
-    cand_hat = grid.fft(psi[0])
-    if abs(cand_hat[idx]) == 0.0 or abs(ref_hat[idx]) == 0.0:
+    h, neg = grid.n // 2 + 1, -np.arange(grid.n) % grid.n  # neg[k]: the index of -k
+    hat = grid.rfft(np.stack([reference[0].real, reference[0].imag, psi[0].real, psi[0].imag]))
+    mirror = (slice(None),) + np.ix_(*[neg] * (grid.d - 1), neg[h:])
+    coef = np.concatenate([hat[0::2] + 1j * hat[1::2],  # F of reference[0] and of psi[0]
+                           np.conj(hat[0::2] - 1j * hat[1::2])[mirror]], axis=-1)
+    idx = np.unravel_index(int(np.argmax(np.abs(coef[0]))), grid.shape)
+    ref, cand = coef[(slice(None),) + idx]
+    if abs(cand) == 0.0 or abs(ref) == 0.0:
         return psi
-    phase = ref_hat[idx] / cand_hat[idx]
+    phase = ref / cand
     phase /= abs(phase)
     return psi * phase
 
@@ -237,7 +254,8 @@ def run(config: SimConfig) -> TrajectoryRecord:
     FrameDegenerateError before the first step, and an output directory
     that cannot be created raises OSError there too.  On a suspected
     blowup, a state with no Coulomb slice (s near -q), a non-finite row, or
-    a MemoryError or KeyboardInterrupt (SIGINT) in the step loop the
+    a MemoryError or KeyboardInterrupt (SIGINT, or the SIGTERM that the
+    ``run`` command turns into one) in the step loop the
     partial record is written and returned with ``aborted=True``; the
     reason names the step, the time, the cause and, where the check has
     one, the grid point.
@@ -283,7 +301,7 @@ def run(config: SimConfig) -> TrajectoryRecord:
             if config.snapshot_every and k % config.snapshot_every == 0:
                 snapshot(k)
         # FrameDegenerateError and the non-finite row are ValueErrors;
-        # KeyboardInterrupt is SIGINT
+        # KeyboardInterrupt is SIGINT, or SIGTERM under the run command
         except (BlowupSuspectedError, ValueError, MemoryError, KeyboardInterrupt) as exc:
             record.aborted = True
             record.abort_reason = _abort_reason(k, t, exc, sl)

@@ -21,9 +21,11 @@ T psi by per-axis products of the real stack (Re psi, Im psi), one rfft of
 the pair products and one irfft, with R_l R_l' fused into the one symbol
 -xi_l xi_l' / |xi|^2.  ``a_from_psi`` and ``a0_from_psi`` are its two
 slices, 2 transforms each, and ``msm_nonlinearity`` takes both from one
-call.  Every sum over pairs of spatial indices (l <= l' or m < l) is a
-plain loop over the pairs in lexicographic order, as ``itertools`` lists
-them; the pair order lives in this module alone.
+call.  ``msm_nonlinearity`` works in physical space on real stacks: psi in
+as (Re psi, Im psi) and T N out as (Re T N, Im T N), so those 2 transforms
+are all of its.  Every sum over pairs of spatial indices (l <= l' or
+m < l) is a plain loop over the pairs in lexicographic order, as
+``itertools`` lists them; the pair order lives in this module alone.
 
 ``coulomb_slice`` is the one place a time slice is analysed: the transport
 pair rotated into the Coulomb gauge and checked once as the slice's one
@@ -117,26 +119,25 @@ def _gauge_spectra(grid: Grid, p: np.ndarray) -> np.ndarray:
         rows[k] = (p[m] * np.conj(p[l])).imag
     spec = grid.rfft(rows)
     del rows  # the d^2 products are not needed past their transform
-    spec *= grid.symbol("dealias", half=True)
+    spec *= grid.symbol("dealias")
 
     out = np.zeros((d + 1,) + spec.shape[1:], dtype=complex)
     a_hat, a0_hat = out[:d], out[d]
-    inv_grad = [grid.symbol("inv_gradient_riesz", l + 1, half=True) for l in range(d)]
+    inv_grad = [grid.symbol("inv_gradient_riesz", l + 1) for l in range(d)]
     for (m, l), im in zip(asym, spec[len(sym):]):
         a_hat[m] += inv_grad[l] * im
         a_hat[l] -= inv_grad[m] * im
     for (l, lp), re in zip(sym, spec):
-        a0_hat += grid.symbol("potential_pair", l + 1, lp + 1, half=True) * re
+        a0_hat += grid.symbol("potential_pair", l + 1, lp + 1) * re
     return out
 
 
-def _truncated(grid: Grid, psi: np.ndarray) -> tuple:
-    """T psi, T the 2/3 mask, as ``real_dealias`` of the real stack
-    (Re psi, Im psi) and as the complex p recombined from it.  A caller
-    that keeps p alone frees the real stack, so its pair sums run beside p
-    alone."""
+def _truncated(grid: Grid, psi: np.ndarray) -> np.ndarray:
+    """T psi, T the 2/3 mask, as the complex p recombined from
+    ``real_dealias`` of the real stack (Re psi, Im psi), which is freed
+    before the pair sums run beside p."""
     parts = real_dealias(grid, np.stack([psi.real, psi.imag]))
-    return parts, parts[0] + 1j * parts[1]
+    return parts[0] + 1j * parts[1]
 
 
 def a_from_psi(grid: Grid, psi: np.ndarray) -> np.ndarray:
@@ -148,7 +149,7 @@ def a_from_psi(grid: Grid, psi: np.ndarray) -> np.ndarray:
     is taken by products (``_truncated``), so the call issues 2 transforms,
     the rfft of the pair products and the irfft of a.
     """
-    return grid.irfft(_gauge_spectra(grid, _truncated(grid, psi)[1])[: grid.d])
+    return grid.irfft(_gauge_spectra(grid, _truncated(grid, psi))[: grid.d])
 
 
 def a0_from_psi(grid: Grid, psi: np.ndarray) -> np.ndarray:
@@ -157,7 +158,7 @@ def a0_from_psi(grid: Grid, psi: np.ndarray) -> np.ndarray:
     The double Riesz sum runs over spatial indices only; the call issues
     the 2 transforms of ``a_from_psi``.
     """
-    return grid.irfft(_gauge_spectra(grid, _truncated(grid, psi)[1])[grid.d])
+    return grid.irfft(_gauge_spectra(grid, _truncated(grid, psi))[grid.d])
 
 
 @dataclass(frozen=True)
@@ -235,44 +236,48 @@ def coulomb_slice(s: SphereField) -> CoulombSlice:
     return CoulombSlice(frame, a, derive_psi(frame), div_a)
 
 
-def msm_nonlinearity(grid: Grid, psi_hat: np.ndarray) -> np.ndarray:
-    """Truncated spectrum of N_m(Psi) in (i d_t + Laplacian) psi_m = N_m(Psi).
+def msm_nonlinearity(grid: Grid, y: np.ndarray) -> np.ndarray:
+    """T N_m(Psi), T the 2/3 mask, for (i d_t + Laplacian) psi_m = N_m(Psi):
 
     N_m = -2i sum_l a_l d_l psi_m + (a0 + sum_l a_l^2) psi_m
           + i sum_l Im(psi_l conj(psi_m)) psi_l,
 
-    with a and a0 recomputed from psi.  Spectrum in, truncated spectrum out:
-    ``psi_hat`` is the full ``fft`` of psi and the result is the 2/3-masked
-    ``fft`` of N.  Every product is formed once in physical space from the
-    truncated p = T psi (``_truncated``); a and a0 are those of
+    with a and a0 recomputed from psi.  Physical space in and out, as real
+    stacks: ``y`` is (Re psi, Im psi), of shape (2, d, n, ..., n), and the
+    result is (Re T N, Im T N).  Every product is formed once from the
+    truncated p = T psi, ``real_dealias`` of y; a and a0 are those of
     ``a_from_psi`` and ``a0_from_psi`` (``_gauge_spectra``), and the
-    derivatives d_l p and the masks T of the cross term Im(psi_l conj psi_m)
-    (whose operands are the untruncated psi) and of sum_l a_l^2 are
-    products with the grid's per-axis matrices (``real_derivative``,
-    ``real_dealias``).  Four batched transforms at every d: ifft of psi,
-    rfft of the d^2 pair products, irfft of (a, a0), fft of N.  The sums
-    over index pairs (a, a0 and the cross term) are loops over the pairs.
+    derivatives d_l p, the masks of the cross term Im(psi_l conj psi_m)
+    (whose operands are the untruncated psi) and of sum_l a_l^2, and T N
+    itself are products with the grid's per-axis matrices
+    (``real_derivative``, ``real_dealias``).  Two batched transforms at
+    every d, those of the gauge recovery: the rfft of the d^2 pair products
+    and the irfft of (a, a0).  The sums over index pairs (a, a0 and the
+    cross term) are loops over the pairs.
     """
     d = grid.d
     pairs = list(combinations(range(d), 2))
-    psi = grid.ifft(psi_hat)
-    parts, p = _truncated(grid, psi)  # T psi as (Re, Im) and as complex
-    a = grid.irfft(_gauge_spectra(grid, p))  # (a_1, ..., a_d, a0)
+    parts = real_dealias(grid, y)  # T psi, and below as complex for the gauge recovery
+    a = grid.irfft(_gauge_spectra(grid, parts[0] + 1j * parts[1]))  # (a_1, ..., a_d, a0)
     # T of the cross products Im(psi_m conj psi_l), m < l, and of sum_l a_l^2
     rows = np.empty((len(pairs) + 1,) + grid.shape)
     for k, (m, l) in enumerate(pairs):
-        rows[k] = (psi[m] * np.conj(psi[l])).imag
+        rows[k] = y[1, m] * y[0, l] - y[0, m] * y[1, l]
     np.sum(a[:d] * a[:d], axis=0, out=rows[-1])
     cross = real_dealias(grid, rows)
+    del rows
 
     # sum_l a_l d_l p as the real stack (Re, Im); -2i times it is (2 Im, -2 Re)
     grad = sum(a[l] * real_derivative(grid, parts, l + 1) for l in range(d))
-    out = (a[d] + cross[-1]) * p
-    out.real += 2.0 * grad[1]
-    out.imag -= 2.0 * grad[0]
-    # c = Im(psi_m conj psi_l) adds i c p_m to N_l and -i c p_l to N_m
-    for c, (m, l) in zip(1j * cross[:-1], pairs):
-        out[l] += c * p[m]
-        out[m] -= c * p[l]
-    grid.fft(out, out=out)
-    return np.multiply(grid.symbol("dealias", half=False), out, out=out)
+    out = np.multiply(a[d] + cross[-1], parts)
+    out[0] += 2.0 * grad[1]
+    out[1] -= 2.0 * grad[0]
+    # c = Im(psi_m conj psi_l) adds i c p_m to N_l and -i c p_l to N_m;
+    # i p = (-Im p, Re p) is parts reversed, once Im p is negated in place
+    ip = parts[::-1]
+    ip[0] *= -1.0
+    for c, (m, l) in zip(cross[:-1], pairs):
+        out[:, l] += c * ip[:, m]
+        out[:, m] -= c * ip[:, l]
+    del parts, ip, a, cross, grad
+    return real_dealias(grid, out)

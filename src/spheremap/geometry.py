@@ -247,7 +247,7 @@ def coulomb_fix(s: SphereField, v: np.ndarray, w: np.ndarray) -> tuple:
     grid = s.grid
     a = connection_of(grid, v, w)
     div_hat = grid.rfft(sum(real_derivative(grid, a[m], m + 1) for m in range(grid.d)))
-    chi_hat = -grid.symbol("poisson_zero_mean", half=True) * div_hat
+    chi_hat = -grid.symbol("poisson_zero_mean") * div_hat
     chi = grid.irfft(chi_hat)
     for m in range(grid.d):
         a[m] += real_derivative(grid, chi, m + 1)
@@ -255,7 +255,7 @@ def coulomb_fix(s: SphereField, v: np.ndarray, w: np.ndarray) -> tuple:
         raise ValueError("connection contains non-finite values")
     # div_hat becomes the spectrum of div a', on the multipliers the solve inverts
     for m in range(1, grid.d + 1):
-        div_hat += grid.symbol("partial_derivative", m, half=True) ** 2 * chi_hat
+        div_hat += grid.symbol("partial_derivative", m) ** 2 * chi_hat
     div_a = float(np.sqrt(plancherel_mass(grid, div_hat)))
     return rotate_frame(s, v, w, chi), a, div_a
 

@@ -8,12 +8,17 @@ lattice.  Conventions:
   axes, so a (3, n, ..., n) stack is transformed in one call.
 * Real in, real out.  The Hermitian multipliers (derivatives, Laplacian,
   Riesz-type and dealiasing) map real fields to real fields, and every
-  operator here acts on real fields only, through the half spectrum
-  (``Grid.rfft`` / ``Grid.irfft``) or per-axis products.  A complex field
-  such as psi is analysed as the real stack (Re psi, Im psi).  The full
-  ``Grid.fft`` / ``Grid.ifft`` serve the derived-field integrator alone
-  (``evolve_msm``, ``align_phase`` and the ifft of psi and fft of N that
-  bracket each ``msm_nonlinearity`` stage), whose spectra are complex.
+  operator here acts on real fields only, through the half spectrum of the
+  one transform pair (``Grid.rfft`` / ``Grid.irfft``) or per-axis products.
+  A complex field such as psi is analysed, and evolved, as the real stack
+  (Re psi, Im psi); its full-lattice coefficients are
+  F(Re psi)(xi) + i F(Im psi)(xi) and, at -xi, the conjugate of
+  F(Re psi)(xi) - i F(Im psi)(xi).  Two complex n-D transforms stay outside
+  ``Grid``: ``diagnostics.xk_norm``'s space-time DFT of a complex record,
+  whose modulation weight |tau + |xi|^2| is not even in (tau, xi), so every
+  coefficient of the full lattice is needed and a real split would only
+  rebuild them; and ``initial_data._band_limited_random``'s generator,
+  whose inverse transform fixes the bits of its data.
 * The separable-multiplier rule: a multiplier that is a sum or a product of
   one-axis symbols acts along each axis as the real n x n circulant
   F^-1 diag(sigma) F (Trefethen, *Spectral Methods in MATLAB*, ch. 3), so
@@ -29,20 +34,23 @@ lattice.  Conventions:
   Coulomb fix's Poisson inverse (one rfft of div a, one irfft of chi), the
   Riesz-type symbols, the |xi|^sigma weights, and the pair products behind
   a and a0 that ``a_from_psi`` and ``msm_nonlinearity`` share.  Inside a
-  ``msm_nonlinearity`` stage T psi, d_l T psi and the masks of its products
-  are per-axis products too; only its input and output stay spectra.
-* The four ``Grid`` transforms give the bits of ``np.fft.fftn``,
-  ``ifftn``, ``rfftn`` and ``irfftn`` but call the 1-D ``np.fft``
-  transforms themselves, in numpy's axis order: on the small grids used
-  here the n-D wrappers cost more than a pass.  The first pass writes a
-  new array, or for ``fft`` an optional ``out`` array, and the others run
-  in place there, at every d; no transform overwrites its input.
-* Every symbol is built once per grid by name (``_SYMBOLS``, cached by
-  ``Grid.symbol``); Fourier-space kernels such as the gauge nonlinearity
-  and the Coulomb fix's Poisson solve multiply the same cached symbols.
-  Every symbol is one field, never a stack: ``evolve_msm``'s
-  integrating factor is the one free phase ``free_phase`` over half a step,
-  applied twice for a whole step, and the gauge kernels sum over index
+  ``msm_nonlinearity`` stage T psi, d_l T psi, the masks of its products
+  and T N are per-axis products too, so a stage's only transforms are those
+  two.  The free Schrodinger propagator exp(-i t |xi|^2) is a product of
+  one-axis symbols whose cosine and sine parts are even, so
+  ``_free_propagate`` applies it to (Re psi, Im psi) as two exactly
+  symmetric real circulants per axis ("real split"), cached per time t
+  beside the operator cache: ``evolve_msm`` issues no complex product.
+* ``Grid.rfft`` and ``Grid.irfft`` give the bits of ``np.fft.rfftn`` and
+  ``irfftn`` but call the 1-D ``np.fft`` transforms themselves, in numpy's
+  axis order: on the small grids used here the n-D wrappers cost more than
+  a pass.  The first pass writes a new array and the others run in place
+  there, at every d; no transform overwrites its input.
+* Every symbol is built once per grid by name (``_SYMBOLS``) and cached by
+  ``Grid.symbol`` in its half form, the one that multiplies ``rfft``
+  spectra; Fourier-space kernels such as the gauge recovery and the
+  Coulomb fix's Poisson solve multiply the same cached symbols.  Every
+  symbol is one field, never a stack: the gauge kernels sum over index
   pairs in loops, one per-axis or per-pair symbol at a time.
 * The dual lattice is xi in (2*pi/L) * {-n/2, ..., n/2 - 1}^d.
 * Fourier coefficients are normalized so that Plancherel holds against the
@@ -53,8 +61,9 @@ lattice.  Conventions:
   that kills the mean, so the choice is consistent with the whole-space
   operators they discretize.
 * Quadratic and cubic products of fields are stabilized by the 2/3-rule:
-  on a physical field, the d products of ``real_dealias``; on a spectrum,
-  the cached ``dealias`` symbol.
+  on a physical field, the d products of ``real_dealias``; on the half
+  spectrum of the gauge recovery's pair products, the cached ``dealias``
+  symbol.
 * Every norm in frequency space is one Plancherel sum, ``plancherel_mass``,
   on the half spectrum of a real field that the caller already holds; a
   complex field's mass is the sum of its real and imaginary parts' masses,
@@ -195,26 +204,6 @@ class Grid:
             mask &= self.along(m, self._keep_1d)
         return mask
 
-    def fft(self, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Full spectrum over the last d axes, batched over leading axes.
-
-        The 1-D transforms run last axis first, as ``np.fft.fftn`` does, and
-        give its bits.  The first writes into ``out`` (a new array if None)
-        and the others run in place there, so ``f`` is left as it was.
-        """
-        for axis in range(-1, -self.d - 1, -1):
-            f = out = np.fft.fft(f, axis=axis, out=out)
-        return out
-
-    def ifft(self, fhat: np.ndarray) -> np.ndarray:
-        """Inverse of ``fft``: ``np.fft.ifftn`` over the last d axes, bit for
-        bit, through 1-D transforms in its order, the first into a new array
-        and the others in place there."""
-        out = np.fft.ifft(fhat, axis=-1)
-        for axis in range(-2, -self.d - 1, -1):
-            np.fft.ifft(out, axis=axis, out=out)
-        return out
-
     def rfft(self, f: np.ndarray) -> np.ndarray:
         """Half spectrum of real data: the last axis keeps modes 0..n/2.
 
@@ -266,27 +255,40 @@ class Grid:
         return _circulant(self._keep_1d[: self.n // 2 + 1].astype(float), parity=1.0)
 
     @cached_property
+    def _propagators(self) -> dict:
+        return {}
+
+    def _free_propagator(self, t: float) -> tuple:
+        """The free Schrodinger propagator exp(-i t |xi|^2) on one axis,
+        exp(-i t k^2) = cos(t k^2) - i sin(t k^2), as the operator pairs of
+        the exactly symmetric circulants of cos(t k^2) and -sin(t k^2).
+        The product over the axes is the whole propagator
+        (``_free_propagate``).  Cached per time t it propagates over."""
+        if t not in self._propagators:
+            k2 = self._freq_1d[: self.n // 2 + 1] ** 2
+            self._propagators[t] = (_circulant(np.cos(t * k2), parity=1.0),
+                                    _circulant(-np.sin(t * k2), parity=1.0))
+        return self._propagators[t]
+
+    @cached_property
     def _symbols(self) -> dict:
         return {}
 
-    def symbol(self, name: str, *args, half: bool) -> np.ndarray:
-        """Fourier symbol ``name`` of ``_SYMBOLS`` at ``args``, cached.
+    def symbol(self, name: str, *args) -> np.ndarray:
+        """Half-spectrum Fourier symbol ``name`` of ``_SYMBOLS`` at ``args``,
+        cached.
 
-        The full form is in FFT ordering, broadcastable to ``shape``; the
-        half form keeps indices 0..n/2 of the last axis and multiplies
-        ``rfft`` spectra.  There index n/2 stands for frequency -n/2 where
-        rfft has +n/2; every symbol is even in that frequency or, for odd
-        derivative factors, zero at it.  All are
-        Hermitian except the integrating-factor phase ``free_phase``, which
-        is used in full form only and is cached per time it propagates
-        over.  Entries are plain arrays, so the cache holds no reference
-        back to its grid.
+        It keeps indices 0..n/2 of the last axis of the FFT ordering,
+        broadcastable to the shape of an ``rfft`` spectrum, which it
+        multiplies.  Index n/2 stands for frequency -n/2 where rfft has
+        +n/2; every symbol is even in that frequency or, for odd derivative
+        factors, zero at it, and every one is Hermitian.  Entries are plain
+        arrays, so the cache holds no reference back to its grid.
         """
-        key = (name, args, half)
+        key = (name, args)
         cache = self._symbols
         if key not in cache:
-            m = _SYMBOLS[name](self, *args)
-            cache[key] = np.ascontiguousarray(m[..., : self.n // 2 + 1]) if half else m
+            cache[key] = np.ascontiguousarray(_SYMBOLS[name](self, *args)[..., : self.n // 2 + 1])
         return cache[key]
 
     def _check_axis(self, axis: int) -> None:
@@ -304,7 +306,7 @@ def _apply_symbol(grid: Grid, f: np.ndarray, name: str, *args) -> np.ndarray:
     """Apply the symbol ``grid.symbol(name, *args)`` to a real field through
     its half spectrum; the result is real."""
     f = grid._check_field(f)
-    return grid.irfft(grid.symbol(name, *args, half=True) * grid.rfft(f))
+    return grid.irfft(grid.symbol(name, *args) * grid.rfft(f))
 
 
 def _circulant(half_symbol: np.ndarray, parity: float) -> tuple:
@@ -413,6 +415,26 @@ def real_dealias(grid: Grid, f: np.ndarray) -> np.ndarray:
     return out
 
 
+def _free_propagate(grid: Grid, t: float, f: np.ndarray, out: np.ndarray,
+                    work: list) -> np.ndarray:
+    """exp(-i t |xi|^2) on a complex stack held as the real stack
+    f = (Re u, Im u), written into ``out``: the product over the axes of the
+    one-axis propagators C + i S, C and S the grid's circulants of
+    cos(t k^2) and -sin(t k^2) (``Grid._free_propagator``).  Along each axis
+    C and S each take one real product of the whole stack, into ``work[0]``
+    and ``work[1]``, and the axis's result is (C Re - S Im, C Im + S Re):
+    2 d products and no transform.  ``out`` and the two arrays of ``work``
+    have the shape of f, are C-contiguous and are distinct from f.
+    """
+    for m in range(grid.d):
+        for operator, into in zip(grid._free_propagator(t), work):  # C f, S f
+            _along_axis(grid, operator, f, m, into)
+        np.subtract(work[0][0], work[1][1], out=out[0])
+        np.add(work[0][1], work[1][0], out=out[1])
+        f = out
+    return out
+
+
 def _safe_inverse(weight: np.ndarray) -> np.ndarray:
     """1/weight with the zero-frequency entry replaced by 0."""
     out = np.zeros_like(weight)
@@ -433,7 +455,7 @@ def _riesz_pair(g: Grid, l: int, lp: int) -> np.ndarray:
 
 
 # Fourier symbols by name: builder(grid, *args) returns the symbol in FFT
-# ordering, broadcastable to grid.shape; ``Grid.symbol`` caches it.
+# ordering, broadcastable to grid.shape; ``Grid.symbol`` caches its half.
 _SYMBOLS = {
     "partial_derivative": lambda g, axis: 1j * g.freq_d(axis),
     "riesz": lambda g, axis: 1j * g.freq_d(axis) * _safe_inverse(g.k_abs),
@@ -449,8 +471,6 @@ _SYMBOLS = {
     "dealias": lambda g: g.dealias_mask,
     # zero-mean inverse of the derivative-frequency Laplacian
     "poisson_zero_mean": lambda g: _safe_inverse(-g.k_squared_d),
-    # exp(-i t |xi|^2), the free Schrodinger propagator over a time t
-    "free_phase": lambda g, t: np.exp(-1j * t * g.k_squared),
 }
 
 

@@ -10,7 +10,7 @@ def _record_transforms(monkeypatch, entry):
     """Replace the Grid transform methods by ones that append
     ``entry(method name, grid, transformed array)`` to the returned list."""
     calls = []
-    for name in ("fft", "ifft", "rfft", "irfft"):
+    for name in ("rfft", "irfft"):
         def counted(self, f, *args, _method=getattr(Grid, name), _name=name, **kwargs):
             calls.append(entry(_name, self, f))
             return _method(self, f, *args, **kwargs)

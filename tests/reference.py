@@ -1,13 +1,15 @@
 """Reference implementations that serve as test oracles.
 
 These are the physical-space forms of operators the package computes in
-Fourier space, the symbol application and 2/3 mask by transforms that keep
-complex input on the full spectrum (the package applies symbols to real
+Fourier space, the symbol application and 2/3 mask by numpy transforms that
+keep complex input on the full spectrum (the package applies symbols to real
 fields only and masks physical fields by per-axis products), the
 single-field spectral derivative and Laplacian and the full-``fft``
 Sobolev norm, which no command needs, the full-spectrum forms
 of the energy and the critical norm that the package sums over half spectra,
-the loop-over-pairs form of the derived-field kernel, the modulation norm
+the loop-over-pairs form of the derived-field kernel and its step (with a
+free propagator built afresh), the full-lattice ``np.argmax`` that
+``align_phase`` must reproduce from a half spectrum, the modulation norm
 summed over the whole space-time lattice, a ``CoulombSlice``
 built from given fields, the unrotated transport pair as a checked frame
 and the rotation angle between two tangent pairs (the package checks only
@@ -40,7 +42,10 @@ from spheremap.geometry import (
     transport_frame,
 )
 from spheremap.spectral import (
+    _SYMBOLS,
     Grid,
+    _along_axis,
+    _circulant,
     _riesz_pair,
     _safe_power,
     eta0,
@@ -58,8 +63,9 @@ def apply_symbol(grid: Grid, f: np.ndarray, name: str, *args) -> np.ndarray:
     """
     f = grid._check_field(f)
     if np.iscomplexobj(f):
-        return grid.ifft(grid.symbol(name, *args, half=False) * grid.fft(f))
-    return grid.irfft(grid.symbol(name, *args, half=True) * grid.rfft(f))
+        axes = tuple(range(-grid.d, 0))
+        return np.fft.ifftn(_SYMBOLS[name](grid, *args) * np.fft.fftn(f, axes=axes), axes=axes)
+    return grid.irfft(grid.symbol(name, *args) * grid.rfft(f))
 
 
 def dealias(grid: Grid, f: np.ndarray) -> np.ndarray:
@@ -77,7 +83,8 @@ def laplacian(grid: Grid, f: np.ndarray) -> np.ndarray:
     """Spectral Laplacian: multiplier -|xi|^2, built here from ``grid.k_squared``."""
     f = grid._check_field(f)
     if np.iscomplexobj(f):
-        return grid.ifft(-grid.k_squared * grid.fft(f))
+        axes = tuple(range(-grid.d, 0))
+        return np.fft.ifftn(-grid.k_squared * np.fft.fftn(f, axes=axes), axes=axes)
     return grid.irfft(-grid.k_squared[..., : grid.n // 2 + 1] * grid.rfft(f))
 
 
@@ -92,7 +99,7 @@ def sobolev_norm(grid: Grid, f: np.ndarray, sigma: float, homogeneous: bool = Fa
     if not -1.0 <= sigma <= grid.d + 10:
         raise ValueError(f"sigma={sigma} outside supported range [-1, {grid.d + 10}]")
     f = grid._check_field(f)
-    fhat = grid.fft(f)
+    fhat = np.fft.fftn(f, axes=tuple(range(-grid.d, 0)))
     power = np.abs(fhat) ** 2
     if homogeneous:
         weight = _safe_power(grid.k_abs, 2.0 * sigma)
@@ -169,7 +176,7 @@ def projection_frame(s: SphereField, qprime: np.ndarray | None) -> Frame:
 def energy_full_spectrum(s: SphereField) -> float:
     """Dirichlet energy by Plancherel on the full ``fft`` of all of s."""
     grid = s.grid
-    shat = grid.fft(s.values)
+    shat = np.fft.fftn(s.values, axes=tuple(range(-grid.d, 0)))
     total = np.sum(np.abs(shat) ** 2 * grid.k_squared)
     return float(total * grid.length**grid.d / grid.n ** (2 * grid.d))
 
@@ -227,13 +234,13 @@ def gauge_spectra_by_pairs(grid: Grid, p: np.ndarray) -> tuple:
     for k, (m, l) in enumerate(asym, start=len(sym)):
         rows[k] = (p[m] * np.conj(p[l])).imag
     spec = np.fft.rfftn(rows, axes=tuple(range(-d, 0)))
-    spec *= grid.symbol("dealias", half=True)
+    spec *= grid.symbol("dealias")
     re_hat, im_hat = spec[: len(sym)], spec[len(sym):]
 
     a_hat = np.zeros((d,) + spec.shape[1:], dtype=complex)
     for (m, l), im in zip(asym, im_hat):
-        a_hat[m] += grid.symbol("inv_gradient_riesz", l + 1, half=True) * im
-        a_hat[l] -= grid.symbol("inv_gradient_riesz", m + 1, half=True) * im
+        a_hat[m] += grid.symbol("inv_gradient_riesz", l + 1) * im
+        a_hat[l] -= grid.symbol("inv_gradient_riesz", m + 1) * im
     a0_hat = np.zeros(spec.shape[1:], dtype=complex)
     for (l, lp), re in zip(sym, re_hat):
         rr = np.ascontiguousarray(_riesz_pair(grid, l + 1, lp + 1)[..., : grid.n // 2 + 1])
@@ -241,57 +248,89 @@ def gauge_spectra_by_pairs(grid: Grid, p: np.ndarray) -> tuple:
     return a_hat, a0_hat
 
 
-def nonlinearity_by_pairs(grid: Grid, psi_hat: np.ndarray) -> np.ndarray:
-    """``msm_nonlinearity`` with every per-axis product taken on one field
-    or one pair at a time, the derivative term and the cross term summed
-    one index or pair at a time, and every transform a numpy n-D call on a
-    fresh array."""
+def nonlinearity_by_pairs(grid: Grid, y: np.ndarray) -> np.ndarray:
+    """``msm_nonlinearity`` on the real stack y = (Re psi, Im psi), with
+    every per-axis product taken on one field or one pair at a time, the
+    derivative term and the cross term summed one index or pair at a time,
+    and every transform a numpy n-D call on a fresh array."""
     d = grid.d
     axes = tuple(range(-d, 0))
     pairs = [(m, l) for m in range(d) for l in range(m + 1, d)]
-    psi = np.fft.ifftn(psi_hat, axes=axes)
-    p = np.empty_like(psi)
+    re, im = y
+    p = np.empty((d,) + grid.shape, dtype=complex)
     for m in range(d):
-        p[m] = real_dealias(grid, psi[m].real) + 1j * real_dealias(grid, psi[m].imag)
+        p[m] = real_dealias(grid, re[m]) + 1j * real_dealias(grid, im[m])
 
     a_hat, a0_hat = gauge_spectra_by_pairs(grid, p)
     a = np.fft.irfftn(a_hat, s=grid.shape, axes=axes)
     potential = np.fft.irfftn(a0_hat, s=grid.shape, axes=axes)
     potential += real_dealias(grid, np.sum(a * a, axis=0))
 
-    grad_re, grad_im = np.zeros(psi.shape), np.zeros(psi.shape)
+    grad_re, grad_im = np.zeros(re.shape), np.zeros(re.shape)
     for l in range(d):
         for m in range(d):
             grad_re[m] += a[l] * real_derivative(grid, np.ascontiguousarray(p[m].real), l + 1)
             grad_im[m] += a[l] * real_derivative(grid, np.ascontiguousarray(p[m].imag), l + 1)
-    out = potential * p
-    out.real += 2.0 * grad_im
-    out.imag -= 2.0 * grad_re
+    out_re, out_im = potential * p.real, potential * p.imag
+    out_re += 2.0 * grad_im
+    out_im -= 2.0 * grad_re
     for m, l in pairs:
-        c = 1j * real_dealias(grid, (psi[m] * np.conj(psi[l])).imag)
-        out[l] += c * p[m]
-        out[m] -= c * p[l]
-    return grid.dealias_mask * np.fft.fftn(out, axes=axes)
+        c = real_dealias(grid, im[m] * re[l] - re[m] * im[l])  # Im(psi_m conj psi_l)
+        out_re[l] -= c * p[m].imag
+        out_im[l] += c * p[m].real
+        out_re[m] += c * p[l].imag
+        out_im[m] -= c * p[l].real
+    out = np.empty(y.shape)
+    for m in range(d):
+        out[0, m] = real_dealias(grid, out_re[m])
+        out[1, m] = real_dealias(grid, out_im[m])
+    return out
+
+
+def free_propagate_by_axes(grid: Grid, t: float, y: np.ndarray) -> np.ndarray:
+    """exp(-i t |xi|^2) on the real stack y = (Re u, Im u), its one-axis
+    circulants of cos(t k^2) and -sin(t k^2) built afresh and every axis's
+    real and imaginary part formed in fresh arrays."""
+    k2 = grid._freq_1d[: grid.n // 2 + 1] ** 2
+    cos, sin = _circulant(np.cos(t * k2), parity=1.0), _circulant(-np.sin(t * k2), parity=1.0)
+    y = np.ascontiguousarray(y)
+    for m in range(grid.d):
+        c, s = np.empty(y.shape), np.empty(y.shape)
+        _along_axis(grid, cos, y, m, c)
+        _along_axis(grid, sin, y, m, s)
+        y = np.stack([c[0] - s[1], c[1] + s[0]])
+    return y
 
 
 def evolve_by_pairs(grid: Grid, psi: np.ndarray, dt: float) -> np.ndarray:
-    """``evolve_msm`` on ``nonlinearity_by_pairs``, its half-step phase
-    computed afresh and the Lawson step written out in ``_rk4``'s order."""
-    axes = tuple(range(-grid.d, 0))
-    psi_hat = np.fft.fftn(psi, axes=axes)
-    half = np.exp(-1j * (dt / 2.0) * grid.k_squared)
+    """``evolve_msm`` on ``nonlinearity_by_pairs``, its half-step propagator
+    built afresh (``free_propagate_by_axes``) and the Lawson step written
+    out in ``_rk4``'s order on the real stack (Re psi, Im psi)."""
+    y = np.stack([psi.real, psi.imag])
 
-    def nhat(ph):
-        return -1j * nonlinearity_by_pairs(grid, ph)
+    def half(x):
+        return free_propagate_by_axes(grid, dt / 2.0, x)
 
-    half_psi = half * psi_hat
-    a = nhat(psi_hat)
-    b = nhat(half * (psi_hat + 0.5 * dt * a))
-    c = nhat(half_psi + 0.5 * dt * b)
-    d = nhat(half * (half_psi + dt * c))
-    total = half * (half * a + 2.0 * b + 2.0 * c) + d
-    out_hat = half * half_psi + (dt / 6.0) * total
-    return np.fft.ifftn(out_hat, axes=axes)
+    def slope(x):  # -i T N = (Im T N, -Re T N)
+        tn = nonlinearity_by_pairs(grid, x)
+        return np.stack([tn[1], -tn[0]])
+
+    half_y = half(y)
+    a = slope(y)
+    b = slope(half(y + 0.5 * dt * a))
+    c = slope(half_y + 0.5 * dt * b)
+    d = slope(half(half_y + dt * c))
+    total = half(half(a) + 2.0 * b + 2.0 * c) + d
+    out = half(half_y) + (dt / 6.0) * total
+    return out[0] + 1j * out[1]
+
+
+def phase_mode_full_lattice(grid: Grid, psi1: np.ndarray) -> tuple:
+    """The index, in FFT order, of the largest |F(psi_1)| on the full
+    lattice, as ``np.argmax`` over ``np.fft.fftn`` picks it: the first at a
+    tie."""
+    mag = np.abs(np.fft.fftn(psi1))
+    return tuple(int(i) for i in np.unravel_index(int(np.argmax(mag)), grid.shape))
 
 
 def xk_norm_full_lattice(rec: SpaceTimeRecord, k: int) -> float:

@@ -1,6 +1,7 @@
 """Tests for initial data generation, persistence, config parsing and the CLI."""
 
 import os
+import signal
 import struct
 import subprocess
 import sys
@@ -11,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import spheremap.geometry as geometry
 from spheremap.cli_io import (
@@ -598,6 +601,37 @@ class TestCliRun:
         assert sorted(os.listdir(out)) == ["diagnostics.csv"] + [
             f"snapshot_{k:08d}.bin" for k in range(3)]
 
+    def test_sigterm_in_the_step_loop_is_a_recorded_abort(self, config_file, tmp_path,
+                                                          capsys, monkeypatch):
+        # the process signals itself during step 3; run's handler is
+        # installed for the command alone
+        before = signal.getsignal(signal.SIGTERM)
+        calls = {"n": 0}
+
+        def terminated_update(s, dt, work):
+            calls["n"] += 1
+            if calls["n"] == 3:
+                # without run's handler the signal would end the test session
+                assert signal.getsignal(signal.SIGTERM) is not before
+                os.kill(os.getpid(), signal.SIGTERM)
+            return rk4_update(s, dt, work)
+
+        monkeypatch.setattr("spheremap.evolution.rk4_update", terminated_update)
+        out = tmp_path / "sigterm"
+        rc = cli_main(["run", "--config", config_file, "--out", str(out), "--override",
+                       "time.steps=6", "--override", "run.cadence=1",
+                       "--override", "run.snapshot_every=1"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "run aborted: step 3, t = " in err
+        assert "SIGTERM" in err
+        assert "grid point" not in err
+        assert len((out / "diagnostics.csv").read_text().splitlines()) == 1 + 3
+        assert sorted(os.listdir(out)) == ["diagnostics.csv"] + [
+            f"snapshot_{k:08d}.bin" for k in range(3)]
+        assert signal.getsignal(signal.SIGTERM) is before
+
     def test_negative_dt_steps_backwards(self, config_file, tmp_path):
         # the flow is time-reversible, so a stable negative step is legal
         out = tmp_path / "back"
@@ -718,6 +752,42 @@ class TestCliVerify:
         save_snapshot(s.values, g, 0.0, path)
         assert cli_main(["verify", path, "--q", "0,0,1"]) == 2
         assert "1 + s.q = 0.000e+00 at grid point (8, 8)" in capsys.readouterr().err
+
+
+# a (2, 8) snapshot: the 60-byte header and 3 * 8^2 float64 values
+SNAPSHOT_BYTES = 60 + 8 * 3 * 8**2
+
+
+class TestCorruptSnapshotProperty:
+    """Whatever a truncation, one flipped bit or appended bytes do to a
+    snapshot, ``verify`` exits 2 with a message that starts with the path."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(edit=st.one_of(
+        st.tuples(st.just("truncate"), st.integers(0, SNAPSHOT_BYTES - 1)),
+        st.tuples(st.just("flip"), st.integers(0, 8 * SNAPSHOT_BYTES - 1)),
+        st.tuples(st.just("append"), st.binary(min_size=1, max_size=32)),
+    ))
+    def test_verify_exits_2_naming_the_path(self, tmp_path, capsys, edit):
+        g = Grid(d=2, n=8)
+        path = tmp_path / "field.bin"
+        save_snapshot(generate_initial(InitialDataSpec(amplitude=0.1), g).values, g, 0.5, str(path))
+        blob = bytearray(path.read_bytes())
+        assert len(blob) == SNAPSHOT_BYTES
+        kind, where = edit
+        if kind == "truncate":
+            del blob[where:]
+        elif kind == "flip":
+            blob[where // 8] ^= 1 << (where % 8)
+        else:
+            blob += where
+        path.write_bytes(bytes(blob))
+        capsys.readouterr()
+        assert cli_main(["verify", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: "), captured.err
 
 
 class TestCliNorms:

@@ -12,6 +12,7 @@ import pytest
 import spheremap.evolution as evo
 from spheremap.evolution import (
     SimConfig,
+    align_phase,
     default_dt,
     evolve_msm,
     rk4_update,
@@ -23,9 +24,9 @@ from spheremap.diagnostics import diagnostics_row, frame_bound_ratio
 from spheremap.gauge import coulomb_slice, msm_nonlinearity
 from spheremap.geometry import SphereField, flow_rhs
 from spheremap.initial_data import InitialDataSpec, generate_initial
-from spheremap.spectral import Grid
+from spheremap.spectral import Grid, _free_propagate
 
-from reference import laplacian
+from reference import laplacian, phase_mode_full_lattice
 
 Q = np.array([0.0, 0.0, 1.0])
 
@@ -154,11 +155,10 @@ class TestStepRk4Projected:
 
 
 def msm_kernel_transforms(d):
-    """(method, fields) of one msm_nonlinearity call: the ifft of psi, the
-    rfft of the d^2 pair products, the irfft of (a, a0) and the fft of N;
-    T psi, d_l T psi and the masks of the cross term and of sum_l a_l^2 are
-    products."""
-    return [("ifft", d), ("rfft", d * d), ("irfft", d + 1), ("fft", d)]
+    """(method, fields) of one msm_nonlinearity call: the rfft of the d^2
+    pair products and the irfft of (a, a0); T psi, d_l T psi, the masks of
+    the cross term and of sum_l a_l^2 and T N are products."""
+    return [("rfft", d * d), ("irfft", d + 1)]
 
 
 # every derivative and 2/3 mask of the residuals is a product with the grid's
@@ -193,22 +193,24 @@ class TestTransformCount:
         assert transform_calls == []
 
     @pytest.mark.parametrize("d, n", [(2, 16), (3, 8), (4, 8)])
-    def test_msm_nonlinearity_issues_four_transforms(self, transform_fields, d, n):
+    def test_msm_nonlinearity_issues_two_transforms(self, transform_fields, d, n):
         g = Grid(d=d, n=n)
-        psi_hat = g.fft(bump_psi(g))
+        psi = bump_psi(g)
+        y = np.stack([psi.real, psi.imag])
         transform_fields.clear()
-        msm_nonlinearity(g, psi_hat)
+        msm_nonlinearity(g, y)
         assert transform_fields == msm_kernel_transforms(d)
 
     @pytest.mark.parametrize("d, n", [(2, 16), (3, 8), (4, 8)])
-    def test_evolve_msm_step_issues_18_transforms(self, transform_fields, d, n):
-        # the four stages stay in Fourier space: one fft in, one ifft out
+    def test_evolve_msm_step_issues_8_transforms(self, transform_fields, d, n):
+        # the step stays in physical space, its propagator a product: the
+        # four stages' gauge recoveries are all its transforms
         g = Grid(d=d, n=n)
         psi = bump_psi(g)
         transform_fields.clear()
         evolve_msm(g, psi, default_dt(g))
-        assert transform_fields == [("fft", d)] + msm_kernel_transforms(d) * 4 + [("ifft", d)]
-        assert len(transform_fields) == 18
+        assert transform_fields == msm_kernel_transforms(d) * 4
+        assert len(transform_fields) == 8
 
     @pytest.mark.parametrize("d, n", [(2, 16), (3, 8), (4, 8)])
     def test_slice_issues_two_transforms_and_its_row_one(self, transform_fields, d, n):
@@ -264,20 +266,24 @@ class TestEvolveMsm:
         psi = np.zeros((2,) + g.shape, dtype=complex)
         psi[0] = np.exp(1j * x1)
         dt = 0.37
-        out = g.ifft(g.symbol("free_phase", dt, half=False) * g.fft(psi))
+        y = np.stack([psi.real, psi.imag])
+        out = _free_propagate(g, dt, y, np.empty_like(y), np.empty((2,) + y.shape))
         expected = np.exp(-1j * dt) * np.exp(1j * x1)
-        assert np.max(np.abs(out[0] - expected)) < 1e-14
+        assert np.max(np.abs(out[0, 0] + 1j * out[1, 0] - expected)) < 1e-14
 
     def test_lawson_kernel_without_slope_is_the_free_propagator(self):
         # with rhs = 0 a step is E(E y), bit for bit: the Lawson path of _rk4
         # apart from msm_nonlinearity
         g = Grid(d=3, n=8)
-        rng = np.random.default_rng(7)
-        y = rng.standard_normal((3,) + g.shape) + 1j * rng.standard_normal((3,) + g.shape)
+        y = np.random.default_rng(7).standard_normal((2, 3) + g.shape)  # (Re psi, Im psi)
         dt = default_dt(g)
-        half = g.symbol("free_phase", 0.5 * dt, half=False)
-        out = evo._rk4(y, dt, np.zeros_like, lambda x: half * x, np.empty_like(y), np.empty_like(y))
-        assert out.tobytes() == (half * (half * y)).tobytes()
+        work = np.empty((2,) + y.shape)
+
+        def half(x):
+            return _free_propagate(g, 0.5 * dt, x, np.empty_like(x), work)
+
+        out = evo._rk4(y, dt, np.zeros_like, half, np.empty_like(y), np.empty_like(y))
+        assert out.tobytes() == half(half(y)).tobytes()
 
     def test_richardson_order(self):
         g = Grid(d=2, n=16)
@@ -295,19 +301,51 @@ class TestEvolveMsm:
         assert e1 / e2 == pytest.approx(16.0, rel=0.2)
 
     def test_grid_is_freed_without_the_cycle_collector(self):
-        # the symbol cache holds the phase and pair symbols of a step; an
-        # entry that referenced its own grid would keep it alive until gc
+        # the grid's caches hold the propagator and pair symbols of a step;
+        # an entry that referenced its own grid would keep it alive until gc
         gc.disable()
         try:
             g = Grid(d=2, n=16)
             psi = bump_psi(g)
             evolve_msm(g, psi, default_dt(g))
-            assert g.symbol("free_phase", 0.5 * default_dt(g), half=False).shape == g.shape
+            assert list(g._propagators) == [0.5 * default_dt(g)]
             grid_ref = weakref.ref(g)
             del g
             assert grid_ref() is None
         finally:
             gc.enable()
+
+
+class TestAlignPhase:
+    """``align_phase`` reads its phase at the coefficient of psi_1 that
+    ``np.argmax`` picks over the full spectrum in FFT order, also where
+    |F(xi)| = |F(-xi)| in exact arithmetic, as on the bump's psi_1, which is
+    odd in x_1.  The candidate is independent random data, so the phases at
+    xi and -xi differ and a wrong pick shows at O(1)."""
+
+    @pytest.mark.parametrize("d, n", [(2, 16), (2, 32), (3, 8), (4, 12)])
+    @pytest.mark.parametrize("data", ["random", "bump"])
+    def test_phase_of_the_full_lattice_argmax(self, d, n, data):
+        g = Grid(d=d, n=n)
+        rng = np.random.default_rng(d * n)
+        size = (d,) + g.shape
+        psi = rng.normal(size=size) + 1j * rng.normal(size=size)
+        reference = bump_psi(g) if data == "bump" else rng.normal(size=size) + 1j * rng.normal(size=size)
+        idx = phase_mode_full_lattice(g, reference[0])
+        phase = np.fft.fftn(reference[0])[idx] / np.fft.fftn(psi[0])[idx]
+        expected = psi * (phase / abs(phase))
+        got = align_phase(g, psi, reference)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(psi))
+
+    def test_bump_psi1_ties_at_plus_and_minus_xi(self):
+        # the data above do tie: the largest coefficient's mirror has its magnitude
+        g = Grid(d=2, n=32)
+        f = bump_psi(g)[0]
+        mag = np.abs(np.fft.fftn(f))
+        idx = phase_mode_full_lattice(g, f)
+        mirror = tuple(-i % g.n for i in idx)
+        assert mirror != idx
+        assert mag[mirror] == pytest.approx(mag[idx], rel=1e-14)
 
 
 class TestScalingSymmetry:

@@ -290,15 +290,24 @@ def test_every_default_is_both_passed_and_left_out_in_src():
     assert not stale, "allowlisted but no default or used both ways: " + ", ".join(stale)
 
 
+def _methods(trees: dict) -> list:
+    """The function definitions in the top-level classes of ``trees``."""
+    return [node for tree in trees.values() for cls in tree.body
+            if isinstance(cls, ast.ClassDef)
+            for node in cls.body if isinstance(node, ast.FunctionDef)]
+
+
 def test_every_method_default_is_both_passed_and_left_out_in_src():
-    """The rule above for the methods of ``src/`` classes, such as the
-    ``out`` of the ``Grid`` transforms; it has no allowlist."""
+    """The rule above for the methods of ``src/`` classes; it has no
+    allowlist.  No method of ``src/`` has a default, so a probe class
+    shows that the rule sees one, and the method list that it sees the
+    ``Grid`` methods."""
+    probe = {"probe.py": ast.parse("class P:\n    def step(self, x, out=None): ...\n\nP().step(1)\n")}
+    assert _default_uses(probe, _methods(probe), methods=True) == {"step.out": {"left out"}}
     trees = _src_trees()
-    methods = [node for tree in trees.values() for cls in tree.body
-               if isinstance(cls, ast.ClassDef)
-               for node in cls.body if isinstance(node, ast.FunctionDef)]
+    methods = _methods(trees)
+    assert {"rfft", "irfft", "symbol"} <= {node.name for node in methods}
     uses = _default_uses(trees, methods, methods=True)
-    assert "fft.out" in uses  # the rule sees the Grid transforms
     one_sided = _one_sided(uses, {})
     assert not one_sided, "method defaults not both passed and left out in src/: " + ", ".join(one_sided)
 
@@ -336,6 +345,53 @@ def test_one_function_holds_the_rk4_tableau():
         found.visit(tree)
     assert found.sixths == ["_rk4"], found.sixths
     assert found.kernel_callers == {"rk4_update", "evolve_msm"}
+
+
+class _FftCalls(ast.NodeVisitor):
+    """The ``np.fft`` functions each class method or function of a module
+    calls, by its qualified name (``Grid.rfft``, ``xk_norm``)."""
+
+    def __init__(self) -> None:
+        self.stack, self.calls = [], {}
+
+    def _enter(self, node):
+        self.stack.append(node.name)
+        self.generic_visit(node)
+        self.stack.pop()
+
+    visit_ClassDef = visit_FunctionDef = _enter
+
+    def visit_Call(self, node):
+        func = node.func
+        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Attribute) \
+                and func.value.attr == "fft" and _through_numpy(func):
+            self.calls.setdefault(".".join(self.stack), set()).add(func.attr)
+        self.generic_visit(node)
+
+
+def _fft_calls() -> dict:
+    found = _FftCalls()
+    for tree in _src_trees().values():
+        found.visit(tree)
+    return found.calls
+
+
+def test_grid_defines_exactly_the_real_transform_pair():
+    """Every ``Grid`` transform is real in and real out: ``rfft`` and
+    ``irfft`` are the only methods that call a transform of ``np.fft``."""
+    transforms = {name for name, called in _fft_calls().items()
+                  if name.startswith("Grid.") and called - {"fftfreq"}}
+    assert transforms == {"Grid.rfft", "Grid.irfft"}
+
+
+def test_complex_transforms_only_where_the_spectral_docstring_says():
+    """A complex ``np.fft`` transform is called only by the complex passes
+    of the real pair and by the two functions the ``spectral`` module
+    docstring names: ``xk_norm``'s space-time DFT of a complex record and
+    the band-limited generator, whose transform fixes the bits of its data."""
+    complex_transforms = {"fft", "ifft", "fftn", "ifftn", "fft2", "ifft2"}
+    callers = {name for name, called in _fft_calls().items() if called & complex_transforms}
+    assert callers == {"Grid.rfft", "Grid.irfft", "xk_norm", "_band_limited_random"}, callers
 
 
 def test_run_evaluates_the_flow_only_through_flow_rhs(monkeypatch):
