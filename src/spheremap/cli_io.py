@@ -26,6 +26,7 @@ import numpy as np
 from .diagnostics import (
     DiagnosticsRow,
     SpaceTimeRecord,
+    _off_spacing,
     direction_axis,
     directional_norm,
     frame_bound_ratio,
@@ -389,8 +390,11 @@ def _cmd_norms(args) -> int:
     sn = load_snapshot(paths[0])
     grid = sn.grid
     direction_axis(grid, args.direction)  # reject a bad direction before any slice
-    # one record, filled row by row as each snapshot is read and dropped: a
-    # row of psi is a view that would keep the whole psi stack of its slice alive
+    # one record, filled row by row as each snapshot is read and dropped; the
+    # psi1 record is the one complex field of the analysis (xk_norm's
+    # space-time DFT reads every coefficient), and its row is written in one
+    # statement: a name bound to the slice's psi would keep that whole stack
+    # alive into the next slice
     dtype = complex if args.observable == "psi1" else float
     values = np.empty((len(paths),) + grid.shape, dtype=dtype)
     times = np.empty(len(paths))
@@ -403,8 +407,12 @@ def _cmd_norms(args) -> int:
             diff = s.values - s.q.reshape((3,) + (1,) * grid.d)
             row[...] = np.sqrt(np.sum(diff**2, axis=0))
         else:  # psi1
-            row[...] = coulomb_slice(s).psi[0]
-    rec = SpaceTimeRecord(grid, times, values)
+            row.real, row.imag = coulomb_slice(s).psi[:, 0]
+    try:
+        rec = SpaceTimeRecord(grid, times, values)
+    except ValueError as exc:  # the record's spacing rule: name the first snapshot off it
+        k = int(np.argmax(_off_spacing(times)))
+        raise ConfigError(f"{paths[k]}: t = {times[k]:.6g} breaks the record's spacing: {exc}") from exc
 
     results = []
     pq = {"1": 1.0, "2": 2.0, "inf": np.inf}

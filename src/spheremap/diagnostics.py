@@ -9,8 +9,8 @@ other column twice for its conjugate partner.  Every analysis here reads a
 Coulomb slice it is given, which keeps no spectrum: a diagnostics row takes
 one rfft of s for these two cells, and its residual cells are products with
 the grid's per-axis matrices, so a row issues that one transform.
-``frame_bound_ratio`` takes its own rfft of s and one rfft of the real
-stack (Re psi, Im psi) from the slice, whose half-spectrum masses add up to
+``frame_bound_ratio`` takes its own rfft of s and one rfft of the slice's
+real stack (Re psi, Im psi), whose half-spectrum masses add up to
 that of psi under the even weight |xi|^(d-2) (not separable); so the ratio
 costs two rffts and does not depend on the frame direction q'.
 """
@@ -100,7 +100,7 @@ def frame_bound_ratio(sl: CoulombSlice) -> float:
     the frame direction q'.  The denominator is a Plancherel sum on one
     rfft of s.  The numerator reads ||psi_m||^2 as the half-spectrum mass of
     Re psi_m plus that of Im psi_m, exact for the even real weight
-    |xi|^(d-2), on one rfft of the real stack (Re psi, Im psi).
+    |xi|^(d-2), on one rfft of the slice's real stack (Re psi, Im psi).
     """
     s = sl.frame.s
     grid = s.grid
@@ -108,7 +108,7 @@ def frame_bound_ratio(sl: CoulombSlice) -> float:
     if denom == 0.0:
         return 0.0
     weight = grid.symbol("frequency_power", grid.d - 2.0)
-    parts = plancherel_mass(grid, grid.rfft(np.stack([sl.psi.real, sl.psi.imag])), weight=weight)
+    parts = plancherel_mass(grid, grid.rfft(sl.psi), weight=weight)
     return float(np.sqrt(np.max(parts[0] + parts[1])) / denom)
 
 
@@ -131,6 +131,14 @@ def diagnostics_row(t: float, sl: CoulombSlice, unit_violation: float) -> Diagno
     )
 
 
+def _off_spacing(times: np.ndarray) -> np.ndarray:
+    """The uniform-spacing rule of a record, per sample: True where the step
+    from the sample before is not positive or differs from the first step
+    (rtol 1e-8, atol 1e-12); the first sample is never off."""
+    steps = np.diff(times)
+    return np.concatenate([[False], (steps <= 0) | ~np.isclose(steps, steps[:1], 1e-8, 1e-12)])
+
+
 @dataclass(frozen=True)
 class SpaceTimeRecord:
     """Uniformly sampled scalar observable u(t, x) on a fixed grid."""
@@ -146,10 +154,8 @@ class SpaceTimeRecord:
         object.__setattr__(self, "values", values)
         if values.shape != (len(times),) + self.grid.shape:
             raise ValueError("record values shape does not match times x grid")
-        if len(times) >= 2:
-            dts = np.diff(times)
-            if np.any(dts <= 0) or not np.allclose(dts, dts[0], rtol=1e-8, atol=1e-12):
-                raise ValueError("record times must be uniform and increasing")
+        if np.any(_off_spacing(times)):
+            raise ValueError("record times must be uniform and increasing")
 
     @property
     def dt(self) -> float:

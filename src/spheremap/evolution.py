@@ -18,23 +18,25 @@ right-hand side and its half-step propagator E = exp(h L / 2):
   (i d_t + Laplacian) psi_m = N_m(Psi), whose linear part is applied
   exactly by the free propagator exp(-i dt |xi|^2 / 2) over each half
   step while RK4 handles the nonlinearity.  The step stays in physical
-  space on the real stack (Re psi, Im psi): the propagator is per-axis
-  products of two real circulants (``spectral._free_propagate``) and
-  ``msm_nonlinearity`` takes and returns real stacks, so a step is four
-  two-transform stages (8 transforms at every d).  The config value
-  ``strang-msm`` selects it; despite the name this is not Strang
-  splitting, and the spelling stays for config compatibility.
+  space on psi as the slice holds it, the real stack (Re psi, Im psi): the
+  propagator is per-axis products of two real circulants
+  (``spectral._free_propagate``) and ``msm_nonlinearity`` takes and returns
+  real stacks, so a step is four two-transform stages (8 transforms at
+  every d).  The config value ``strang-msm`` selects it; despite the name
+  this is not Strang splitting, and the spelling stays for config
+  compatibility.
 
 ``run`` is the batch driver: it builds the initial data, steps the flow,
 analyses one Coulomb slice per cadence tick for the diagnostics row, and
 optionally co-evolves the derived fields to track the mismatch between the
 two formulations (the constant per-slice phase freedom is aligned on the
-largest Fourier mode of psi_1 before differencing).  It writes each
-snapshot as it is taken.  A run that leaves the regime of validity (a field
-length outside [1/2, 2], a map that reaches the antipode -q, where the
-slice's transport frame does not exist, or a non-finite row), runs out of
-memory or is interrupted (SIGINT, or SIGTERM under the ``run`` command) in
-its step loop ends as a recorded abort with its partial outputs.
+largest Fourier mode of psi_1 before differencing, by a rotation of the
+real stack).  It writes each snapshot as it is taken.  A run that leaves
+the regime of validity (a field length outside [1/2, 2], a map that
+reaches the antipode -q, where the slice's transport frame does not exist,
+or a non-finite row), runs out of memory or is interrupted (SIGINT, or
+SIGTERM under the ``run`` command) in its step loop ends as a recorded
+abort with its partial outputs.
 """
 
 from __future__ import annotations
@@ -144,7 +146,8 @@ def step_rk4_projected(s: SphereField, dt: float, work: _Rk4Work) -> tuple:
 def evolve_msm(grid: Grid, psi: np.ndarray, dt: float) -> np.ndarray:
     """One integrating-factor RK4 step of the derived-field system.
 
-    ``_rk4`` on the real stack y = (Re psi, Im psi), with the slope
+    ``_rk4`` on psi as the real stack (Re psi, Im psi), of shape
+    (2, d, n, ..., n), which the step takes and returns, with the slope
     -i T N(Psi) = (Im T N, -Re T N) of ``msm_nonlinearity`` and the exact
     free propagator exp(-i dt |xi|^2 / 2) over half a step, applied by
     per-axis products (``_free_propagate``) of the circulants the grid
@@ -153,32 +156,33 @@ def evolve_msm(grid: Grid, psi: np.ndarray, dt: float) -> np.ndarray:
     stacks are allocated once per step; E y, which stages 3 and 4 and the
     result reuse, has one of its own.
     """
-    y = np.stack([psi.real, psi.imag])
-    ey, out, slope, stage, total, *work = (np.empty_like(y) for _ in range(7))
-    minus_i = np.array([1.0, -1.0]).reshape((2,) + (1,) * psi.ndim)  # -i (a, b) = (b, -a)
-    new = _rk4(y, dt, lambda x: np.multiply(msm_nonlinearity(grid, x)[::-1], minus_i, out=slope),
-               lambda x: _free_propagate(grid, 0.5 * dt, x, ey if x is y else out, work),
-               stage, total)
-    return new[0] + 1j * new[1]
+    ey, out, slope, stage, total, *work = (np.empty_like(psi) for _ in range(7))
+    minus_i = np.array([1.0, -1.0]).reshape((2,) + (1,) * (psi.ndim - 1))  # -i (a, b) = (b, -a)
+    return _rk4(psi, dt, lambda x: np.multiply(msm_nonlinearity(grid, x)[::-1], minus_i, out=slope),
+                lambda x: _free_propagate(grid, 0.5 * dt, x, ey if x is psi else out, work),
+                stage, total)
 
 
 def align_phase(grid: Grid, psi: np.ndarray, reference: np.ndarray) -> np.ndarray:
     """Rotate psi by the constant phase matching its psi_1 to the reference.
 
-    The phase is read off the largest-magnitude Fourier coefficient of the
-    reference's first component, which removes the per-slice constant
-    rotation freedom of the gauge before trajectories are compared.  One
-    ``rfft`` of the real stack (Re, Im of reference[0] and of psi[0]) gives
-    every coefficient of the full lattice: F(u)(xi) = F(Re u)(xi)
-    + i F(Im u)(xi) on the half lattice and, at -xi,
-    conj(F(Re u)(xi) - i F(Im u)(xi)).  The search runs over the full
-    lattice's magnitudes in FFT order, as ``np.argmax`` over the full
-    spectrum would, so a tie |F(xi)| = |F(-xi)| goes to the first.
+    psi and the reference are real stacks (Re, Im), as ``derive_psi``
+    builds them, and so is the result.  The phase is read off the
+    largest-magnitude Fourier coefficient of the reference's first
+    component, which removes the per-slice constant rotation freedom of the
+    gauge before trajectories are compared.  One ``rfft`` of the 4 real
+    fields (Re, Im of reference psi_1 and of psi_1) gives every coefficient
+    of the full lattice: F(u)(xi) = F(Re u)(xi) + i F(Im u)(xi) on the half
+    lattice and, at -xi, conj(F(Re u)(xi) - i F(Im u)(xi)).  The search runs
+    over the full lattice's magnitudes in FFT order, as ``np.argmax`` over
+    the full spectrum would, so a tie |F(xi)| = |F(-xi)| goes to the first.
+    The phase (cos, sin) then rotates the stack: (cos Re - sin Im,
+    sin Re + cos Im).
     """
     h, neg = grid.n // 2 + 1, -np.arange(grid.n) % grid.n  # neg[k]: the index of -k
-    hat = grid.rfft(np.stack([reference[0].real, reference[0].imag, psi[0].real, psi[0].imag]))
+    hat = grid.rfft(np.concatenate([reference[:, 0], psi[:, 0]]))
     mirror = (slice(None),) + np.ix_(*[neg] * (grid.d - 1), neg[h:])
-    coef = np.concatenate([hat[0::2] + 1j * hat[1::2],  # F of reference[0] and of psi[0]
+    coef = np.concatenate([hat[0::2] + 1j * hat[1::2],  # F of reference psi_1 and of psi_1
                            np.conj(hat[0::2] - 1j * hat[1::2])[mirror]], axis=-1)
     idx = np.unravel_index(int(np.argmax(np.abs(coef[0]))), grid.shape)
     ref, cand = coef[(slice(None),) + idx]
@@ -186,14 +190,14 @@ def align_phase(grid: Grid, psi: np.ndarray, reference: np.ndarray) -> np.ndarra
         return psi
     phase = ref / cand
     phase /= abs(phase)
-    return psi * phase
+    cos, sin = phase.real, phase.imag
+    return np.stack([cos * psi[0] - sin * psi[1], sin * psi[0] + cos * psi[1]])
 
 
 def _relative_psi_mismatch(grid: Grid, psi: np.ndarray, reference: np.ndarray) -> float:
-    aligned = align_phase(grid, psi, reference)
-    num = np.sqrt(sum(l2_norm(grid, aligned[m] - reference[m]) ** 2 for m in range(grid.d)))
-    den = np.sqrt(sum(l2_norm(grid, reference[m]) ** 2 for m in range(grid.d)))
-    return float(num / den) if den > 0 else float(num)
+    num = l2_norm(grid, align_phase(grid, psi, reference) - reference)
+    den = l2_norm(grid, reference)
+    return num / den if den > 0 else num
 
 
 @dataclass(frozen=True)
@@ -319,7 +323,7 @@ def _abort_reason(k: int, t: float, exc: BaseException, sl: CoulombSlice | None)
     reason = f"step {k}, t = {t:.6g}: {type(exc).__name__}: {exc}"
     if sl is not None and not isinstance(exc, (MemoryError, KeyboardInterrupt)):
         # the row failed on a built slice: name its first non-finite or largest psi
-        mag = np.sum(np.abs(sl.psi) ** 2, axis=0)
+        mag = np.sum(sl.psi**2, axis=(0, 1))
         point = _worst_point(np.where(np.isfinite(mag), mag, np.inf))
         reason += f" (largest |psi| at grid point {point})"
     return reason

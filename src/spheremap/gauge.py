@@ -4,9 +4,12 @@ Given a tangent frame (s, v, w), the complex fields
 
     psi_m = (d_m s) . v + i (d_m s) . w,        m = 1, ..., d
 
-encode the spatial derivatives of s in frame coordinates.  In the Coulomb
-gauge the connection and the temporal coefficient are recovered from psi
-alone:
+encode the spatial derivatives of s in frame coordinates.  psi is held as
+one real stack (Re psi, Im psi) of shape (2, d, n, ..., n) from
+``derive_psi`` on; every product of its components below is written out
+in real and imaginary parts, and no complex copy of psi is formed.  In the
+Coulomb gauge the connection and the temporal coefficient are recovered
+from psi alone:
 
     a_m  = |nabla|^-1 [ sum_l R_l Im(psi_m conj(psi_l)) ]
     a0   = sum_{l,l'} R_l R_l' Re(conj(psi_l) psi_l') + 1/2 sum_l |psi_l|^2
@@ -17,15 +20,15 @@ and psi satisfies a system of coupled nonlinear Schrodinger equations
 
 with the cubic/quintic nonlinearity assembled in ``msm_nonlinearity``.  The
 Coulomb recovery of a and a0 from psi has one code path, ``_gauge_spectra``:
-T psi by per-axis products of the real stack (Re psi, Im psi), one rfft of
-the pair products and one irfft, with R_l R_l' fused into the one symbol
+T psi by per-axis products of the real stack, one rfft of the real pair
+products and one irfft, with R_l R_l' fused into the one symbol
 -xi_l xi_l' / |xi|^2.  ``a_from_psi`` and ``a0_from_psi`` are its two
 slices, 2 transforms each, and ``msm_nonlinearity`` takes both from one
 call.  ``msm_nonlinearity`` works in physical space on real stacks: psi in
-as (Re psi, Im psi) and T N out as (Re T N, Im T N), so those 2 transforms
-are all of its.  Every sum over pairs of spatial indices (l <= l' or
-m < l) is a plain loop over the pairs in lexicographic order, as
-``itertools`` lists them; the pair order lives in this module alone.
+and T N out as (Re T N, Im T N), so those 2 transforms are all of its.
+Every sum over pairs of spatial indices (l <= l' or m < l) is a plain loop
+over the pairs in lexicographic order, as ``itertools`` lists them; the
+pair order lives in this module alone.
 
 ``coulomb_slice`` is the one place a time slice is analysed: the transport
 pair rotated into the Coulomb gauge and checked once as the slice's one
@@ -75,26 +78,31 @@ __all__ = [
 
 
 def derive_psi(frame: Frame) -> np.ndarray:
-    """Frame coordinates psi_m = (d_m s).v + i (d_m s).w of the map's gradient.
+    """Frame coordinates psi_m = (d_m s).v + i (d_m s).w of the map's
+    gradient, as the real stack (Re psi, Im psi) of shape (2, d, n, ..., n):
+    psi[0, m] = (d_m s).v and psi[1, m] = (d_m s).w.
 
     Pointwise |psi_m| = |d_m s| since (v, w) is an orthonormal basis of the
     tangent plane.  Each d_m s is one product with the grid's derivative
     matrix (``real_derivative``): no transform.
     """
     grid = frame.grid
-    psi = np.empty((grid.d,) + grid.shape, dtype=complex)
+    psi = np.empty((2, grid.d) + grid.shape)
     for m in range(grid.d):
         ds = real_derivative(grid, frame.s.values, m + 1)
-        psi[m] = np.sum(ds * frame.v, axis=0) + 1j * np.sum(ds * frame.w, axis=0)
+        np.sum(ds * frame.v, axis=0, out=psi[0, m])
+        np.sum(ds * frame.w, axis=0, out=psi[1, m])
     return psi
 
 
 def _gauge_spectra(grid: Grid, p: np.ndarray) -> np.ndarray:
-    """Truncated half spectra of (a_1, ..., a_d, a0) from p = T psi, stacked.
+    """Truncated half spectra of (a_1, ..., a_d, a0) from p = T psi, stacked;
+    p is the real stack (Re p, Im p).
 
-    One rfft of the d^2 real products Re(p_l conj p_l') (l <= l') and
-    Im(p_m conj p_l) (m < l), then the 2/3 mask T and a loop over the pairs
-    of spatial indices:
+    One rfft of the d^2 real products Re(p_l conj p_l')
+    = Re p_l Re p_l' + Im p_l Im p_l' (l <= l') and Im(p_m conj p_l)
+    = Im p_m Re p_l - Re p_m Im p_l (m < l), formed one pair at a time, then
+    the 2/3 mask T and a loop over the pairs of spatial indices:
 
         a_m = sum_{l != m} (i xi_l / |xi|^2) Im(p_m conj p_l)
         a0  = sum_l (R_l R_l + 1/2) Re(p_l conj p_l)
@@ -107,16 +115,13 @@ def _gauge_spectra(grid: Grid, p: np.ndarray) -> np.ndarray:
     d = grid.d
     sym = list(combinations_with_replacement(range(d), 2))
     asym = list(combinations(range(d), 2))
-    # filled in place: a list of products plus np.stack would hold them twice.
-    # One product per pair, as written: the imaginary part of a complex
-    # product can change in the last bit with the order of its operands, and
-    # numpy's temporary elision computes x * conj(y) as conj(y) * x on fields
-    # of 256 KiB and more; a stacked product would give other bits there.
+    re, im = p
+    # filled in place: a list of products plus np.stack would hold them twice
     rows = np.empty((len(sym) + len(asym),) + grid.shape)
     for k, (l, lp) in enumerate(sym):
-        rows[k] = (p[l] * np.conj(p[lp])).real
+        np.add(re[l] * re[lp], im[l] * im[lp], out=rows[k])
     for k, (m, l) in enumerate(asym, start=len(sym)):
-        rows[k] = (p[m] * np.conj(p[l])).imag
+        np.subtract(im[m] * re[l], re[m] * im[l], out=rows[k])
     spec = grid.rfft(rows)
     del rows  # the d^2 products are not needed past their transform
     spec *= grid.symbol("dealias")
@@ -132,24 +137,17 @@ def _gauge_spectra(grid: Grid, p: np.ndarray) -> np.ndarray:
     return out
 
 
-def _truncated(grid: Grid, psi: np.ndarray) -> np.ndarray:
-    """T psi, T the 2/3 mask, as the complex p recombined from
-    ``real_dealias`` of the real stack (Re psi, Im psi), which is freed
-    before the pair sums run beside p."""
-    parts = real_dealias(grid, np.stack([psi.real, psi.imag]))
-    return parts[0] + 1j * parts[1]
-
-
 def a_from_psi(grid: Grid, psi: np.ndarray) -> np.ndarray:
     """Coulomb connection recovered from psi alone.
 
     a_m = |nabla|^-1 sum_l R_l Im(psi_m conj(psi_l)), implemented as the
     single multiplier i xi_l / |xi|^2 on the dealiased products.  The result
-    is divergence free by the antisymmetry of Im(psi_m conj(psi_l)).  T psi
-    is taken by products (``_truncated``), so the call issues 2 transforms,
-    the rfft of the pair products and the irfft of a.
+    is divergence free by the antisymmetry of Im(psi_m conj(psi_l)).  psi is
+    the real stack (Re psi, Im psi) and T psi its per-axis products
+    (``real_dealias``), so the call issues 2 transforms, the rfft of the
+    pair products and the irfft of a.
     """
-    return grid.irfft(_gauge_spectra(grid, _truncated(grid, psi))[: grid.d])
+    return grid.irfft(_gauge_spectra(grid, real_dealias(grid, psi))[: grid.d])
 
 
 def a0_from_psi(grid: Grid, psi: np.ndarray) -> np.ndarray:
@@ -158,17 +156,18 @@ def a0_from_psi(grid: Grid, psi: np.ndarray) -> np.ndarray:
     The double Riesz sum runs over spatial indices only; the call issues
     the 2 transforms of ``a_from_psi``.
     """
-    return grid.irfft(_gauge_spectra(grid, _truncated(grid, psi))[grid.d])
+    return grid.irfft(_gauge_spectra(grid, real_dealias(grid, psi))[grid.d])
 
 
 @dataclass(frozen=True)
 class CoulombSlice:
-    """One time slice in the Coulomb gauge: fixed frame, connection a, psi,
-    and the L2 norm of div a (``coulomb_slice`` builds them all)."""
+    """One time slice in the Coulomb gauge: fixed frame, connection a, psi
+    as the real stack (Re psi, Im psi), and the L2 norm of div a
+    (``coulomb_slice`` builds them all)."""
 
     frame: Frame
     a: np.ndarray            # (d, n, ..., n) real, divergence free
-    psi: np.ndarray          # (d, n, ..., n) complex
+    psi: np.ndarray          # (2, d, n, ..., n) real: (Re psi, Im psi)
     div_a: float             # || div a ||, as coulomb_fix reads it
 
     def residuals(self) -> dict:
@@ -184,16 +183,18 @@ class CoulombSlice:
         (``real_derivative``, ``real_dealias``) on the real stacks
         (Re psi_m, Im psi_m, a_m), one m or one pair (m, l) at a time in
         reused buffers, and the T stack is freed before ``flow_rhs`` gives
-        d_t s; the three norms are quadrature sums (``l2_norm``): no
-        transform.  div a is the slice's ``div_a``, the divergence that
-        ``coulomb_fix`` cancelled, read to multiplier exactness.
+        d_t s.  Every complex product is written out in its real and
+        imaginary parts, and the three norms are quadrature sums
+        (``l2_norm``) of them: no transform.  div a is the slice's
+        ``div_a``, the divergence that ``coulomb_fix`` cancelled, read to
+        multiplier exactness.
         """
         grid = self.frame.grid
         d, psi = grid.d, self.psi
         buf, src = np.empty((3,) + grid.shape), np.empty((3,) + grid.shape)
 
         def load(m):  # the per-axis matrices are real: (Re psi_m, Im psi_m, a_m)
-            buf[0], buf[1], buf[2] = psi[m].real, psi[m].imag, self.a[m]
+            buf[0], buf[1], buf[2] = psi[0, m], psi[1, m], self.a[m]
             return buf
 
         tre, tim, ta = np.empty((3, d) + grid.shape)
@@ -204,7 +205,7 @@ class CoulombSlice:
             # Re and Im of T a_l T psi_m - T a_m T psi_l, then T Im(psi_l conj psi_m)
             np.subtract(ta[l] * tre[m], ta[m] * tre[l], out=src[0])
             np.subtract(ta[l] * tim[m], ta[m] * tim[l], out=src[1])
-            src[2] = (psi[l] * np.conj(psi[m])).imag
+            np.subtract(psi[1, l] * psi[0, m], psi[0, l] * psi[1, m], out=src[2])
             t_re, t_im, t_src = real_dealias(grid, src)
             curl = real_derivative(grid, load(m), l + 1)
             curl -= real_derivative(grid, load(l), m + 1)
@@ -217,12 +218,13 @@ class CoulombSlice:
         div = sum(real_derivative(grid, load(m)[:2], m + 1) for m in range(d))
         t_re, t_im = real_dealias(grid, np.stack([np.sum(ta * tre, axis=0), np.sum(ta * tim, axis=0)]))
         del tre, tim, ta
-        covariant_div = (div[0] - t_im) + 1j * (div[1] + t_re)
+        # psi_0 - i (x + i y) = (Re psi_0 + y, Im psi_0 - x) for the
+        # covariant divergence x + i y = (div[0] - t_im) + i (div[1] + t_re)
         dts = flow_rhs(grid, self.frame.s.values)
-        psi0 = np.sum(dts * self.frame.v, axis=0) + 1j * np.sum(dts * self.frame.w, axis=0)
+        res_psi0 = np.stack([np.sum(dts * self.frame.v, axis=0) + (div[1] + t_re),
+                             np.sum(dts * self.frame.w, axis=0) - (div[0] - t_im)])
         return {"div_a": self.div_a, "res_compatibility": float(max(compat)),
-                "res_curvature": max(curvature),
-                "res_psi0": l2_norm(grid, psi0 - 1j * covariant_div)}
+                "res_curvature": max(curvature), "res_psi0": l2_norm(grid, res_psi0)}
 
 
 def coulomb_slice(s: SphereField) -> CoulombSlice:
@@ -243,22 +245,22 @@ def msm_nonlinearity(grid: Grid, y: np.ndarray) -> np.ndarray:
           + i sum_l Im(psi_l conj(psi_m)) psi_l,
 
     with a and a0 recomputed from psi.  Physical space in and out, as real
-    stacks: ``y`` is (Re psi, Im psi), of shape (2, d, n, ..., n), and the
-    result is (Re T N, Im T N).  Every product is formed once from the
-    truncated p = T psi, ``real_dealias`` of y; a and a0 are those of
-    ``a_from_psi`` and ``a0_from_psi`` (``_gauge_spectra``), and the
-    derivatives d_l p, the masks of the cross term Im(psi_l conj psi_m)
-    (whose operands are the untruncated psi) and of sum_l a_l^2, and T N
-    itself are products with the grid's per-axis matrices
-    (``real_derivative``, ``real_dealias``).  Two batched transforms at
+    stacks: ``y`` is psi as ``derive_psi`` holds it, (Re psi, Im psi) of
+    shape (2, d, n, ..., n), and the result is (Re T N, Im T N).  Every
+    product is formed once from the truncated p = T psi, ``real_dealias``
+    of y; a and a0 are those of ``a_from_psi`` and ``a0_from_psi``
+    (``_gauge_spectra``), and the derivatives d_l p, the masks of the cross
+    term Im(psi_l conj psi_m) (whose operands are the untruncated psi) and
+    of sum_l a_l^2, and T N itself are products with the grid's per-axis
+    matrices (``real_derivative``, ``real_dealias``).  Two batched transforms at
     every d, those of the gauge recovery: the rfft of the d^2 pair products
     and the irfft of (a, a0).  The sums over index pairs (a, a0 and the
     cross term) are loops over the pairs.
     """
     d = grid.d
     pairs = list(combinations(range(d), 2))
-    parts = real_dealias(grid, y)  # T psi, and below as complex for the gauge recovery
-    a = grid.irfft(_gauge_spectra(grid, parts[0] + 1j * parts[1]))  # (a_1, ..., a_d, a0)
+    parts = real_dealias(grid, y)  # T psi, which the gauge recovery reads as it is
+    a = grid.irfft(_gauge_spectra(grid, parts))  # (a_1, ..., a_d, a0)
     # T of the cross products Im(psi_m conj psi_l), m < l, and of sum_l a_l^2
     rows = np.empty((len(pairs) + 1,) + grid.shape)
     for k, (m, l) in enumerate(pairs):

@@ -10,8 +10,9 @@ lattice.  Conventions:
   Riesz-type and dealiasing) map real fields to real fields, and every
   operator here acts on real fields only, through the half spectrum of the
   one transform pair (``Grid.rfft`` / ``Grid.irfft``) or per-axis products.
-  A complex field such as psi is analysed, and evolved, as the real stack
-  (Re psi, Im psi); its full-lattice coefficients are
+  psi is held, analysed and evolved as one real stack (Re psi, Im psi),
+  from ``gauge.derive_psi`` on; it becomes complex only in the psi_1 record
+  of the ``norms`` command.  Its full-lattice coefficients are
   F(Re psi)(xi) + i F(Im psi)(xi) and, at -xi, the conjugate of
   F(Re psi)(xi) - i F(Im psi)(xi).  Two complex n-D transforms stay outside
   ``Grid``: ``diagnostics.xk_norm``'s space-time DFT of a complex record,

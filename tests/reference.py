@@ -8,7 +8,10 @@ single-field spectral derivative and Laplacian and the full-``fft``
 Sobolev norm, which no command needs, the full-spectrum forms
 of the energy and the critical norm that the package sums over half spectra,
 the loop-over-pairs form of the derived-field kernel and its step (with a
-free propagator built afresh), the full-lattice ``np.argmax`` that
+free propagator built afresh), the two conversions between a complex psi
+and the real stack (Re psi, Im psi) that the package holds it as, so that
+tests may state their data and closed forms as complex fields, the
+full-lattice ``np.argmax`` that
 ``align_phase`` must reproduce from a half spectrum, the modulation norm
 summed over the whole space-time lattice, a ``CoulombSlice``
 built from given fields, the unrotated transport pair as a checked frame
@@ -53,6 +56,17 @@ from spheremap.spectral import (
     real_dealias,
     real_derivative,
 )
+
+
+def real_stack(psi: np.ndarray) -> np.ndarray:
+    """The real stack (Re psi, Im psi) of a complex psi, as the package
+    holds it."""
+    return np.stack([psi.real, psi.imag])
+
+
+def complex_of(y: np.ndarray) -> np.ndarray:
+    """The complex field Re + i Im of a real stack y = (Re, Im)."""
+    return y[0] + 1j * y[1]
 
 
 def apply_symbol(grid: Grid, f: np.ndarray, name: str, *args) -> np.ndarray:
@@ -223,16 +237,18 @@ def poisson_zero_mean(grid: Grid, rhs: np.ndarray) -> np.ndarray:
 
 
 def gauge_spectra_by_pairs(grid: Grid, p: np.ndarray) -> tuple:
-    """Truncated half spectra (a_hat, a0_hat) of the gauge kernel, one pair
-    of indices at a time, through ``np.fft.rfftn``."""
+    """Truncated half spectra (a_hat, a0_hat) of the gauge kernel from the
+    real stack p = (Re T psi, Im T psi), one pair of indices at a time,
+    through ``np.fft.rfftn``."""
     d = grid.d
     sym = [(l, lp) for l in range(d) for lp in range(l, d)]
     asym = [(m, l) for m in range(d) for l in range(m + 1, d)]
+    re, im = p
     rows = np.empty((len(sym) + len(asym),) + grid.shape)
     for k, (l, lp) in enumerate(sym):
-        rows[k] = (p[l] * np.conj(p[lp])).real
+        rows[k] = re[l] * re[lp] + im[l] * im[lp]  # Re(p_l conj p_l')
     for k, (m, l) in enumerate(asym, start=len(sym)):
-        rows[k] = (p[m] * np.conj(p[l])).imag
+        rows[k] = im[m] * re[l] - re[m] * im[l]  # Im(p_m conj p_l)
     spec = np.fft.rfftn(rows, axes=tuple(range(-d, 0)))
     spec *= grid.symbol("dealias")
     re_hat, im_hat = spec[: len(sym)], spec[len(sym):]
@@ -257,11 +273,11 @@ def nonlinearity_by_pairs(grid: Grid, y: np.ndarray) -> np.ndarray:
     axes = tuple(range(-d, 0))
     pairs = [(m, l) for m in range(d) for l in range(m + 1, d)]
     re, im = y
-    p = np.empty((d,) + grid.shape, dtype=complex)
+    p_re, p_im = np.empty(re.shape), np.empty(im.shape)
     for m in range(d):
-        p[m] = real_dealias(grid, re[m]) + 1j * real_dealias(grid, im[m])
+        p_re[m], p_im[m] = real_dealias(grid, re[m]), real_dealias(grid, im[m])
 
-    a_hat, a0_hat = gauge_spectra_by_pairs(grid, p)
+    a_hat, a0_hat = gauge_spectra_by_pairs(grid, np.stack([p_re, p_im]))
     a = np.fft.irfftn(a_hat, s=grid.shape, axes=axes)
     potential = np.fft.irfftn(a0_hat, s=grid.shape, axes=axes)
     potential += real_dealias(grid, np.sum(a * a, axis=0))
@@ -269,17 +285,17 @@ def nonlinearity_by_pairs(grid: Grid, y: np.ndarray) -> np.ndarray:
     grad_re, grad_im = np.zeros(re.shape), np.zeros(re.shape)
     for l in range(d):
         for m in range(d):
-            grad_re[m] += a[l] * real_derivative(grid, np.ascontiguousarray(p[m].real), l + 1)
-            grad_im[m] += a[l] * real_derivative(grid, np.ascontiguousarray(p[m].imag), l + 1)
-    out_re, out_im = potential * p.real, potential * p.imag
+            grad_re[m] += a[l] * real_derivative(grid, p_re[m], l + 1)
+            grad_im[m] += a[l] * real_derivative(grid, p_im[m], l + 1)
+    out_re, out_im = potential * p_re, potential * p_im
     out_re += 2.0 * grad_im
     out_im -= 2.0 * grad_re
     for m, l in pairs:
         c = real_dealias(grid, im[m] * re[l] - re[m] * im[l])  # Im(psi_m conj psi_l)
-        out_re[l] -= c * p[m].imag
-        out_im[l] += c * p[m].real
-        out_re[m] += c * p[l].imag
-        out_im[m] -= c * p[l].real
+        out_re[l] -= c * p_im[m]
+        out_im[l] += c * p_re[m]
+        out_re[m] += c * p_im[l]
+        out_im[m] -= c * p_re[l]
     out = np.empty(y.shape)
     for m in range(d):
         out[0, m] = real_dealias(grid, out_re[m])
@@ -302,11 +318,10 @@ def free_propagate_by_axes(grid: Grid, t: float, y: np.ndarray) -> np.ndarray:
     return y
 
 
-def evolve_by_pairs(grid: Grid, psi: np.ndarray, dt: float) -> np.ndarray:
+def evolve_by_pairs(grid: Grid, y: np.ndarray, dt: float) -> np.ndarray:
     """``evolve_msm`` on ``nonlinearity_by_pairs``, its half-step propagator
     built afresh (``free_propagate_by_axes``) and the Lawson step written
-    out in ``_rk4``'s order on the real stack (Re psi, Im psi)."""
-    y = np.stack([psi.real, psi.imag])
+    out in ``_rk4``'s order on the real stack y = (Re psi, Im psi)."""
 
     def half(x):
         return free_propagate_by_axes(grid, dt / 2.0, x)
@@ -321,8 +336,7 @@ def evolve_by_pairs(grid: Grid, psi: np.ndarray, dt: float) -> np.ndarray:
     c = slope(half_y + 0.5 * dt * b)
     d = slope(half(half_y + dt * c))
     total = half(half(a) + 2.0 * b + 2.0 * c) + d
-    out = half(half_y) + (dt / 6.0) * total
-    return out[0] + 1j * out[1]
+    return half(half_y) + (dt / 6.0) * total
 
 
 def phase_mode_full_lattice(grid: Grid, psi1: np.ndarray) -> tuple:

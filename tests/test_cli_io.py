@@ -885,6 +885,18 @@ class TestCliNorms:
         assert rc == 2
         assert "--q '0,0,2': a base point must be a unit vector, length 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("observable", ["sminusq", "psi1"])
+    def test_snapshot_off_the_spacing_named(self, config_file, tmp_path, capsys, observable):
+        # 5 steps with snapshot_every = 2 write snapshots 0, 2, 4 and the last, 5
+        assert cli_main(["run", "--config", config_file, "--override", "time.steps=5"]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        rc = cli_main(["norms", "--dir", str(out), "--observable", observable])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out / 'snapshot_00000005.bin'}: t = "), err
+        assert err.rstrip().endswith("record times must be uniform and increasing"), err
+
     @staticmethod
     def _norms_peak_bytes(tmp_path, count, grid, values):
         record = tmp_path / f"record-{count}"

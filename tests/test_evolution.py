@@ -21,12 +21,12 @@ from spheremap.evolution import (
 )
 from spheremap.cli_io import emit_diagnostics_csv, gauge_identity_suite, load_snapshot, save_snapshot
 from spheremap.diagnostics import diagnostics_row, frame_bound_ratio
-from spheremap.gauge import coulomb_slice, msm_nonlinearity
+from spheremap.gauge import coulomb_slice, derive_psi, msm_nonlinearity
 from spheremap.geometry import SphereField, flow_rhs
 from spheremap.initial_data import InitialDataSpec, generate_initial
 from spheremap.spectral import Grid, _free_propagate
 
-from reference import laplacian, phase_mode_full_lattice
+from reference import complex_of, laplacian, phase_mode_full_lattice, real_stack
 
 Q = np.array([0.0, 0.0, 1.0])
 
@@ -179,6 +179,7 @@ A_FROM_PSI_TRANSFORMS = ["rfft", "irfft"]
 
 
 def bump_psi(grid):
+    """The bump's psi as the slice holds it, the real stack (Re psi, Im psi)."""
     return coulomb_slice(bump_field(grid)).psi
 
 
@@ -195,8 +196,7 @@ class TestTransformCount:
     @pytest.mark.parametrize("d, n", [(2, 16), (3, 8), (4, 8)])
     def test_msm_nonlinearity_issues_two_transforms(self, transform_fields, d, n):
         g = Grid(d=d, n=n)
-        psi = bump_psi(g)
-        y = np.stack([psi.real, psi.imag])
+        y = bump_psi(g)
         transform_fields.clear()
         msm_nonlinearity(g, y)
         assert transform_fields == msm_kernel_transforms(d)
@@ -257,7 +257,7 @@ class TestEvolveMsm:
     def test_zero_state(self):
         g = Grid(d=2, n=8)
         psi = np.zeros((2,) + g.shape, dtype=complex)
-        out = evolve_msm(g, psi, 0.01)
+        out = evolve_msm(g, real_stack(psi), 0.01)
         assert np.max(np.abs(out)) == 0.0
 
     def test_free_phase(self):
@@ -266,7 +266,7 @@ class TestEvolveMsm:
         psi = np.zeros((2,) + g.shape, dtype=complex)
         psi[0] = np.exp(1j * x1)
         dt = 0.37
-        y = np.stack([psi.real, psi.imag])
+        y = real_stack(psi)
         out = _free_propagate(g, dt, y, np.empty_like(y), np.empty((2,) + y.shape))
         expected = np.exp(-1j * dt) * np.exp(1j * x1)
         assert np.max(np.abs(out[0, 0] + 1j * out[1, 0] - expected)) < 1e-14
@@ -293,7 +293,7 @@ class TestEvolveMsm:
         def msm_evolve(psi, step, n):
             for _ in range(n):
                 psi = evolve_msm(g, psi, step)
-            return psi
+            return complex_of(psi)
 
         ref = msm_evolve(psi0, dt / 8, 128)
         e1 = np.max(np.abs(msm_evolve(psi0, dt, 16) - ref))
@@ -316,6 +316,28 @@ class TestEvolveMsm:
             gc.enable()
 
 
+class TestPsiIsOneRealStack:
+    """psi is held as the real stack (Re psi, Im psi) from the slice to the
+    mismatch: every function that builds or returns psi gives float64 of
+    shape (2, d) + grid.shape."""
+
+    @pytest.mark.parametrize("d, n", [(2, 16), (3, 8), (4, 8)])
+    def test_float64_stacks(self, d, n):
+        g = Grid(d=d, n=n)
+        sl = coulomb_slice(bump_field(g))
+        stepped = evolve_msm(g, sl.psi, default_dt(g))
+        outputs = {
+            "derive_psi": derive_psi(sl.frame),
+            "coulomb_slice": sl.psi,
+            "evolve_msm": stepped,
+            "align_phase": align_phase(g, stepped, sl.psi),
+            "msm_nonlinearity": msm_nonlinearity(g, sl.psi),
+        }
+        for name, out in outputs.items():
+            assert out.dtype == np.float64, name
+            assert out.shape == (2, d) + g.shape, name
+
+
 class TestAlignPhase:
     """``align_phase`` reads its phase at the coefficient of psi_1 that
     ``np.argmax`` picks over the full spectrum in FFT order, also where
@@ -330,17 +352,20 @@ class TestAlignPhase:
         rng = np.random.default_rng(d * n)
         size = (d,) + g.shape
         psi = rng.normal(size=size) + 1j * rng.normal(size=size)
-        reference = bump_psi(g) if data == "bump" else rng.normal(size=size) + 1j * rng.normal(size=size)
+        if data == "bump":
+            reference = complex_of(bump_psi(g))
+        else:
+            reference = rng.normal(size=size) + 1j * rng.normal(size=size)
         idx = phase_mode_full_lattice(g, reference[0])
         phase = np.fft.fftn(reference[0])[idx] / np.fft.fftn(psi[0])[idx]
         expected = psi * (phase / abs(phase))
-        got = align_phase(g, psi, reference)
+        got = complex_of(align_phase(g, real_stack(psi), real_stack(reference)))
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(psi))
 
     def test_bump_psi1_ties_at_plus_and_minus_xi(self):
         # the data above do tie: the largest coefficient's mirror has its magnitude
         g = Grid(d=2, n=32)
-        f = bump_psi(g)[0]
+        f = complex_of(bump_psi(g))[0]
         mag = np.abs(np.fft.fftn(f))
         idx = phase_mode_full_lattice(g, f)
         mirror = tuple(-i % g.n for i in idx)

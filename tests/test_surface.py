@@ -394,6 +394,56 @@ def test_complex_transforms_only_where_the_spectral_docstring_says():
     assert callers == {"Grid.rfft", "Grid.irfft", "xk_norm", "_band_limited_random"}, callers
 
 
+class _ComplexUses(ast.NodeVisitor):
+    """The functions that call a complex conjugate (``np.conj(x)``,
+    ``x.conj()``, ``x.conjugate()``) and those that name ``complex`` or a
+    numpy complex type, by qualified name."""
+
+    def __init__(self) -> None:
+        self.stack, self.conj, self.complex = [], set(), set()
+
+    def _enter(self, node):
+        self.stack.append(node.name)
+        self.generic_visit(node)
+        self.stack.pop()
+
+    visit_ClassDef = visit_FunctionDef = _enter
+
+    def visit_Call(self, node):
+        if isinstance(node.func, ast.Attribute) and node.func.attr in ("conj", "conjugate"):
+            self.conj.add(".".join(self.stack))
+        self.generic_visit(node)
+
+    def visit_Name(self, node):
+        if node.id == "complex":
+            self.complex.add(".".join(self.stack))
+
+    def visit_Attribute(self, node):
+        if node.attr.startswith("complex") and _through_numpy(node):
+            self.complex.add(".".join(self.stack))
+        self.generic_visit(node)
+
+
+def test_psi_is_complex_only_where_a_complex_field_is_needed():
+    """psi is held as the real stack (Re psi, Im psi), and every product of
+    its components is written out in real and imaginary parts, so no
+    complex conjugate of a field is taken.  ``align_phase`` alone
+    conjugates, and only spectra: the half-spectrum coefficients of psi_1
+    at -xi.  ``complex`` is named as a dtype only where a complex array is
+    the result: ``_gauge_spectra``'s half spectra of (a, a0), which carry
+    the odd symbols i xi_l / |xi|^2; ``_cmd_norms``' psi1 record and
+    ``xk_norm``'s space-time DFT of it, whose modulation weight is not even
+    in (tau, xi), so every coefficient is needed; and
+    ``_band_limited_random``'s random coefficients, whose inverse
+    transform fixes the bits of its data."""
+    found = _ComplexUses()
+    for tree in _src_trees().values():
+        found.visit(tree)
+    assert found.conj == {"align_phase"}, found.conj
+    assert found.complex == {"_gauge_spectra", "_cmd_norms", "xk_norm", "_band_limited_random"}, \
+        found.complex
+
+
 def test_run_evaluates_the_flow_only_through_flow_rhs(monkeypatch):
     """4 calls per RK4 step and 1 per diagnostics row; each call applies
     ``real_laplacian`` once, and nothing else in a run does."""
